@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every check passed (or the run completed, for commands
 without checks), 2 when at least one check failed, 1 on usage or
-configuration errors.  Every command reads an optional flat key = value
+configuration errors, 3 when a Picard iteration diverges (a delta that is
+not finite).  Every command reads an optional flat key = value
 config file, applies flag overrides on top, writes its artifacts into the
 output directory, and echoes the effective configuration beside them as
 effective-config.txt; rerunning a command on its own echo reproduces the
@@ -45,6 +46,7 @@ from .kernels import (
 from .noise import build_grid, default_xi_max, sample_noise, save_noise, variance_bias_report
 from .picard import (
     PicardConvergenceError,
+    PicardDivergenceError,
     build_geometry,
     homogeneous_term,
     solve,
@@ -842,6 +844,8 @@ def _cmd_moments(args):
     for p in p_list:
         if p < 2:
             raise _CliError(f"p must be at least 2, got {p}")
+    if cfg.ensemble < 2:
+        raise _CliError(f"moments needs at least 2 realizations, got {cfg.ensemble}")
 
     picard_cfg = to_picard_config(cfg)
     _, ensemble, _ = _solve_ensemble_blocks(
@@ -1149,6 +1153,9 @@ def main(argv=None):
     except _CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except PicardDivergenceError as err:
+        print(f"FAIL picard-divergence: {err}", file=sys.stderr)
+        return 3
     except PicardConvergenceError as err:
         print(f"FAIL picard-convergence: {err}", file=sys.stderr)
         return 2

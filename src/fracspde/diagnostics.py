@@ -19,13 +19,15 @@ with C_w = 2 a^2 C_H and pure-power kernels
               int |FG_s(xi)|^2 |xi|^(2-4H) dxi ds      = c2 tau^e2.
 
 Statistics are accumulated on thinned lattices, so memory is independent
-of the ensemble size.  Three nested spatial grids are involved: the sup
-in both curves runs over the core window; the pair-energy density rho
-needs support out to the kernel reach beyond the core; and the pair
-partner z runs over the whole lattice window, with the remaining
-|y - z|^{2H-2} mass beyond the window completed analytically under the
-decorrelation m2(y) + m2(z) (exact for the wave kernel beyond lag 2t,
-Gaussian-tail accurate for the heat kernel).
+of the ensemble size; the pair energies are expanded into moment sums
+that grow with t * y (never a t * y * z pair tensor), and the Toeplitz
+slab kernels act by FFT convolution along y.  Three nested spatial grids
+are involved: the sup in both curves runs over the core window; the
+pair-energy density rho needs support out to the kernel reach beyond the
+core; and the pair partner z runs over the whole lattice window, with
+the remaining |y - z|^{2H-2} mass beyond the window completed
+analytically under the decorrelation m2(y) + m2(z) (exact for the wave
+kernel beyond lag 2t, Gaussian-tail accurate for the heat kernel).
 """
 
 import math
@@ -126,24 +128,23 @@ def _tail_weights(y, z, h):
     return (s_left**p + s_right**p) / (1.0 - 2.0 * h)
 
 
-def _slab_kernel_matrices(equation, x_out, y_in, dt_thin, n_levels, dx_thin):
-    """Cell-exact squared-kernel application matrices per time-lag level.
+def _slab_kernel_levels(equation, y, dt_thin, n_levels, dx_thin):
+    """Cell-exact squared-kernel masses per time-lag level.
 
-    Level l covers kernel lags tau in (l, l+1] * dt_thin; K[l][i, j] is
-    the mass int_cell_j G^2_tau(x_i - u) du of cell j, so K[l] @ rho
-    approximates [G^2_tau * rho](x_i) and dt_thin * K[l] @ rho is the
-    slab's contribution to the energy time integral.  Cell masses are
-    exact for both kernels (box overlap / erf difference), which keeps
-    the heat kernel honest when tau is below the lattice scale; the lag
-    node is the slab midpoint for the bounded wave kernel and, for the
-    heat kernel, the point that integrates the tau^(-1/2) envelope
-    exactly over the slab.
+    Level l covers kernel lags tau in (l, l+1] * dt_thin; K[l][i, j], the
+    mass int_cell_j G^2_tau(y_i - u) du of cell j, makes dt_thin * K[l] @ rho
+    the slab's contribution to the energy time integral.  y has one stride,
+    so K[l][i, j] = k_l(y_i - y_j) is Toeplitz and row l holds k_l at the
+    2 n_y - 1 offsets y_d - y_0, d = 1 - n_y .. n_y - 1.  Cell masses are
+    exact (box overlap / erf difference), which keeps the heat kernel honest
+    when tau is below the lattice scale; the lag node is the slab midpoint
+    for the bounded wave kernel and, for the heat kernel, the point that
+    integrates the tau^(-1/2) envelope exactly over the slab.
     """
-    offs = x_out[:, None] - y_in[None, :]
-    out = np.empty((n_levels, x_out.size, y_in.size))
+    offs = np.concatenate([y[0] - y[:0:-1], y - y[0]])
+    out = np.empty((n_levels, offs.size))
     for lvl in range(n_levels):
-        tau_lo = lvl * dt_thin
-        tau_hi = (lvl + 1) * dt_thin
+        tau_lo, tau_hi = lvl * dt_thin, (lvl + 1) * dt_thin
         if equation == "wave":
             tau = 0.5 * (tau_lo + tau_hi)
             lo = np.maximum(offs - 0.5 * dx_thin, -tau)
@@ -158,16 +159,42 @@ def _slab_kernel_matrices(equation, x_out, y_in, dt_thin, n_levels, dx_thin):
     return out
 
 
-def _energy_curves(rho, kmats, dt_thin, sup_rows):
-    """sup over the core rows of sum_{m<=k} dt_thin * (K[k-m] @ rho[m])."""
-    n_t = rho.shape[0]
-    out = np.empty(n_t)
-    for k in range(n_t):
-        tot = np.zeros(sup_rows.size)
-        for m in range(k + 1):
-            tot += kmats[k - m][sup_rows] @ rho[m]
-        out[k] = dt_thin * tot.max()
-    return out
+def _energy_curves(rho, levels, dt_thin, sup_rows):
+    """sup over the core rows of sum_{m<=k} dt_thin * (K[k-m] @ rho[..., m, :]).
+
+    Each K[l] @ rho[m] is a linear convolution, so the causal sums over
+    l + m = k run on Fourier coefficients of length >= 2 n_y - 1, which keeps
+    wrap-around off the rows read back.  Leading axes of rho ride along.
+    """
+    n_t, n_y = rho.shape[-2:]
+    n_conv = 1 << (2 * n_y - 2).bit_length()
+    k_hat = np.fft.rfft(levels, n_conv)
+    r_hat = np.fft.rfft(rho, n_conv)
+    e_hat = np.zeros_like(r_hat)
+    for lvl in range(n_t):
+        e_hat[..., lvl:, :] += k_hat[lvl] * r_hat[..., : n_t - lvl, :]
+    energy = np.fft.irfft(e_hat, n_conv)[..., sup_rows + (n_y - 1)]
+    return dt_thin * energy.max(axis=-1)
+
+
+def _pair_moments(rows, g, wmat):
+    """The per-path terms of the expanded pair sum: D(y)^2, D(y) (W D)(y), D(z)^2."""
+    ys, zs = rows[:, g.y_idx], rows[:, g.z_idx]
+    return ys * ys, ys * (zs @ wmat.T), zs * zs
+
+
+def _pair_energy_curves(geom, g, wmat, m2_y, cross, m2_z):
+    """Energy curves from the (mean) _pair_moments terms, expanding
+    sum_z w(y, z) (D(y) - D(z))^2 = D(y)^2 sum_z w - 2 D(y) (W D)(y) + (W D^2)(y)
+    and completing the pair integral beyond the window under decorrelation,
+    E|D(y) - D(z)|^2 -> m2(y) + mean_z m2(z).  rho is clipped at 0 so that
+    round-off cannot make an energy negative."""
+    tails = _tail_weights(g.y, g.z, geom.h)
+    rho = m2_y * (wmat.sum(axis=1) + tails) - 2.0 * cross + m2_z @ wmat.T
+    rho += m2_z.mean(axis=-1, keepdims=True) * tails
+    np.clip(rho, 0.0, None, out=rho)
+    levels = _slab_kernel_levels(geom.equation, g.y, g.dt_thin, g.t_idx.size, g.dx_thin)
+    return _energy_curves(rho, levels, g.dt_thin, g.sup_rows)
 
 
 class VnWnCollector:
@@ -176,8 +203,8 @@ class VnWnCollector:
     Feed successive differences via observe(n, diff, geom) in iteration
     order (n = 1..n_iters) for each realization; finalize() returns the
     curves with standard errors.  Holds second/fourth moments on the full
-    core for V, and cross Gram matrices on the thinned y/z lattices for
-    the pair energies behind W.
+    core for V and, for W, sums of the _pair_moments terms on the thinned
+    y/z lattices, so memory grows with t * y, never t * y * z.
     """
 
     def __init__(self, geom, n_iters, n_t=32, n_x=128):
@@ -186,27 +213,23 @@ class VnWnCollector:
         self.grids = make_diagnostic_grids(geom, n_t=n_t, n_x=n_x)
         g = self.grids
         core_n = geom.core.stop - geom.core.start
+        self._wmat = _pair_weight_matrix(g.y, g.z, geom.h, g.dx_thin)
         self._sum2 = np.zeros((self.n_iters, g.t_idx.size, core_n))
         self._sum4 = np.zeros((self.n_iters, g.t_idx.size, core_n))
-        self._gram = np.zeros((self.n_iters, g.t_idx.size, g.y_idx.size, g.z_idx.size))
-        self._m2_y = np.zeros((self.n_iters, g.t_idx.size, g.y_idx.size))
-        self._m2_z = np.zeros((self.n_iters, g.t_idx.size, g.z_idx.size))
+        widths = (g.y.size, g.y.size, g.z.size)  # D(y)^2, D(y) (W D)(y), D(z)^2
+        self._pair_sums = tuple(np.zeros((self.n_iters, g.t_idx.size, m)) for m in widths)
         self._count = 0
 
     def observe(self, n, diff, geom):
         if not 1 <= n <= self.n_iters:
             return
-        g = self.grids
-        rows = diff[g.t_idx]
+        rows = diff[self.grids.t_idx]
         core = rows[:, self.geom.core]
         sq = core * core
         self._sum2[n - 1] += sq
         self._sum4[n - 1] += sq * sq
-        ys = rows[:, g.y_idx]
-        zs = rows[:, g.z_idx]
-        self._gram[n - 1] += np.einsum("ty,tz->tyz", ys, zs)
-        self._m2_y[n - 1] += ys * ys
-        self._m2_z[n - 1] += zs * zs
+        for acc, term in zip(self._pair_sums, _pair_moments(rows, self.grids, self._wmat)):
+            acc[n - 1] += term
         if n == self.n_iters:
             self._count += 1
 
@@ -225,24 +248,7 @@ class VnWnCollector:
         v = m2[ii, tt, arg]
         se_v = np.sqrt(var_mean[ii, tt, arg])
 
-        pair = (
-            self._m2_y[:, :, :, None]
-            + self._m2_z[:, :, None, :]
-            - 2.0 * self._gram
-        ) / r
-        np.clip(pair, 0.0, None, out=pair)
-
-        wmat = _pair_weight_matrix(g.y, g.z, geom.h, g.dx_thin)
-        rho = np.einsum("ntyz,yz->nty", pair, wmat)
-        # analytic completion of the pair integral beyond the window under
-        # decorrelation: E|D(y) - D(z)|^2 -> m2(y) + mean_z m2(z)
-        tails = _tail_weights(g.y, g.z, geom.h)
-        rho += (self._m2_y / r + (self._m2_z / r).mean(axis=2, keepdims=True)) * tails
-
-        kmats = _slab_kernel_matrices(geom.equation, g.y, g.y, g.dt_thin, n_t, g.dx_thin)
-        w = np.empty((self.n_iters, n_t))
-        for n in range(self.n_iters):
-            w[n] = _energy_curves(rho[n], kmats, g.dt_thin, g.sup_rows)
+        w = _pair_energy_curves(geom, g, self._wmat, *(acc / r for acc in self._pair_sums))
         # Gaussian perfect-correlation proxy: an upper bound on the error
         # of any positively weighted sum of empirical second moments
         se_w = math.sqrt(2.0 / r) * w
@@ -448,13 +454,6 @@ def pathwise_x2_seminorm(diff, geom, n_t=32, n_x=128):
     the accumulated energy.
     """
     g = make_diagnostic_grids(geom, n_t=n_t, n_x=n_x)
-    rows_y = diff[g.t_idx][:, g.y_idx]
-    rows_z = diff[g.t_idx][:, g.z_idx]
-    pair = (rows_y[:, :, None] - rows_z[:, None, :]) ** 2
     wmat = _pair_weight_matrix(g.y, g.z, geom.h, g.dx_thin)
-    rho = np.einsum("tyz,yz->ty", pair, wmat)
-    tails = _tail_weights(g.y, g.z, geom.h)
-    rho += (rows_y**2 + (rows_z**2).mean(axis=1, keepdims=True)) * tails
-    kmats = _slab_kernel_matrices(geom.equation, g.y, g.y, g.dt_thin, g.t_idx.size, g.dx_thin)
-    curve = _energy_curves(rho, kmats, g.dt_thin, g.sup_rows)
+    curve = _pair_energy_curves(geom, g, wmat, *_pair_moments(diff[g.t_idx], g, wmat))
     return float(np.sqrt(curve.max()))

@@ -21,6 +21,7 @@ verdict on partial sums, never as a proof.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .report import make_check
 __all__ = [
     "GRID_CELLS",
     "GronwallProblem",
+    "GronwallOverflowError",
     "fibonacci",
     "fibonacci_closed_form",
     "density_cell_masses",
@@ -41,6 +43,7 @@ __all__ = [
 ]
 
 GRID_CELLS = 4096
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,30 @@ class GronwallProblem:
             raise ValueError("T must be positive")
         if self.M0 < 0.0 or self.M1 < 0.0:
             raise ValueError("M0 and M1 must be nonnegative")
+
+
+class GronwallOverflowError(ValueError):
+    """Raised when a factor of a_n, b_(n+1) or K^(n-1), lies beyond float range."""
+
+
+def _check_float_range(big_k, n):
+    """Reject an index n whose Fibonacci factor or K-power overflows a float.
+
+    Both factors grow with n, so checking the largest index covers a whole
+    sequence.  b_(n+1) is judged by the log of its Binet form: at the last
+    index that fits and the first that does not, that log lies 0.32 below
+    and 0.16 above the float limit, far beyond the form's rounding.
+    """
+    log_fib = (n + 1) * math.log(0.5 * (1.0 + math.sqrt(5.0))) - 0.5 * math.log(5.0)
+    try:
+        big_k ** (n - 1)
+        fits = log_fib <= _LOG_FLOAT_MAX
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise GronwallOverflowError(
+            f"a_n overflows a float at n = {n} (K = {big_k:.6g}); lower n_max"
+        )
 
 
 def fibonacci(n):
@@ -199,7 +226,11 @@ def hitting_probability(g, T, k, method="convolution", n_cells=GRID_CELLS,
 
 
 def a_n_sequence(problem, n_max, n_cells=GRID_CELLS):
-    """The bound sequence a_0 .. a_n_max, reusing one convolution sweep."""
+    """The bound sequence a_0 .. a_n_max, reusing one convolution sweep.
+
+    Raises GronwallOverflowError before the sweep when a factor of a_n_max
+    lies beyond float range.
+    """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     out = np.ones(n_max + 1)
@@ -208,6 +239,7 @@ def a_n_sequence(problem, n_max, n_cells=GRID_CELLS):
     masses = density_cell_masses(problem.g, problem.T, n_cells)
     total = float(masses.sum())
     big_k = max(total, 1.0)
+    _check_float_range(big_k, n_max)
     k_max = n_max // 2
     hit = np.zeros(k_max + 1)
     if total > 0.0:
@@ -233,6 +265,7 @@ def a_n_bound(problem, n, n_cells=GRID_CELLS):
     masses = density_cell_masses(problem.g, problem.T, n_cells)
     total = float(masses.sum())
     big_k = max(total, 1.0)
+    _check_float_range(big_k, n)
     hit = hitting_probability(problem.g, problem.T, n // 2,
                               method="convolution", n_cells=n_cells)
     return float(fibonacci(n + 1)) * big_k ** (n - 1) * hit

@@ -40,6 +40,7 @@ __all__ = [
     "PicardResult",
     "EnsembleResult",
     "PicardConvergenceError",
+    "PicardDivergenceError",
     "homogeneous_term",
     "noise_slabs",
     "picard_step",
@@ -61,6 +62,25 @@ class PicardConvergenceError(RuntimeError):
     def __init__(self, message, deltas):
         super().__init__(message)
         self.deltas = list(deltas)
+
+
+class PicardDivergenceError(PicardConvergenceError):
+    """Raised as soon as a successive delta is not finite (overflow or NaN).
+
+    ``deltas`` ends with the non-finite value.  Numpy's overflow and
+    invalid-value warnings inside a Picard step are silenced, because this
+    error reports what they would.
+    """
+
+
+def _core_delta(diff, geom, n, deltas):
+    """sup |diff| over the core window; raises PicardDivergenceError if not finite."""
+    delta = float(np.max(np.abs(diff[:, geom.core])))
+    if not math.isfinite(delta):
+        raise PicardDivergenceError(
+            f"non-finite delta {delta} at iteration {n}", [*deltas, delta]
+        )
+    return delta
 
 
 @dataclass(frozen=True)
@@ -492,11 +512,12 @@ def _iterate(geom, sigma, w, eta, max_iters, tol, store_iterates, observer=None,
     iterates = [u_prev.copy()] if store_iterates else None
     scale = None
     for n in range(1, max_iters + 1):
-        u_next = picard_step(geom, sigma, u_prev, eta, w, trig=trig)
-        diff = u_next - u_prev
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_next = picard_step(geom, sigma, u_prev, eta, w, trig=trig)
+            diff = u_next - u_prev
+        delta = _core_delta(diff, geom, n, deltas)
         if observer is not None:
             observer(n, diff)
-        delta = float(np.max(np.abs(diff[:, geom.core])))
         deltas.append(delta)
         if store_iterates:
             iterates.append(u_next.copy())
@@ -516,7 +537,7 @@ def solve(config):
     Stops once the sup-norm over the core window of u^{n+1} - u^n falls
     below tol times the first delta (tol = inf therefore returns u^1).
     Raises PicardConvergenceError, carrying the delta history, if max_iters
-    is exhausted first.
+    is exhausted first, and PicardDivergenceError once a delta is not finite.
     """
     geom = build_geometry(config)
     w = _homogeneous_values(geom, config.init)
@@ -562,7 +583,8 @@ def solve_ensemble(config, n_realizations, n_iters=None, collectors=(), on_final
     statistics need aligned iteration counts, so the pathwise stopping rule
     is not applied here.  Collectors see each successive difference as it is
     produced via collector.observe(n, diff, geom); on_final(r, field) sees
-    each final iterate.  Memory stays O(one realization).
+    each final iterate.  Memory stays O(one realization).  A non-finite delta
+    raises PicardDivergenceError.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be at least 1")
@@ -576,11 +598,12 @@ def solve_ensemble(config, n_realizations, n_iters=None, collectors=(), on_final
         eta = noise_slabs(geom, config.seed, config.realization + r)
         u_prev = w
         for n in range(1, n_iters + 1):
-            u_next = picard_step(geom, config.sigma, u_prev, eta, w, trig=trig)
-            diff = u_next - u_prev
+            with np.errstate(over="ignore", invalid="ignore"):
+                u_next = picard_step(geom, config.sigma, u_prev, eta, w, trig=trig)
+                diff = u_next - u_prev
+            deltas[r, n - 1] = _core_delta(diff, geom, n, deltas[r, : n - 1].tolist())
             for collector in collectors:
                 collector.observe(n, diff, geom)
-            deltas[r, n - 1] = np.max(np.abs(diff[:, geom.core]))
             u_prev = u_next
         if on_final is not None:
             on_final(r, _field_from(geom, u_prev))

@@ -9,6 +9,7 @@ and rerunning on the echo reproduces the artifacts byte for byte.
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,27 @@ class TestExitCodes:
         monkeypatch.setenv("FRACSPDE_THREADS", "many")
         assert main(["peszat", "--out", str(tmp_path)]) == 1
         assert "FRACSPDE_THREADS" in capsys.readouterr().err
+
+    def test_divergence_exits_three(self, tmp_path, capsys):
+        base = ["picard", "--T", "0.25", "--dt", "0.015625", "--dx", "0.015625",
+                "--sigma-a", "1e308", "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for extra in ([], ["--ensemble", "3"]):
+                assert main(base + extra) == 3
+                err = capsys.readouterr().err
+                assert err.startswith("FAIL picard-divergence: non-finite delta")
+                assert err.count("\n") == 1
+
+    def test_overflowing_gronwall_sequence_rejected(self, tmp_path, capsys):
+        code = main(["gronwall", "--g", "power:-0.7", "--n-max", "600", "--out", str(tmp_path)])
+        assert code == 1
+        assert "overflows a float at n = 600" in capsys.readouterr().err
+        assert not (tmp_path / "a_n.csv").exists()
+
+    def test_moments_single_realization_rejected(self, tmp_path, capsys):
+        assert main(["moments", "--ensemble", "1", "--out", str(tmp_path)]) == 1
+        assert "at least 2 realizations" in capsys.readouterr().err
 
     def test_moment_order_below_two_rejected(self, tmp_path, capsys):
         assert main(["moments", "--p", "1", "--out", str(tmp_path)]) == 1

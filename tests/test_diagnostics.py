@@ -5,19 +5,26 @@ closed forms they repackage, the lag convolution against analytic Beta
 integrals, and the first-iteration curves against exact lattice sums (the
 additive first increment is Gaussian with a banded spectral representation,
 so both its variance and its weighted pair-increment energy have closed
-forms on the solver lattice).
+forms on the solver lattice).  The pair-energy quadrature is checked against
+its dense form: the full (t, y, z) pair tensor contracted with the pair
+weights, and the slab kernels as full y x y matrices per lag level.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
+from fracspde.config import SimulationConfig, to_picard_config
 from fracspde.constants import C_H, c_H
 from fracspde.diagnostics import (
     IterateSecondMomentCollector,
     VnWnCollector,
+    _pair_weight_matrix,
+    _tail_weights,
     j_power_forms,
     make_diagnostic_grids,
     pathwise_x2_seminorm,
@@ -112,6 +119,46 @@ def exact_w1(geom, t_query):
     if geom.equation == "wave":
         return power_convolution(t_query, rho1, 0.5, 1.0)
     return power_convolution(t_query, rho1, 1.0 / (2.0 * math.sqrt(math.pi)), -0.5)
+
+
+def dense_kernel_matrices(equation, y, dt_thin, n_levels, dx_thin):
+    """Slab kernel cell masses as full y x y matrices, one per lag level."""
+    offs = y[:, None] - y[None, :]
+    out = np.empty((n_levels, y.size, y.size))
+    for lvl in range(n_levels):
+        tau_lo, tau_hi = lvl * dt_thin, (lvl + 1) * dt_thin
+        if equation == "wave":
+            tau = 0.5 * (tau_lo + tau_hi)
+            lo = np.maximum(offs - 0.5 * dx_thin, -tau)
+            hi = np.minimum(offs + 0.5 * dx_thin, tau)
+            out[lvl] = 0.25 * np.clip(hi - lo, 0.0, None)
+        else:
+            tau = (dt_thin / (2.0 * (math.sqrt(tau_hi) - math.sqrt(tau_lo)))) ** 2
+            rt = math.sqrt(tau)
+            out[lvl] = (erf((offs + 0.5 * dx_thin) / rt) - erf((offs - 0.5 * dx_thin) / rt)) / (
+                4.0 * math.sqrt(math.pi * tau))
+    return out
+
+
+def dense_w_curve(pair, m2_y, m2_z, geom, g):
+    """W quadrature from the dense pair tensor pair[t, y, z] = E|D(y) - D(z)|^2."""
+    rho = np.einsum("tyz,yz->ty", pair, _pair_weight_matrix(g.y, g.z, geom.h, g.dx_thin))
+    rho += (m2_y + m2_z.mean(axis=1, keepdims=True)) * _tail_weights(g.y, g.z, geom.h)
+    kmats = dense_kernel_matrices(geom.equation, g.y, g.dt_thin, g.t_idx.size, g.dx_thin)
+    out = np.empty(g.t_idx.size)
+    for k in range(out.size):
+        tot = sum(kmats[k - m][g.sup_rows] @ rho[m] for m in range(k + 1))
+        out[k] = g.dt_thin * tot.max()
+    return out
+
+
+def dense_seminorm(diff, geom, n_t=32, n_x=128, pairs=True):
+    """pathwise_x2_seminorm through the dense pair tensor (pairs=False: tails only)."""
+    g = make_diagnostic_grids(geom, n_t=n_t, n_x=n_x)
+    ys = diff[g.t_idx][:, g.y_idx]
+    zs = diff[g.t_idx][:, g.z_idx]
+    pair = (ys[:, :, None] - zs[:, None, :]) ** 2 if pairs else np.zeros(ys.shape + zs.shape[1:])
+    return math.sqrt(dense_w_curve(pair, ys**2, zs**2, geom, g).max())
 
 
 class TestJPowerForms:
@@ -214,6 +261,17 @@ def wave_run():
     return cfg, geom, coll.finalize(), acc
 
 
+class RowSpy:
+    """Keeps every observed difference on the thin time rows, per iteration."""
+
+    def __init__(self, grids):
+        self.grids = grids
+        self.rows = {}
+
+    def observe(self, n, diff, geom):
+        self.rows.setdefault(n, []).append(diff[self.grids.t_idx])
+
+
 class TestCollectorAgainstOracles:
     def test_v1_center_column_unbiased(self, wave_run):
         cfg, geom, curves, acc = wave_run
@@ -255,6 +313,26 @@ class TestCollectorAgainstOracles:
         s = diag.sqrt_m_partial_sums
         assert np.all(np.diff(s) >= 0.0)
         assert s[-1] - s[-2] < 0.02 * s[-1]
+
+    @pytest.mark.parametrize("make_config", [wave_config, heat_config])
+    def test_matches_dense_gram_oracle(self, make_config):
+        cfg = make_config()
+        geom = build_geometry(cfg)
+        coll = VnWnCollector(geom, n_iters=3, n_t=16, n_x=64)
+        spy = RowSpy(coll.grids)
+        solve_ensemble(cfg, 6, n_iters=3, collectors=(coll, spy))
+        curves = coll.finalize()
+        g = coll.grids
+        for n in (1, 2, 3):
+            rows = np.stack(spy.rows[n])
+            v = (rows[:, :, geom.core] ** 2).mean(axis=0).max(axis=1)
+            ys, zs = rows[:, :, g.y_idx], rows[:, :, g.z_idx]
+            m2_y, m2_z = (ys**2).mean(axis=0), (zs**2).mean(axis=0)
+            gram = np.einsum("rty,rtz->tyz", ys, zs) / rows.shape[0]
+            pair = np.clip(m2_y[:, :, None] + m2_z[:, None, :] - 2.0 * gram, 0.0, None)
+            np.testing.assert_allclose(curves.v[n - 1], v, rtol=1e-12)
+            np.testing.assert_allclose(curves.w[n - 1], dense_w_curve(pair, m2_y, m2_z, geom, g),
+                                       rtol=1e-12)
 
     def test_heat_first_curves_match_oracles(self):
         cfg = heat_config()
@@ -304,7 +382,47 @@ class TestCollectorStructure:
             vn_wn_diagnostics(coll.finalize(), cfg.sigma)
 
 
+@pytest.fixture(scope="module")
+def default_heat_difference():
+    cfg = to_picard_config(SimulationConfig(equation="heat"))
+    res = solve(cfg)
+    return res.field.values - homogeneous_term(cfg).values, res.geometry
+
+
 class TestPathwiseSeminorm:
+    @pytest.mark.parametrize("make_config", [wave_config, heat_config])
+    def test_matches_dense_oracle(self, make_config):
+        cfg = make_config(max_iters=10, tol=1e-4)
+        res = solve(cfg)
+        d = res.field.values - homogeneous_term(cfg).values
+        for n_t, n_x in ((8, 32), (32, 128)):
+            assert pathwise_x2_seminorm(d, res.geometry, n_t=n_t, n_x=n_x) == pytest.approx(
+                dense_seminorm(d, res.geometry, n_t=n_t, n_x=n_x), rel=1e-12)
+
+    def test_default_heat_geometry_matches_dense_oracle(self, default_heat_difference):
+        d, geom = default_heat_difference
+        assert pathwise_x2_seminorm(d, geom) == pytest.approx(dense_seminorm(d, geom), rel=1e-12)
+
+    def test_default_heat_geometry_memory(self, default_heat_difference):
+        # the dense pair tensor alone would take 32 x 491 x 1024 doubles
+        d, geom = default_heat_difference
+        tracemalloc.start()
+        try:
+            pathwise_x2_seminorm(d, geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 2**20
+
+    def test_constant_in_x_comes_from_tails_only(self):
+        geom = build_geometry(heat_config())
+        t = geom.dt * np.arange(geom.n_steps + 1)
+        flat = np.repeat((1.0 + t)[:, None], geom.n_fft, axis=1)
+        got = pathwise_x2_seminorm(flat, geom, n_t=16, n_x=64)
+        assert np.isfinite(got) and got > 0.0
+        assert got == pytest.approx(dense_seminorm(flat, geom, n_t=16, n_x=64, pairs=False),
+                                    rel=1e-12)
+
     def test_zero_difference(self):
         geom = build_geometry(wave_config())
         zero = np.zeros((geom.n_steps + 1, geom.n_fft))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from fracspde.gronwall import (
+    GronwallOverflowError,
     GronwallProblem,
     a_n_bound,
     a_n_sequence,
@@ -185,6 +186,24 @@ class TestAnBound:
     def test_nonnegative(self):
         seq = a_n_sequence(power_problem(), 30)
         assert np.all(seq >= 0.0)
+
+    def test_float_range_is_checked_before_the_sweep(self):
+        # K = 1e100: K^3 fits in a float, K^4 does not
+        prob = GronwallProblem(T=1.0, g="const:1e100", M0=1, M1=1)
+        seq = a_n_sequence(prob, 4)
+        assert seq[4] == a_n_bound(prob, 4)
+        assert 1e300 < seq[4] < math.inf
+        with pytest.raises(GronwallOverflowError, match="n = 5"):
+            a_n_sequence(prob, 5)
+        with pytest.raises(GronwallOverflowError):
+            a_n_bound(prob, 5)
+        # K = 1: the Fibonacci factor b_(n+1) leaves float range at n = 1476
+        unit = GronwallProblem(T=1.0, g="const", M0=1, M1=1)
+        assert float(fibonacci(1476)) < math.inf
+        with pytest.raises(OverflowError):
+            float(fibonacci(1477))
+        with pytest.raises(GronwallOverflowError, match="n = 1476"):
+            a_n_sequence(unit, 1476)
 
     def test_validation(self):
         with pytest.raises(ValueError):

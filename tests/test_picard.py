@@ -10,6 +10,7 @@ Carlo over the ensemble driver.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from fracspde.picard import (
     InitialData,
     PicardConfig,
     PicardConvergenceError,
+    PicardDivergenceError,
     build_geometry,
     constant_initial,
     holder_spot_check,
@@ -326,6 +328,21 @@ class TestSolve:
         np.testing.assert_array_equal(
             res.field.values, picard_step(geom, cfg.sigma, w, eta, w)
         )
+
+    def test_overflow_is_divergence(self):
+        # a huge a overflows sigma(u^1) in the second step; the iteration
+        # stops there with the non-finite delta last and no numpy warning
+        cfg = small_config(sigma=AffineSigma(1e308, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PicardDivergenceError) as exc:
+                solve(cfg)
+            with pytest.raises(PicardDivergenceError):
+                solve_ensemble(cfg, 2, n_iters=3)
+        assert isinstance(exc.value, PicardConvergenceError)
+        assert len(exc.value.deltas) == 2
+        assert math.isfinite(exc.value.deltas[0])
+        assert not math.isfinite(exc.value.deltas[-1])
 
     def test_nonconvergence_carries_history(self):
         cfg = small_config(max_iters=2, tol=1e-14)
