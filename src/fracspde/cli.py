@@ -48,7 +48,6 @@ from .picard import (
     PicardConvergenceError,
     PicardDivergenceError,
     build_geometry,
-    homogeneous_term,
     solve,
     solve_ensemble,
 )
@@ -607,8 +606,7 @@ def _picard_single(cfg, out_dir, fmt):
             rows.append((t, float(x_all[j]), float(values[i, j])))
     _write_text(os.path.join(out_dir, "field.csv"), _csv_text(("t", "x", "value"), rows))
 
-    w = homogeneous_term(picard_cfg)
-    seminorm = pathwise_x2_seminorm(field.values - w.values, result.geometry)
+    seminorm = pathwise_x2_seminorm(field.values - result.homogeneous, result.geometry)
     diagnostics = {
         "equation": cfg.equation,
         "hurst": cfg.hurst,

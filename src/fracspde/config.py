@@ -273,12 +273,8 @@ def initial_data(config):
     return constant_initial(const_value, config.v0)
 
 
-def to_picard_config(config, realization=0, store_iterates=False, max_iters=None, tol=None):
-    """Translate the run record into solver inputs.
-
-    max_iters/tol overrides let ensemble drivers pin a fixed iteration count
-    without touching the validated record.
-    """
+def to_picard_config(config):
+    """Translate the run record into solver inputs."""
     return PicardConfig(
         equation=config.equation,
         h=config.hurst,
@@ -289,8 +285,6 @@ def to_picard_config(config, realization=0, store_iterates=False, max_iters=None
         sigma=AffineSigma(config.sigma_a, config.sigma_b),
         init=initial_data(config),
         seed=config.seed,
-        realization=realization,
-        max_iters=config.max_iters if max_iters is None else max_iters,
-        tol=config.tol if tol is None else tol,
-        store_iterates=store_iterates,
+        max_iters=config.max_iters,
+        tol=config.tol,
     )

@@ -258,17 +258,7 @@ def a_n_sequence(problem, n_max, n_cells=GRID_CELLS):
 def a_n_bound(problem, n, n_cells=GRID_CELLS):
     """a_n for one index: a_0 = a_1 = 1, then Fibonacci times K-power
     times the hitting probability at k = floor(n/2)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n < 2:
-        return 1.0
-    masses = density_cell_masses(problem.g, problem.T, n_cells)
-    total = float(masses.sum())
-    big_k = max(total, 1.0)
-    _check_float_range(big_k, n)
-    hit = hitting_probability(problem.g, problem.T, n // 2,
-                              method="convolution", n_cells=n_cells)
-    return float(fibonacci(n + 1)) * big_k ** (n - 1) * hit
+    return float(a_n_sequence(problem, n, n_cells)[n])
 
 
 def _validated_sequence(problem):

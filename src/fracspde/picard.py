@@ -20,6 +20,7 @@ Picard maps are deterministic functions of that draw.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -283,9 +284,11 @@ class SolverGeometry:
     def actual_pad(self):
         return 0.5 * self.n_fft * self.dx - self.x_grid[self.core].max()
 
+    @cached_property
     def trig_tables(self):
         """cos(t_j w_l) and sin(t_j w_l) for all grid times and rfft
-        frequencies; the wave symbol sin(tau w)/w splits over these."""
+        frequencies; the wave symbol sin(tau w)/w splits over these.
+        Computed once per geometry."""
         phase = np.outer(self.t_grid, self.omega_r)
         return np.cos(phase), np.sin(phase)
 
@@ -427,33 +430,45 @@ def homogeneous_term(config):
     return _field_from(geom, _homogeneous_values(geom, config.init))
 
 
+def _band_field(geom, coeff):
+    """The real lattice field 2 Re sum_k coeff_k e^{-i w_k x} at x_grid.
+
+    coeff holds one complex amplitude per noise band along its last axis;
+    band 0 enters as the real constant 2 Re coeff_0.  One irfft of the half
+    spectrum: e^{-i w_k x0} = (-1)^k exactly for the symmetric window
+    x0 = -n_fft dx / 2, and the conjugate turns e^{-i w_k x} into the
+    irfft kernel, whose Hermitian doubling supplies the factor 2.
+    """
+    half = np.zeros(coeff.shape[:-1] + (geom.n_fft // 2 + 1,), dtype=complex)
+    np.conjugate(coeff, out=half[..., : geom.n_bands])
+    half[..., 1 : geom.n_bands : 2] *= -1.0
+    half[..., 0] = 2.0 * coeff[..., 0].real
+    return np.fft.irfft(half, n=geom.n_fft, axis=-1, norm="forward")
+
+
 def noise_slabs(geom, seed, realization=0):
     """Synthesise the slab noise fields eta_i on the lattice.
 
     Row i is the density of the noise increment over [t_i, t_{i+1}),
     evaluated at the grid points: eta_i(x) = 2 Re sum_k Z_{ik} e^{-i w_k x}
-    with E|Z_{ik}|^2 = dt * band_mass_k.  The k = 0 term is the real
-    constant 2 Re Z_{i0}, carrying the full two-sided mass of the band
-    around zero.  Integrating any slice against eta_i reproduces the banded
-    stochastic integral exactly.
+    with E|Z_{ik}|^2 = dt * band_mass_k, assembled by one inverse real FFT
+    per slab.  The k = 0 term is the real constant 2 Re Z_{i0}, carrying
+    the full two-sided mass of the band around zero.  Integrating any slice
+    against eta_i reproduces the banded stochastic integral exactly.
     """
     z = spectral_increments(geom.band_masses, geom.dt, geom.n_steps, seed, realization)
-    coeff = np.zeros((geom.n_steps, geom.n_fft), dtype=complex)
-    # e^{-i w_k x0} = (-1)^k exactly for the symmetric window x0 = -n dx / 2
-    signs = np.where(np.arange(geom.n_bands) % 2 == 0, 1.0, -1.0)
-    coeff[:, : geom.n_bands] = z * signs
-    return 2.0 * np.fft.fft(coeff, axis=1).real
+    return _band_field(geom, z)
 
 
-def picard_step(geom, sigma, u_prev, eta, w, trig=None):
+def picard_step(geom, sigma, u_prev, eta, w):
     """One Picard update: u_next = w + int G sigma(u_prev) dX.
 
     The stochastic term at t_j sums, over source steps i < j, the kernel
     G_{t_j - t_i} convolved with sigma(u_prev(t_i, .)) * eta_i.  Convolution
     is spectral with the closed-form symbols; the wave symbol
-    sin(tau w)/w is accumulated with running cos/sin sums and the heat
-    symbol exp(-tau w^2 / 2) with a one-step recursion, so the whole update
-    costs O(n_steps) FFTs.
+    sin(tau w)/w is accumulated with running cos/sin sums over the
+    geometry's trig tables and the heat symbol exp(-tau w^2 / 2) with a
+    one-step recursion, so the whole update costs O(n_steps) FFTs.
     """
     n_steps, n_fft = geom.n_steps, geom.n_fft
     if u_prev.shape != (n_steps + 1, n_fft):
@@ -467,7 +482,7 @@ def picard_step(geom, sigma, u_prev, eta, w, trig=None):
     t_grid = geom.t_grid
 
     if geom.equation == "wave":
-        cos_t, sin_t = trig if trig is not None else geom.trig_tables()
+        cos_t, sin_t = geom.trig_tables
         a_run = np.cumsum(cos_t[:n_steps] * p_hat, axis=0)
         b_run = np.cumsum(sin_t[:n_steps] * p_hat, axis=0)
         sym = sin_t[1:] * a_run - cos_t[1:] * b_run
@@ -491,6 +506,10 @@ def picard_step(geom, sigma, u_prev, eta, w, trig=None):
 
 @dataclass(frozen=True)
 class PicardResult:
+    """A converged solve: the final iterate, the successive deltas, and the
+    homogeneous term ``homogeneous`` (= u^0 = w) it was built on.
+    ``iterates`` holds u^0 .. u^n when the config asks to store them."""
+
     field: SpaceTimeField
     deltas: list
     converged: bool
@@ -498,37 +517,33 @@ class PicardResult:
     stopping_threshold: float
     geometry: SolverGeometry
     config: PicardConfig
+    homogeneous: np.ndarray
     iterates: list = None
 
-    @property
-    def homogeneous(self):
-        return self.iterates[0] if self.iterates else None
 
+def _iterate(geom, sigma, w, eta, max_iters, tol=None, observer=None, start=None):
+    """Picard steps for one noise draw, from ``start`` (default w).
 
-def _iterate(geom, sigma, w, eta, max_iters, tol, store_iterates, observer=None, start=None):
-    trig = geom.trig_tables() if geom.equation == "wave" else None
-    u_prev = w if start is None else start
+    Stops once a delta is zero or at most tol times the first delta;
+    tol=None runs all max_iters steps.  observer(n, diff, u_n) sees each
+    step after its delta is checked.  Returns (u, deltas, converged).
+    """
+    u = w if start is None else start
     deltas = []
-    iterates = [u_prev.copy()] if store_iterates else None
-    scale = None
     for n in range(1, max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            u_next = picard_step(geom, sigma, u_prev, eta, w, trig=trig)
-            diff = u_next - u_prev
+            u_next = picard_step(geom, sigma, u, eta, w)
+            diff = u_next - u
         delta = _core_delta(diff, geom, n, deltas)
         if observer is not None:
-            observer(n, diff)
+            observer(n, diff, u_next)
         deltas.append(delta)
-        if store_iterates:
-            iterates.append(u_next.copy())
-        u_prev = u_next
-        if scale is None:
-            scale = delta
+        u = u_next
         # delta == 0 is an exact fixed point; the explicit test also avoids
         # inf * 0 when tol is infinite and the noise term vanishes
-        if delta == 0.0 or delta <= tol * scale:
-            return u_prev, deltas, True, n, tol * scale, iterates
-    return u_prev, deltas, False, max_iters, tol * (scale or 0.0), iterates
+        if tol is not None and (delta == 0.0 or delta <= tol * deltas[0]):
+            return u, deltas, True
+    return u, deltas, False
 
 
 def solve(config):
@@ -542,24 +557,27 @@ def solve(config):
     geom = build_geometry(config)
     w = _homogeneous_values(geom, config.init)
     eta = noise_slabs(geom, config.seed, config.realization)
-    u, deltas, ok, n, threshold, iterates = _iterate(
-        geom, config.sigma, w, eta, config.max_iters, config.tol, config.store_iterates
+    iterates = [w] if config.store_iterates else None
+    observer = (lambda n, diff, u: iterates.append(u)) if config.store_iterates else None
+    u, deltas, converged = _iterate(
+        geom, config.sigma, w, eta, config.max_iters, config.tol, observer
     )
-    if not ok:
-        err = PicardConvergenceError(
+    threshold = config.tol * deltas[0]
+    if not converged:
+        raise PicardConvergenceError(
             f"no convergence after {config.max_iters} iterations; "
             f"last delta {deltas[-1]:.3e} vs threshold {threshold:.3e}",
             deltas,
         )
-        raise err
     return PicardResult(
         field=_field_from(geom, u),
         deltas=deltas,
         converged=True,
-        n_iters=n,
+        n_iters=len(deltas),
         stopping_threshold=threshold,
         geometry=geom,
         config=config,
+        homogeneous=w,
         iterates=iterates,
     )
 
@@ -579,34 +597,30 @@ def solve_ensemble(config, n_realizations, n_iters=None, collectors=(), on_final
     """Run a fixed number of Picard iterations over an ensemble of draws.
 
     Every realization r uses the independent stream (seed, realization0 + r)
-    and runs exactly n_iters updates (default max_iters): ensemble
-    statistics need aligned iteration counts, so the pathwise stopping rule
-    is not applied here.  Collectors see each successive difference as it is
+    and runs the same iteration as ``solve`` for exactly n_iters updates
+    (default max_iters), past an exact zero delta too: ensemble statistics
+    need aligned iteration counts, so the pathwise stopping rule is not
+    applied here.  Collectors see each successive difference as it is
     produced via collector.observe(n, diff, geom); on_final(r, field) sees
-    each final iterate.  Memory stays O(one realization).  A non-finite delta
-    raises PicardDivergenceError.
+    each final iterate.  Memory stays O(one realization).  A non-finite
+    delta raises PicardDivergenceError.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be at least 1")
     n_iters = int(n_iters) if n_iters is not None else config.max_iters
     geom = build_geometry(config)
     w = _homogeneous_values(geom, config.init)
-    trig = geom.trig_tables() if geom.equation == "wave" else None
     deltas = np.empty((n_realizations, n_iters))
+
+    def observe(n, diff, u):
+        for collector in collectors:
+            collector.observe(n, diff, geom)
 
     for r in range(n_realizations):
         eta = noise_slabs(geom, config.seed, config.realization + r)
-        u_prev = w
-        for n in range(1, n_iters + 1):
-            with np.errstate(over="ignore", invalid="ignore"):
-                u_next = picard_step(geom, config.sigma, u_prev, eta, w, trig=trig)
-                diff = u_next - u_prev
-            deltas[r, n - 1] = _core_delta(diff, geom, n, deltas[r, : n - 1].tolist())
-            for collector in collectors:
-                collector.observe(n, diff, geom)
-            u_prev = u_next
+        u, deltas[r], _ = _iterate(geom, config.sigma, w, eta, n_iters, observer=observe)
         if on_final is not None:
-            on_final(r, _field_from(geom, u_prev))
+            on_final(r, _field_from(geom, u))
 
     return EnsembleResult(
         deltas=deltas,
@@ -634,12 +648,9 @@ def uniqueness_probe(config, perturbation):
         bump = _eval_on(perturbation, geom.x_grid)[None, :]
     else:
         bump = float(perturbation)
-    u_a, d_a, ok_a, _, thr_a, _ = _iterate(
-        geom, config.sigma, w, eta, config.max_iters, config.tol, False
-    )
-    u_b, d_b, ok_b, _, thr_b, _ = _iterate(
-        geom, config.sigma, w, eta, config.max_iters, config.tol, False,
-        start=w + bump,
+    u_a, d_a, ok_a = _iterate(geom, config.sigma, w, eta, config.max_iters, config.tol)
+    u_b, d_b, ok_b = _iterate(
+        geom, config.sigma, w, eta, config.max_iters, config.tol, start=w + bump
     )
     if not (ok_a and ok_b):
         raise PicardConvergenceError(
@@ -647,7 +658,7 @@ def uniqueness_probe(config, perturbation):
             d_a if not ok_a else d_b,
         )
     gap = float(np.max(np.abs((u_a - u_b)[:, geom.core])))
-    threshold = 3.0 * max(thr_a, thr_b)
+    threshold = 3.0 * max(config.tol * d_a[0], config.tol * d_b[0])
     return {
         "max_difference": gap,
         "threshold": threshold,

@@ -31,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import c_H
-from .picard import AffineSigma, PicardConfig, build_geometry, constant_initial, solve_ensemble
+from .picard import (
+    AffineSigma, PicardConfig, _band_field, build_geometry, constant_initial, solve_ensemble,
+)
 from .report import make_check
 
 __all__ = [
@@ -200,10 +202,6 @@ def _sampler_geometry(equation, h, T, dx, half_width, seed):
     return build_geometry(config)
 
 
-def _band_signs(n_bands):
-    return np.where(np.arange(n_bands) % 2 == 0, 1.0, -1.0)
-
-
 def _proper_normal(rng, shape):
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return g * math.sqrt(0.5)
@@ -229,7 +227,6 @@ def sample_noise_antiderivative(h, t, dx, half_width, n_realizations, seed=0):
         raise ValueError("t must be positive")
     geom = _sampler_geometry("heat", h, t, dx, half_width, seed)
     om = geom.omega_r[: geom.n_bands]
-    signs = _band_signs(geom.n_bands)
     x_core = geom.x_grid[geom.core]
     out = np.empty((n_realizations, 1, x_core.size))
     rng = np.random.default_rng((int(seed), 0x6E6F6973))
@@ -239,9 +236,9 @@ def sample_noise_antiderivative(h, t, dx, half_width, n_realizations, seed=0):
         r = stop - start
         z0 = _proper_normal(rng, r) * math.sqrt(t * geom.band_masses[0])
         z = _proper_normal(rng, (r, geom.n_bands - 1)) * std
-        coeff = np.zeros((r, geom.n_fft), dtype=complex)
-        coeff[:, 1: geom.n_bands] = z / (-1j * om[1:]) * signs[1:]
-        fields = 2.0 * np.fft.fft(coeff, axis=1).real
+        coeff = np.zeros((r, geom.n_bands), dtype=complex)
+        coeff[:, 1:] = z / (-1j * om[1:])
+        fields = _band_field(geom, coeff)
         fields += np.outer(2.0 * z0.real, geom.x_grid)
         out[start:stop, 0, :] = fields[:, geom.core]
     return FieldEnsemble(
@@ -301,7 +298,6 @@ def sample_additive_solution(equation, h, T, dx, half_width, times,
     geom = _sampler_geometry(equation, h, T, dx, half_width, seed)
     om = geom.omega_r[: geom.n_bands]
     masses = geom.band_masses
-    signs = _band_signs(geom.n_bands)
     x_core = geom.x_grid[geom.core]
     out = np.empty((n_realizations, times.size, x_core.size))
     rng = np.random.default_rng((int(seed), 0x736F6C76))
@@ -337,9 +333,7 @@ def sample_additive_solution(equation, h, T, dx, half_width, times,
                 xi_v = s_v * g_v
                 xi_y = gain * xi_v + resid * g_y
                 y, v = cosd * y + sindc * v + xi_y, msin * y + cosd * v + xi_v
-            coeff = np.zeros((r, geom.n_fft), dtype=complex)
-            coeff[:, : geom.n_bands] = y * signs
-            out[start:stop, j, :] = 2.0 * np.fft.fft(coeff, axis=1).real[:, geom.core]
+            out[start:stop, j, :] = _band_field(geom, y)[:, geom.core]
     return FieldEnsemble(
         kind=equation, h=h, t=times, x=x_core, values=out, xi_cut=geom.xi_cut,
     )

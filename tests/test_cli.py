@@ -119,11 +119,11 @@ class TestConfigFormat:
 
     def test_to_picard_config(self):
         cfg = from_mapping({"equation": "heat", "T": 0.25, "dt": 0.015625, "sigma_a": 0.0})
-        pc = to_picard_config(cfg, max_iters=2)
+        pc = to_picard_config(cfg)
         assert pc.equation == "heat"
         assert pc.n_steps == 16
         assert pc.sigma.a == 0.0 and pc.sigma.b == cfg.sigma_b
-        assert pc.max_iters == 2
+        assert pc.max_iters == cfg.max_iters
 
 
 class TestExitCodes:

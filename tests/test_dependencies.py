@@ -1,0 +1,35 @@
+"""The declared runtime dependencies are exactly the third-party packages
+that the source imports."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fracspde"
+
+
+def declared_dependencies():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in project["dependencies"]}
+
+
+def imported_packages():
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return {name for name in found if name not in sys.stdlib_module_names and name != PACKAGE.name}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    assert declared_dependencies() == imported_packages()

@@ -357,6 +357,13 @@ class TestSolve:
         assert len(res.iterates) == res.n_iters + 1
         np.testing.assert_array_equal(res.homogeneous, homogeneous_term(cfg).values)
 
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    def test_result_carries_homogeneous_term(self, equation):
+        cfg = small_config(equation)
+        res = solve(cfg)
+        assert res.iterates is None
+        np.testing.assert_array_equal(res.homogeneous, homogeneous_term(cfg).values)
+
     def test_scaling_covariance(self):
         # doubling (u0, b) doubles every float of the iteration exactly
         cfg1 = small_config(
@@ -436,6 +443,33 @@ class TestEnsemble:
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError):
             solve_ensemble(small_config(), 0)
+
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    def test_one_realization_reproduces_solve(self, equation):
+        cfg = small_config(equation, realization=2, tol=1e-6)
+        res = solve(cfg)
+        finals = []
+        ens = solve_ensemble(
+            cfg, 1, n_iters=res.n_iters, on_final=lambda r, f: finals.append(f.values)
+        )
+        np.testing.assert_array_equal(ens.deltas[0], res.deltas)
+        np.testing.assert_array_equal(finals[0], res.field.values)
+
+    def test_runs_past_exact_fixed_point(self):
+        # with a = 0 the second step reproduces the first exactly; the
+        # ensemble still records every one of its n_iters deltas
+        seen = []
+
+        class Spy:
+            def observe(self, n, diff, geom):
+                seen.append(n)
+
+        cfg = small_config(sigma=AffineSigma(0.0, 1.0))
+        res = solve_ensemble(cfg, 2, n_iters=4, collectors=(Spy(),))
+        assert res.deltas.shape == (2, 4)
+        assert np.all(res.deltas[:, 0] > 0.0)
+        np.testing.assert_array_equal(res.deltas[:, 1:], 0.0)
+        assert seen == [1, 2, 3, 4, 1, 2, 3, 4]
 
 
 def exact_first_increment_variance(geom, t):
