@@ -7,9 +7,9 @@ not finite).  Every command reads an optional flat key = value
 config file, applies flag overrides on top, writes its artifacts into the
 output directory, and echoes the effective configuration beside them as
 effective-config.txt; rerunning a command on its own echo reproduces the
-outputs byte for byte.  --threads (default from FRACSPDE_THREADS, else 1)
-bounds the worker pool used for independent subtasks; results do not depend
-on the pool size.
+outputs byte for byte.  picard --ensemble and moments split their
+realizations over a worker pool bounded by --threads (default from
+FRACSPDE_THREADS, else 1); results do not depend on the pool size.
 """
 
 import argparse
@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .config import (
     SimulationConfig,
     from_mapping,
     parse_config_file,
-    serialize_config,
     serialize_mapping,
     to_picard_config,
 )
@@ -74,7 +73,10 @@ from .sobolev import gaussian_bump, identity_check, indicator, tent
 
 _MAX_THREADS = 64
 _H_GRID = (0.26, 0.3, 0.35, 0.4, 0.45)
-_SIM_KEYS = tuple(SimulationConfig.__dataclass_fields__)
+_GRID = "grid"
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string"}
+# the SimulationConfig keys pass through unchecked: from_mapping checks them
+_SIM_OPTIONS = {key: (None, None) for key in SimulationConfig.__dataclass_fields__}
 
 
 class _CliError(Exception):
@@ -112,56 +114,63 @@ def _run_parallel(tasks, threads):
         return [future.result() for future in futures]
 
 
-def _file_mapping(args, allowed):
-    """Mapping from the --config file, restricted to this command's keys."""
-    if not getattr(args, "config", None):
-        return {}
-    mapping = parse_config_file(args.config)
-    unknown = [key for key in mapping if key not in allowed]
+def _checked(key, kind, value):
+    if kind is None:
+        return value
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise _CliError(f"{key} must be {', '.join(kind[:-1])}, or {kind[-1]}, got {value!r}")
+        return value
+    if kind == _GRID:
+        if isinstance(value, list):
+            return tuple(value)
+        try:
+            # str() of a float round-trips; a bool's "True" is no number
+            return tuple(float(tok) for tok in str(value).split(","))
+        except ValueError:
+            raise _CliError(f"{key} must be a comma-separated list of numbers, got {value!r}")
+    if kind is str and isinstance(value, str):
+        return value
+    if kind is int and isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise _CliError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _settings(args, options):
+    """Resolve a command's settings: default < config file < set flag.
+
+    options maps each setting key, which is also its flag's dest, to
+    (kind, default); a config key outside options is an error.  A value
+    from the file or a flag must be of its key's kind: float takes an int
+    or a float (never a bool) and yields a float; int takes an int and str
+    a string, neither a bool; _GRID takes a repeatable flag, one number or a
+    comma-separated string of numbers and yields a tuple of floats; a tuple
+    kind lists the allowed values; None passes the value through for
+    from_mapping to check.  Any other value exits with code 1.
+    """
+    mapping = parse_config_file(args.config) if args.config else {}
+    unknown = [key for key in mapping if key not in options]
     if unknown:
         raise _CliError(f"unknown config key {unknown[0]!r} for this command")
-    return mapping
-
-
-def _sim_config(args, flag_keys):
-    """Build the validated run record: defaults < config file < set flags."""
-    mapping = _file_mapping(args, _SIM_KEYS)
-    for key in flag_keys:
+    settings = {}
+    for key, (kind, default) in options.items():
         value = getattr(args, key, None)
-        if value is not None:
-            mapping[key] = value
-    return from_mapping(mapping)
+        if value is None:
+            value = mapping.get(key)
+        settings[key] = default if value is None else _checked(key, kind, value)
+    return settings
 
 
-def _grid_option(flag_values, mapping, key, default):
-    """A float grid from a repeatable flag or a comma-joined config value."""
-    if flag_values:
-        return tuple(float(v) for v in flag_values)
-    raw = mapping.get(key)
-    if raw is None:
-        return default
-    if isinstance(raw, (int, float)):
-        return (float(raw),)
-    try:
-        return tuple(float(tok) for tok in str(raw).split(","))
-    except ValueError:
-        raise _CliError(f"{key} must be a comma-separated list of numbers, got {raw!r}")
-
-
-def _option(args, mapping, key, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return mapping.get(key, default)
+def _sim_config(args):
+    """The validated run record of a SimulationConfig command."""
+    settings = _settings(args, _SIM_OPTIONS)
+    return from_mapping({key: value for key, value in settings.items() if value is not None})
 
 
 def _grid_text(values):
     return ",".join(format_float(v) for v in values)
-
-
-def _ensure_out(path):
-    os.makedirs(path, exist_ok=True)
-    return path
 
 
 def _write_text(path, text):
@@ -178,8 +187,15 @@ def _write_json(path, obj):
     _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _echo_config(out_dir, text):
-    _write_text(os.path.join(out_dir, "effective-config.txt"), text)
+def _echo(settings):
+    """Create the output directory settings["out"] and write the settings
+    into it as effective-config.txt, grids comma-joined and unset (None)
+    settings left out.  Returns the output directory."""
+    out_dir = settings["out"]
+    os.makedirs(out_dir, exist_ok=True)
+    echo = {k: _grid_text(v) if isinstance(v, tuple) else v for k, v in settings.items()}
+    _write_text(os.path.join(out_dir, "effective-config.txt"), serialize_mapping(echo))
+    return out_dir
 
 
 def _print_reports(reports):
@@ -228,30 +244,16 @@ def _log10_intercept(fit):
 # ---------------------------------------------------------------- identities
 
 
-_IDENTITY_KEYS = ("hurst_grid", "tol", "out")
-
-
 def _cmd_verify_identities(args):
-    threads = _resolve_threads(args.threads)
-    mapping = _file_mapping(args, _IDENTITY_KEYS)
-    h_list = _grid_option(args.hurst, mapping, "hurst_grid", _H_GRID)
-    tol = _option(args, mapping, "tol", None)
-    out_dir = _ensure_out(_option(args, mapping, "out", "."))
-
-    echo = {"hurst_grid": _grid_text(h_list)}
-    if tol is not None:
-        echo["tol"] = float(tol)
-    echo["out"] = out_dir
-    _echo_config(out_dir, serialize_mapping(echo))
-
-    test_functions = [gaussian_bump(), tent(), indicator()]
-    tasks = [lambda g=g: identity_check(g, h_list, tol=tol) for g in test_functions]
-    row_lists = _run_parallel(tasks, threads)
+    settings = _settings(
+        args, {"hurst_grid": (_GRID, _H_GRID), "tol": (float, None), "out": (str, ".")}
+    )
+    out_dir = _echo(settings)
 
     rows = []
     reports = []
-    for g, g_rows in zip(test_functions, row_lists):
-        for row in g_rows:
+    for g in (gaussian_bump(), tent(), indicator()):
+        for row in identity_check(g, settings["hurst_grid"], tol=settings["tol"]):
             rows.append(
                 {
                     "g": row.name,
@@ -423,61 +425,49 @@ def _kernel_suite(equation, T, alphas):
     return reports
 
 
-_KERNEL_KEYS = ("equation", "T", "alpha_grid", "out")
-
-
 def _cmd_verify_kernels(args):
-    threads = _resolve_threads(args.threads)
-    mapping = _file_mapping(args, _KERNEL_KEYS)
-    equation = _option(args, mapping, "equation", "both")
-    if equation not in ("wave", "heat", "both"):
-        raise _CliError(f"equation must be wave, heat, or both, got {equation!r}")
-    T = float(_option(args, mapping, "T", 1.0))
+    settings = _settings(
+        args,
+        {
+            "equation": (("wave", "heat", "both"), "both"),
+            "T": (float, 1.0),
+            "alpha_grid": (_GRID, (0.0, 0.2, 0.4)),
+            "out": (str, "."),
+        },
+    )
+    equation, T, alphas = settings["equation"], settings["T"], settings["alpha_grid"]
     if not T > 0.0:
         raise _CliError(f"T must be positive, got {T!r}")
-    alphas = _grid_option(args.alpha, mapping, "alpha_grid", (0.0, 0.2, 0.4))
     for alpha in alphas:
         if not -1.0 < alpha < 1.0:
             raise _CliError(f"alpha must lie in (-1, 1), got {alpha!r}")
-    out_dir = _ensure_out(_option(args, mapping, "out", "."))
-    _echo_config(
-        out_dir,
-        serialize_mapping(
-            {"equation": equation, "T": T, "alpha_grid": _grid_text(alphas), "out": out_dir}
-        ),
-    )
+    out_dir = _echo(settings)
     equations = EQUATIONS if equation == "both" else (equation,)
-    tasks = [lambda eq=eq: _kernel_suite(eq, T, alphas) for eq in equations]
-    reports = [rep for suite in _run_parallel(tasks, threads) for rep in suite]
+    reports = [rep for eq in equations for rep in _kernel_suite(eq, T, alphas)]
     return _finish(reports, out_dir, args.format)
 
 
 # -------------------------------------------------------------------- peszat
 
 
-_PESZAT_KEYS = ("hurst_grid", "eta_grid", "out")
-
-
 def _cmd_peszat(args):
-    threads = _resolve_threads(args.threads)
-    mapping = _file_mapping(args, _PESZAT_KEYS)
-    h_list = _grid_option(args.hurst, mapping, "hurst_grid", (0.3, 0.45))
-    etas = _grid_option(args.eta, mapping, "eta_grid", (1.0, 10.0, 100.0, 1000.0))
+    settings = _settings(
+        args,
+        {
+            "hurst_grid": (_GRID, (0.3, 0.45)),
+            "eta_grid": (_GRID, (1.0, 10.0, 100.0, 1000.0)),
+            "out": (str, "."),
+        },
+    )
+    etas = settings["eta_grid"]
     if len(etas) < 2:
         raise _CliError("eta grid needs at least two points to test monotonicity")
-    out_dir = _ensure_out(_option(args, mapping, "out", "."))
-    _echo_config(
-        out_dir,
-        serialize_mapping(
-            {"hurst_grid": _grid_text(h_list), "eta_grid": _grid_text(etas), "out": out_dir}
-        ),
-    )
-    tasks = [lambda h=h: [peszat_probe(h, eta) for eta in etas] for h in h_list]
-    values = _run_parallel(tasks, threads)
+    out_dir = _echo(settings)
 
     rows = []
     reports = []
-    for h, probe in zip(h_list, values):
+    for h in settings["hurst_grid"]:
+        probe = [peszat_probe(h, eta) for eta in etas]
         for eta, val in zip(etas, probe):
             rows.append((float(h), float(eta), float(val)))
         increasing = sum(1 for a, b in zip(probe, probe[1:]) if b > a)
@@ -498,7 +488,7 @@ def _cmd_peszat(args):
 
 
 def _cmd_simulate(args):
-    cfg = _sim_config(args, ("hurst", "T", "dt", "xi_max", "n_bins", "seed", "out"))
+    cfg = _sim_config(args)
     if cfg.xi_max is None:
         # default to the 1% truncation-tail cutoff; the synthesis has no
         # lattice, so shrink the unused dx if the aliasing invariant needs it
@@ -507,8 +497,7 @@ def _cmd_simulate(args):
         if resolved * cfg.dx > math.pi:
             updates["dx"] = math.pi / resolved
         cfg = from_mapping(updates, base=cfg)
-    out_dir = _ensure_out(cfg.out)
-    _echo_config(out_dir, serialize_config(cfg))
+    out_dir = _echo(asdict(cfg))
 
     grid = build_grid(cfg.hurst, xi_max=cfg.xi_max, n_bins=cfg.n_bins)
     noise_field = sample_noise(grid, cfg.dt, cfg.n_steps, cfg.seed)
@@ -537,25 +526,6 @@ def _cmd_simulate(args):
 
 
 # -------------------------------------------------------------------- picard
-
-
-_PICARD_FLAGS = (
-    "equation",
-    "hurst",
-    "T",
-    "dt",
-    "dx",
-    "L",
-    "sigma_a",
-    "sigma_b",
-    "u0",
-    "v0",
-    "seed",
-    "ensemble",
-    "max_iters",
-    "tol",
-    "out",
-)
 
 
 def _ensemble_blocks(n, threads):
@@ -710,9 +680,8 @@ def _picard_ensemble(cfg, out_dir, fmt, threads):
 
 def _cmd_picard(args):
     threads = _resolve_threads(args.threads)
-    cfg = _sim_config(args, _PICARD_FLAGS)
-    out_dir = _ensure_out(cfg.out)
-    _echo_config(out_dir, serialize_config(cfg))
+    cfg = _sim_config(args)
+    out_dir = _echo(asdict(cfg))
     if cfg.ensemble == 1:
         return _picard_single(cfg, out_dir, args.format)
     return _picard_ensemble(cfg, out_dir, args.format, threads)
@@ -753,35 +722,25 @@ def _holder_fits(target, h, n_realizations, seed):
     return fits
 
 
-_HOLDER_KEYS = ("target", "hurst", "ensemble", "seed", "out")
-
-
 def _cmd_holder(args):
-    _resolve_threads(args.threads)
-    mapping = _file_mapping(args, _HOLDER_KEYS)
-    target = _option(args, mapping, "target", "wave")
-    if target not in ("noise", "wave", "heat"):
-        raise _CliError(f"target must be noise, wave, or heat, got {target!r}")
-    sim_keys = {k: v for k, v in mapping.items() if k != "target"}
-    for key in ("hurst", "ensemble", "seed", "out"):
-        value = getattr(args, key, None)
-        if value is not None:
-            sim_keys[key] = value
-    defaults = {"ensemble": 10000 if target == "noise" else 1000}
-    defaults.update(sim_keys)
-    cfg = from_mapping(defaults)
-    out_dir = _ensure_out(cfg.out)
+    settings = _settings(
+        args,
+        {
+            "target": (("noise", "wave", "heat"), "wave"),
+            "hurst": (float, SimulationConfig.hurst),
+            "ensemble": (int, None),
+            "seed": (int, SimulationConfig.seed),
+            "out": (str, SimulationConfig.out),
+        },
+    )
+    target, hurst, ensemble, seed, _ = settings.values()
+    if ensemble is None:
+        ensemble = settings["ensemble"] = 10000 if target == "noise" else 1000
+    # the run record checks the ranges of the Hurst index, ensemble and seed
+    from_mapping({key: value for key, value in settings.items() if key != "target"})
+    out_dir = _echo(settings)
 
-    echo = {
-        "target": target,
-        "hurst": cfg.hurst,
-        "ensemble": cfg.ensemble,
-        "seed": cfg.seed,
-        "out": out_dir,
-    }
-    _echo_config(out_dir, serialize_mapping(echo))
-
-    fits = _holder_fits(target, cfg.hurst, cfg.ensemble, cfg.seed)
+    fits = _holder_fits(target, hurst, ensemble, seed)
 
     reports = []
     plots = []
@@ -812,7 +771,7 @@ def _cmd_holder(args):
                 computed=fit.fitted_slope,
                 reference=fit_target,
                 tolerance=0.1,
-                inputs={"target": target, "h": cfg.hurst, "axis": axis, "seed": cfg.seed},
+                inputs={"target": target, "h": hurst, "axis": axis, "seed": seed},
             )
         )
         plots.append(
@@ -835,9 +794,8 @@ def _cmd_holder(args):
 
 def _cmd_moments(args):
     threads = _resolve_threads(args.threads)
-    cfg = _sim_config(args, _PICARD_FLAGS)
-    out_dir = _ensure_out(cfg.out)
-    _echo_config(out_dir, serialize_config(cfg))
+    cfg = _sim_config(args)
+    out_dir = _echo(asdict(cfg))
     p_list = tuple(args.p) if args.p else (2, 4)
     for p in p_list:
         if p < 2:
@@ -885,40 +843,27 @@ def _cmd_moments(args):
 # ------------------------------------------------------------------ gronwall
 
 
-_GRONWALL_KEYS = ("g", "T", "m0", "m1", "n_max", "k", "mc_samples", "seed", "out")
-
-
 def _cmd_gronwall(args):
-    mapping = _file_mapping(args, _GRONWALL_KEYS)
-    g_spec = str(_option(args, mapping, "g", "const"))
-    T = float(_option(args, mapping, "T", 1.0))
-    m0 = float(_option(args, mapping, "m0", 1.0))
-    m1 = float(_option(args, mapping, "m1", 1.0))
-    n_max = int(_option(args, mapping, "n_max", 80))
-    k = int(_option(args, mapping, "k", 3))
-    mc_samples = int(_option(args, mapping, "mc_samples", 200_000))
-    seed = int(_option(args, mapping, "seed", 0))
+    settings = _settings(
+        args,
+        {
+            "g": (str, "const"),
+            "T": (float, 1.0),
+            "m0": (float, 1.0),
+            "m1": (float, 1.0),
+            "n_max": (int, 80),
+            "k": (int, 3),
+            "mc_samples": (int, 200_000),
+            "seed": (int, 0),
+            "out": (str, "."),
+        },
+    )
+    g_spec, T, m0, m1, n_max, k, mc_samples, seed, _ = settings.values()
     if n_max < 2:
         raise _CliError(f"n_max must be at least 2, got {n_max}")
     if mc_samples < 1000:
         raise _CliError(f"mc_samples must be at least 1000, got {mc_samples}")
-    out_dir = _ensure_out(_option(args, mapping, "out", "."))
-    _echo_config(
-        out_dir,
-        serialize_mapping(
-            {
-                "g": g_spec,
-                "T": T,
-                "m0": m0,
-                "m1": m1,
-                "n_max": n_max,
-                "k": k,
-                "mc_samples": mc_samples,
-                "seed": seed,
-                "out": out_dir,
-            }
-        ),
-    )
+    out_dir = _echo(settings)
 
     problem = GronwallProblem(T=T, g=g_spec, M0=m0, M1=m1)
     seq = a_n_sequence(problem, n_max)
@@ -1032,6 +977,9 @@ def _add_common(sub):
     sub.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report file format"
     )
+
+
+def _add_threads(sub):
     sub.add_argument(
         "--threads",
         type=int,
@@ -1060,10 +1008,11 @@ _SIM_FLAG_SPECS = {
 }
 
 
+_PICARD_FLAGS = tuple(key for key in _SIM_FLAG_SPECS if key not in ("xi_max", "n_bins"))
+
+
 def _add_sim_flags(sub, keys):
     for key in keys:
-        if key == "out":
-            continue
         sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, **_SIM_FLAG_SPECS[key])
 
 
@@ -1074,7 +1023,7 @@ def _build_parser():
     sub = subs.add_parser(
         "verify-identities", help="seminorm route identities per test function"
     )
-    sub.add_argument("--hurst", type=float, nargs="+", default=None)
+    sub.add_argument("--hurst", dest="hurst_grid", type=float, nargs="+", default=None)
     sub.add_argument("--tol", type=float, default=None)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_verify_identities)
@@ -1082,13 +1031,13 @@ def _build_parser():
     sub = subs.add_parser("verify-kernels", help="kernel integral closed forms vs quadrature")
     sub.add_argument("--equation", choices=("wave", "heat", "both"), default=None)
     sub.add_argument("--T", dest="T", type=float, default=None)
-    sub.add_argument("--alpha", type=float, nargs="+", default=None)
+    sub.add_argument("--alpha", dest="alpha_grid", type=float, nargs="+", default=None)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_verify_kernels)
 
     sub = subs.add_parser("peszat", help="spectral smoothing probe monotonicity")
-    sub.add_argument("--hurst", type=float, nargs="+", default=None)
-    sub.add_argument("--eta", type=float, nargs="+", default=None)
+    sub.add_argument("--hurst", dest="hurst_grid", type=float, nargs="+", default=None)
+    sub.add_argument("--eta", dest="eta_grid", type=float, nargs="+", default=None)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_peszat)
 
@@ -1106,6 +1055,7 @@ def _build_parser():
     sub = subs.add_parser("picard", help="mild-solution Picard iteration")
     _add_sim_flags(sub, _PICARD_FLAGS)
     _add_common(sub)
+    _add_threads(sub)
     sub.set_defaults(handler=_cmd_picard)
 
     sub = subs.add_parser("holder", help="increment exponent fits")
@@ -1118,6 +1068,7 @@ def _build_parser():
     _add_sim_flags(sub, _PICARD_FLAGS)
     sub.add_argument("--p", type=int, nargs="+", default=None)
     _add_common(sub)
+    _add_threads(sub)
     sub.set_defaults(handler=_cmd_moments)
 
     sub = subs.add_parser(

@@ -12,7 +12,7 @@ exactly.
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -118,8 +118,11 @@ def _format_scalar(value):
 
 
 def serialize_mapping(mapping):
-    """Render a flat mapping in the file format, one key per line."""
-    lines = [f"{key} = {_format_scalar(value)}" for key, value in mapping.items()]
+    """Render a flat mapping in the file format, one key per line; None
+    values are left out, since the format has no null."""
+    lines = [
+        f"{key} = {_format_scalar(value)}" for key, value in mapping.items() if value is not None
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -248,13 +251,7 @@ def from_mapping(mapping, base=None):
 
 def serialize_config(config):
     """Render a SimulationConfig in field order; None fields are omitted."""
-    mapping = {}
-    for name in _FIELD_ORDER:
-        value = getattr(config, name)
-        if value is None:
-            continue
-        mapping[name] = value
-    return serialize_mapping(mapping)
+    return serialize_mapping(asdict(config))
 
 
 def initial_data(config):

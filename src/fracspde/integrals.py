@@ -35,8 +35,6 @@ __all__ = [
     "quadratic_variation",
     "BdgCheck",
     "bdg_bound_check",
-    "MomentRatioCheck",
-    "gaussian_moment_ratio_check",
 ]
 
 
@@ -347,38 +345,3 @@ def bdg_bound_check(
         bound = bdg_z_p(p) * bracket ** (p / 2.0)
         passed = estimate <= bound
     return BdgCheck(p, n_mc, estimate, se, bound, bracket, passed)
-
-
-@dataclass(frozen=True)
-class MomentRatioCheck:
-    ratio: float
-    se: float
-    target: float
-    passed: bool
-
-
-def gaussian_moment_ratio_check(samples, target: float = 3.0) -> MomentRatioCheck:
-    """E|Z|^4 / (E|Z|^2)^2 with a delta-method standard error.
-
-    Wiener integrals of deterministic integrands are Gaussian, so the ratio
-    is 3; passes when the target sits within 3 SE of the estimate.
-    """
-    z = np.asarray(samples, dtype=float)
-    n = z.size
-    if n < 100:
-        raise ValueError("need at least 100 samples for the moment ratio")
-    q2 = z**2
-    q4 = z**4
-    m2 = float(q2.mean())
-    m4 = float(q4.mean())
-    ratio = m4 / m2**2
-    # gradient of f(m4, m2) = m4 / m2^2
-    g4 = 1.0 / m2**2
-    g2 = -2.0 * m4 / m2**3
-    cov44 = float(q4.var(ddof=1))
-    cov22 = float(q2.var(ddof=1))
-    cov42 = float(np.cov(q4, q2, ddof=1)[0, 1])
-    var = (g4 * g4 * cov44 + g2 * g2 * cov22 + 2.0 * g4 * g2 * cov42) / n
-    se = math.sqrt(max(var, 0.0))
-    passed = abs(ratio - target) <= 3.0 * se
-    return MomentRatioCheck(ratio, se, float(target), passed)

@@ -42,16 +42,24 @@ FORMAT_MAGIC = b"FSPN"
 FORMAT_VERSION = 1
 
 
-def band_mass(h: float, lo: float, hi: float) -> float:
-    """mu([lo, hi]) = c_H (hi^(2-2h) - lo^(2-2h)) / (2-2h) for 0 <= lo < hi."""
-    if not 0.0 <= lo < hi:
+def band_mass(h: float, lo, hi):
+    """mu([lo, hi]) = c_H (hi^(2-2h) - lo^(2-2h)) / (2-2h) for 0 <= lo < hi.
+
+    lo and hi may be arrays of band edges; the masses are then elementwise.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if not np.all((0.0 <= lo) & (lo < hi)):
         raise ValueError(f"need 0 <= lo < hi, got lo={lo!r} hi={hi!r}")
     p = 2.0 - 2.0 * h
     return c_H(h) * (hi**p - lo**p) / p
 
 
-def band_centroid(h: float, lo: float, hi: float) -> float:
-    """Mass centroid int xi dmu / mu of the band [lo, hi], 0 <= lo < hi."""
+def band_centroid(h: float, lo, hi):
+    """Mass centroid int xi dmu / mu of the band [lo, hi], 0 <= lo < hi,
+    elementwise over arrays of band edges."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     p = 3.0 - 2.0 * h
     return c_H(h) * (hi**p - lo**p) / p / band_mass(h, lo, hi)
 
@@ -347,10 +355,8 @@ def grid_from_edges(h: float, edges: np.ndarray) -> SpectralGrid:
     half = n_bins // 2
     pos_lo = edges[half:-1]
     pos_hi = edges[half + 1 :]
-    p = 2.0 - 2.0 * h
-    q = 3.0 - 2.0 * h
-    pos_mass = c_H(h) * (pos_hi**p - pos_lo**p) / p
-    pos_centroid = c_H(h) * (pos_hi**q - pos_lo**q) / q / pos_mass
+    pos_mass = band_mass(h, pos_lo, pos_hi)
+    pos_centroid = band_centroid(h, pos_lo, pos_hi)
     masses = np.concatenate([pos_mass[::-1], pos_mass])
     centroids = np.concatenate([-pos_centroid[::-1], pos_centroid])
     grid = SpectralGrid(h, edges, masses, centroids)

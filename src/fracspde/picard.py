@@ -25,8 +25,8 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .constants import c_H, validate_hurst
-from .noise import spectral_increments
+from .constants import validate_hurst
+from .noise import band_mass, spectral_increments
 
 __all__ = [
     "AffineSigma",
@@ -197,7 +197,6 @@ class PicardConfig:
     max_iters: int = 12
     tol: float = 1e-3
     pad: float = None
-    store_iterates: bool = False
 
     def __post_init__(self):
         if self.equation not in ("wave", "heat"):
@@ -305,10 +304,7 @@ def build_geometry(config):
 
     d_omega = 2.0 * math.pi / (n_fft * config.dx)
     k = np.arange(n_fft // 2)
-    p = 2.0 - 2.0 * config.h
-    lo = np.maximum(k - 0.5, 0.0) * d_omega
-    hi = (k + 0.5) * d_omega
-    masses = c_H(config.h) * (hi**p - lo**p) / p
+    masses = band_mass(config.h, np.maximum(k - 0.5, 0.0) * d_omega, (k + 0.5) * d_omega)
 
     geom = SolverGeometry(
         equation=config.equation,
@@ -507,8 +503,7 @@ def picard_step(geom, sigma, u_prev, eta, w):
 @dataclass(frozen=True)
 class PicardResult:
     """A converged solve: the final iterate, the successive deltas, and the
-    homogeneous term ``homogeneous`` (= u^0 = w) it was built on.
-    ``iterates`` holds u^0 .. u^n when the config asks to store them."""
+    homogeneous term ``homogeneous`` (= u^0 = w) it was built on."""
 
     field: SpaceTimeField
     deltas: list
@@ -518,7 +513,6 @@ class PicardResult:
     geometry: SolverGeometry
     config: PicardConfig
     homogeneous: np.ndarray
-    iterates: list = None
 
 
 def _iterate(geom, sigma, w, eta, max_iters, tol=None, observer=None, start=None):
@@ -557,11 +551,7 @@ def solve(config):
     geom = build_geometry(config)
     w = _homogeneous_values(geom, config.init)
     eta = noise_slabs(geom, config.seed, config.realization)
-    iterates = [w] if config.store_iterates else None
-    observer = (lambda n, diff, u: iterates.append(u)) if config.store_iterates else None
-    u, deltas, converged = _iterate(
-        geom, config.sigma, w, eta, config.max_iters, config.tol, observer
-    )
+    u, deltas, converged = _iterate(geom, config.sigma, w, eta, config.max_iters, config.tol)
     threshold = config.tol * deltas[0]
     if not converged:
         raise PicardConvergenceError(
@@ -578,7 +568,6 @@ def solve(config):
         geometry=geom,
         config=config,
         homogeneous=w,
-        iterates=iterates,
     )
 
 

@@ -51,6 +51,8 @@ __all__ = [
     "holder_exponent_space",
     "holder_exponent_time",
     "moment_report",
+    "MomentRatioCheck",
+    "gaussian_moment_ratio_check",
     "gaussian_ratio_check",
 ]
 
@@ -585,44 +587,66 @@ def moment_report(ensemble, p_list=(2, 4), kurtosis_cap=0.25):
     return checks
 
 
+@dataclass(frozen=True)
+class MomentRatioCheck:
+    ratio: float
+    se: float
+    target: float
+    passed: bool
+
+
+def gaussian_moment_ratio_check(samples, target=3.0):
+    """E|Z|^4 / (E|Z|^2)^2 with a delta-method standard error.
+
+    Wiener integrals of deterministic integrands are Gaussian, so the ratio
+    is 3; passes when the target sits within 3 SE of the estimate.
+    """
+    z = np.asarray(samples, dtype=float)
+    n = z.size
+    if n < 2:
+        raise ValueError("need at least 2 samples for the moment ratio")
+    q2 = z**2
+    q4 = z**4
+    m2 = float(q2.mean())
+    m4 = float(q4.mean())
+    ratio = m4 / m2**2
+    # gradient of f(m4, m2) = m4 / m2^2
+    g4 = 1.0 / m2**2
+    g2 = -2.0 * m4 / m2**3
+    cov44 = float(q4.var(ddof=1))
+    cov22 = float(q2.var(ddof=1))
+    cov42 = float(np.cov(q4, q2, ddof=1)[0, 1])
+    var = (g4 * g4 * cov44 + g2 * g2 * cov22 + 2.0 * g4 * g2 * cov42) / n
+    se = math.sqrt(max(var, 0.0))
+    passed = abs(ratio - target) <= 3.0 * se
+    return MomentRatioCheck(ratio, se, float(target), passed)
+
+
 def gaussian_ratio_check(config, n_realizations):
     """Fourth-to-second moment ratio of the first stochastic increment.
 
     With a = 0 the first Picard increment is a Gaussian integral of a
     deterministic slice, so E|D|^4 / (E|D|^2)^2 = 3 at every grid point;
     the check compares the ensemble ratio at the final-time core center
-    against 3 within Monte Carlo error.
+    against 3 within the delta-method error of
+    ``gaussian_moment_ratio_check``.
     """
     if config.sigma.a != 0.0:
         raise ValueError("the Gaussian ratio diagnostic applies to a = 0 only")
-    geom = build_geometry(config)
-    center = geom.n_fft // 2
-    acc = {"s2": 0.0, "s4": 0.0, "s8": 0.0, "n": 0}
+    center = build_geometry(config).n_fft // 2
+    first = []
 
-    class Spy:
-        def observe(self, n, diff, geom_):
-            if n != 1:
-                return
-            d = float(diff[-1, center])
-            acc["s2"] += d**2
-            acc["s4"] += d**4
-            acc["s8"] += d**8
-            acc["n"] += 1
+    class FirstIncrement:
+        def observe(self, n, diff, geom):
+            if n == 1:
+                first.append(float(diff[-1, center]))
 
-    solve_ensemble(config, n_realizations, n_iters=1, collectors=(Spy(),))
-    n = acc["n"]
-    m2 = acc["s2"] / n
-    m4 = acc["s4"] / n
-    m8 = acc["s8"] / n
-    ratio = m4 / m2**2
-    # delta method on m4/m2^2 under joint CLT; the m8 term dominates
-    var_m4 = max(m8 - m4 * m4, 0.0) / n
-    var_m2 = max(m4 - m2 * m2, 0.0) / n
-    se = math.sqrt(var_m4 / m2**4 + 4.0 * ratio**2 * var_m2 / m2**2)
+    solve_ensemble(config, n_realizations, n_iters=1, collectors=(FirstIncrement(),))
+    chk = gaussian_moment_ratio_check(first)
     return make_check(
         "gaussian-p4-p2-ratio",
-        computed=ratio,
+        computed=chk.ratio,
         reference=3.0,
-        standard_error=se,
-        inputs={"equation": config.equation, "h": config.h, "n": n},
+        standard_error=chk.se,
+        inputs={"equation": config.equation, "h": config.h, "n": len(first)},
     )

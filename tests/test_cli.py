@@ -166,8 +166,33 @@ class TestExitCodes:
 
     def test_threads_env_must_be_integer(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FRACSPDE_THREADS", "many")
-        assert main(["peszat", "--out", str(tmp_path)]) == 1
+        assert main(["picard", "--ensemble", "2", "--out", str(tmp_path)]) == 1
         assert "FRACSPDE_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("gronwall", "n_max = 40.9\n", "n_max must be an integer, got 40.9"),
+            ("gronwall", "k = true\n", "k must be an integer, got True"),
+            ("verify-kernels", "T = true\n", "T must be a number, got True"),
+        ],
+    )
+    def test_mistyped_config_value_rejected(self, tmp_path, capsys, command, config, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", ["verify-identities", "verify-kernels", "peszat", "simulate", "holder", "gronwall"]
+    )
+    def test_threads_only_where_a_pool_runs(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--threads", "2", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_divergence_exits_three(self, tmp_path, capsys):
         base = ["picard", "--T", "0.25", "--dt", "0.015625", "--dx", "0.015625",
@@ -313,6 +338,38 @@ class TestPicardCommand:
         assert read_bytes(first / "deltas.csv") == read_bytes(second / "deltas.csv")
 
 
+class TestEchoReproducesEveryCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-identities", "--hurst", "0.3", "0.4"],
+            ["verify-kernels", "--equation", "heat", "--T", "0.5", "--alpha", "0.2"],
+            ["peszat", "--hurst", "0.35", "--eta", "1", "10", "100"],
+            ["gronwall", "--g", "power:-0.5", "--n-max", "30", "--k", "2",
+             "--mc-samples", "5000", "--seed", "3"],
+            ["holder", "--target", "noise", "--ensemble", "1000", "--seed", "4"],
+            ["simulate", "--hurst", "0.4", "--T", "0.25", "--dt", "0.015625",
+             "--n-bins", "64", "--seed", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_echo_reproduces_run(self, tmp_path, argv):
+        first = tmp_path / "first"
+        second = tmp_path / "second"
+        code = main(argv + ["--out", str(first)])
+        echo = parse_config_text(read(first / "effective-config.txt"))
+        echo["out"] = str(second)
+        cfg = tmp_path / "again.cfg"
+        cfg.write_text(serialize_mapping(echo))
+        assert main([argv[0], "--config", str(cfg)]) == code
+        assert parse_config_text(read(second / "effective-config.txt")) == echo
+        names = sorted(os.listdir(first))
+        assert names == sorted(os.listdir(second))
+        for name in names:
+            if name != "effective-config.txt":
+                assert read_bytes(first / name) == read_bytes(second / name), name
+
+
 class TestFitCommands:
     def test_holder_noise_artifacts(self, tmp_path):
         out = tmp_path / "hold"
@@ -335,6 +392,15 @@ class TestFitCommands:
         )
         assert code == 1
         assert "realizations" in capsys.readouterr().err
+
+    def test_moments_thread_invariance(self, tmp_path):
+        argv = ["moments", "--equation", "heat", "--T", "0.125", "--dt", "0.0078125",
+                "--dx", "0.03125", "--L", "0.5", "--u0", "const:0.7", "--ensemble", "500",
+                "--max-iters", "3", "--seed", "7"]
+        assert main(argv + ["--threads", "1", "--out", str(tmp_path / "t1")]) == 0
+        assert main(argv + ["--threads", "2", "--out", str(tmp_path / "t2")]) == 0
+        for name in ("moments.csv", "report.json"):
+            assert read_bytes(tmp_path / "t1" / name) == read_bytes(tmp_path / "t2" / name)
 
     def test_moments_artifacts(self, tmp_path):
         out = tmp_path / "mom"

@@ -20,7 +20,6 @@ from fracspde.integrals import (
     bdg_z_p,
     deterministic_I_T,
     exact_grid_transform,
-    gaussian_moment_ratio_check,
     grid_sobolev_energy,
     integral_ensemble,
     integrate,
@@ -30,6 +29,7 @@ from fracspde.integrals import (
     transform_integrand,
 )
 from fracspde.noise import build_grid, field_value, sample_noise
+from fracspde.regularity import gaussian_moment_ratio_check
 from fracspde.sobolev import gaussian_bump, sobolev_side, tent
 
 N_SPACE = 1024

@@ -351,17 +351,10 @@ class TestSolve:
         assert len(exc.value.deltas) == 2
         assert exc.value.deltas[1] < exc.value.deltas[0]
 
-    def test_store_iterates(self):
-        cfg = small_config(store_iterates=True)
-        res = solve(cfg)
-        assert len(res.iterates) == res.n_iters + 1
-        np.testing.assert_array_equal(res.homogeneous, homogeneous_term(cfg).values)
-
     @pytest.mark.parametrize("equation", ["wave", "heat"])
     def test_result_carries_homogeneous_term(self, equation):
         cfg = small_config(equation)
         res = solve(cfg)
-        assert res.iterates is None
         np.testing.assert_array_equal(res.homogeneous, homogeneous_term(cfg).values)
 
     def test_scaling_covariance(self):

@@ -18,6 +18,7 @@ from fracspde.picard import (
     PicardConfig,
     build_geometry,
     constant_initial,
+    homogeneous_term,
     solve_ensemble,
 )
 from fracspde.regularity import (
@@ -25,6 +26,7 @@ from fracspde.regularity import (
     FieldEnsemble,
     FieldSampleCollector,
     fit_exponent,
+    gaussian_moment_ratio_check,
     gaussian_ratio_check,
     geometric_space_lags,
     geometric_time_lags,
@@ -434,6 +436,24 @@ class TestGaussianRatio:
         report = gaussian_ratio_check(config, 1200)
         assert report.passed
         assert abs(report.computed - 3.0) < 1.2
+
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    def test_error_is_the_sample_delta_method(self, equation):
+        # the first increments u^1 - w, read off the final fields of a
+        # one-iteration ensemble, give the check's ratio and standard error
+        config = PicardConfig(
+            equation=equation, h=0.35, T=0.25, n_steps=8, dx=1.0 / 32, L=0.5,
+            sigma=AffineSigma(0.0, 1.0), init=constant_initial(0.3), seed=11,
+        )
+        center = build_geometry(config).n_fft // 2
+        w_end = homogeneous_term(config).values[-1, center]
+        first = []
+        solve_ensemble(config, 300, n_iters=1,
+                       on_final=lambda r, fld: first.append(fld.values[-1, center] - w_end))
+        expected = gaussian_moment_ratio_check(first)
+        report = gaussian_ratio_check(config, 300)
+        assert report.computed == pytest.approx(expected.ratio, rel=1e-12)
+        assert report.standard_error == pytest.approx(expected.se, rel=1e-12)
 
 
 class TestFieldSampleCollector:
