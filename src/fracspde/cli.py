@@ -1,4 +1,4 @@
-"""Command-line front end: verification suites, noise synthesis, solver runs.
+"""Command-line front end: verification suites, the lattice noise audit, solver runs.
 
 Exit codes: 0 when every check passed (or the run completed, for commands
 without checks), 2 when at least one check failed, 1 on usage or
@@ -42,7 +42,7 @@ from .kernels import (
     peszat_probe,
     time_increment_bound_check,
 )
-from .noise import build_grid, default_xi_max, sample_noise, save_noise, variance_bias_report
+from .noise import spectral_increments, variance_bias_report
 from .picard import (
     PicardConvergenceError,
     PicardDivergenceError,
@@ -134,7 +134,10 @@ def _checked(key, kind, value):
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise _CliError(f"{key} is too large for a float")
     raise _CliError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
@@ -489,26 +492,22 @@ def _cmd_peszat(args):
 
 def _cmd_simulate(args):
     cfg = _sim_config(args)
-    if cfg.xi_max is None:
-        # default to the 1% truncation-tail cutoff; the synthesis has no
-        # lattice, so shrink the unused dx if the aliasing invariant needs it
-        resolved = default_xi_max(cfg.hurst)
-        updates = {"xi_max": resolved}
-        if resolved * cfg.dx > math.pi:
-            updates["dx"] = math.pi / resolved
-        cfg = from_mapping(updates, base=cfg)
     out_dir = _echo(asdict(cfg))
-
-    grid = build_grid(cfg.hurst, xi_max=cfg.xi_max, n_bins=cfg.n_bins)
-    noise_field = sample_noise(grid, cfg.dt, cfg.n_steps, cfg.seed)
+    # the lattice and noise bands that picard builds at the same settings
+    geom = build_geometry(to_picard_config(cfg))
     if args.save_noise:
         path = args.save_noise
         if not os.path.isabs(path):
             path = os.path.join(out_dir, path)
-        save_noise(noise_field, path)
-        print(f"wrote noise container {path}")
+        z = spectral_increments(geom.band_masses, geom.dt, geom.n_steps, cfg.seed)
+        # a file handle keeps np.save from appending .npy to the path
+        with open(path, "wb") as fh:
+            np.save(fh, z)
+        print(f"wrote noise increments {path}")
 
-    bias = variance_bias_report(grid, np.array([0.25, 0.5, 1.0]))
+    # check points inside the reported window [-L, L]: the lattice period
+    # n_fft * dx is at least 2L, so none of them meets its periodic image
+    bias = variance_bias_report(geom, cfg.L * np.array([0.25, 0.5, 1.0]))
     reports = []
     for x, rel_err, tail, exact in zip(bias["x"], bias["rel_err"], bias["tail"], bias["exact"]):
         # the truncation tail is known exactly, so grant it and require the
@@ -519,7 +518,12 @@ def _cmd_simulate(args):
                 computed=float(rel_err),
                 reference=0.0,
                 tolerance=float(tail / exact) + 0.01,
-                inputs={"h": cfg.hurst, "x": float(x), "xi_max": cfg.xi_max, "n_bins": cfg.n_bins},
+                inputs={
+                    "h": cfg.hurst,
+                    "x": float(x),
+                    "xi_cut": geom.xi_cut,
+                    "n_bands": geom.n_bands,
+                },
             )
         )
     return _finish(reports, out_dir, args.format)
@@ -802,6 +806,8 @@ def _cmd_moments(args):
             raise _CliError(f"p must be at least 2, got {p}")
     if cfg.ensemble < 2:
         raise _CliError(f"moments needs at least 2 realizations, got {cfg.ensemble}")
+    if cfg.sigma_a == 0.0 and cfg.sigma_b == 0.0:
+        raise _CliError("moments needs a noise term; sigma_a = sigma_b = 0 leaves u = w")
 
     picard_cfg = to_picard_config(cfg)
     _, ensemble, _ = _solve_ensemble_blocks(
@@ -1003,12 +1009,7 @@ _SIM_FLAG_SPECS = {
     "ensemble": dict(type=int),
     "max_iters": dict(type=int),
     "tol": dict(type=float),
-    "xi_max": dict(type=float),
-    "n_bins": dict(type=int),
 }
-
-
-_PICARD_FLAGS = tuple(key for key in _SIM_FLAG_SPECS if key not in ("xi_max", "n_bins"))
 
 
 def _add_sim_flags(sub, keys):
@@ -1041,19 +1042,24 @@ def _build_parser():
     _add_common(sub)
     sub.set_defaults(handler=_cmd_peszat)
 
-    sub = subs.add_parser("simulate", help="synthesize a noise realization")
-    _add_sim_flags(sub, ("hurst", "T", "dt", "xi_max", "n_bins", "seed"))
+    sub = subs.add_parser(
+        "simulate",
+        help="variance bias of the noise that picard draws at these settings, "
+        "at x = L/4, L/2 and L",
+    )
+    _add_sim_flags(sub, ("equation", "hurst", "T", "dt", "dx", "L", "seed"))
     sub.add_argument(
         "--save-noise",
         dest="save_noise",
         default=None,
-        help="write the binary noise container here",
+        help="write the (n_steps, n_bands) complex band increments here as .npy "
+        "(a relative path is taken inside the output directory)",
     )
     _add_common(sub)
     sub.set_defaults(handler=_cmd_simulate)
 
     sub = subs.add_parser("picard", help="mild-solution Picard iteration")
-    _add_sim_flags(sub, _PICARD_FLAGS)
+    _add_sim_flags(sub, _SIM_FLAG_SPECS)
     _add_common(sub)
     _add_threads(sub)
     sub.set_defaults(handler=_cmd_picard)
@@ -1065,7 +1071,7 @@ def _build_parser():
     sub.set_defaults(handler=_cmd_holder)
 
     sub = subs.add_parser("moments", help="ensemble moment bounds")
-    _add_sim_flags(sub, _PICARD_FLAGS)
+    _add_sim_flags(sub, _SIM_FLAG_SPECS)
     sub.add_argument("--p", type=int, nargs="+", default=None)
     _add_common(sub)
     _add_threads(sub)

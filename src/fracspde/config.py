@@ -146,9 +146,8 @@ class SimulationConfig:
 
     dt is canonicalized to T / n_steps with n_steps = round(T / dt), so the
     step count divides the horizon exactly; a dt that is not within one part
-    in 1e9 of such a divisor is rejected.  xi_max is the spectral cutoff for
-    noise synthesis (None lets the sampler pick its default) and must stay
-    below the grid Nyquist frequency pi / dx.
+    in 1e9 of such a divisor is rejected.  The noise has no settings of its
+    own: it is drawn on the lattice bands that dx, L and T give the solver.
     """
 
     equation: str = "wave"
@@ -165,8 +164,6 @@ class SimulationConfig:
     ensemble: int = 1
     max_iters: int = 12
     tol: float = 0.001
-    xi_max: float = None
-    n_bins: int = 2048
     out: str = "."
 
     def __post_init__(self):
@@ -200,16 +197,6 @@ class SimulationConfig:
             raise ValueError(f"ensemble must be a positive integer, got {self.ensemble!r}")
         if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
-        if self.xi_max is not None:
-            if not (isinstance(self.xi_max, float) and self.xi_max > 0.0):
-                raise ValueError(f"xi_max must be a positive float, got {self.xi_max!r}")
-            if self.xi_max * self.dx > math.pi * (1.0 + 1e-12):
-                raise ValueError(
-                    f"xi_max must satisfy xi_max * dx <= pi (grid aliasing), "
-                    f"got xi_max * dx = {self.xi_max * self.dx!r}"
-                )
-        if not (isinstance(self.n_bins, int) and self.n_bins >= 2):
-            raise ValueError(f"n_bins must be an integer >= 2, got {self.n_bins!r}")
         if not isinstance(self.out, str):
             raise ValueError(f"out must be a string path, got {self.out!r}")
 
@@ -218,26 +205,29 @@ class SimulationConfig:
         return round(self.T / self.dt)
 
 
-_FLOAT_FIELDS = ("hurst", "T", "dt", "dx", "L", "sigma_a", "sigma_b", "v0", "tol", "xi_max")
-_INT_FIELDS = ("seed", "ensemble", "max_iters", "n_bins")
-_STR_FIELDS = ("equation", "u0", "out")
+_FLOAT_FIELDS = ("hurst", "T", "dt", "dx", "L", "sigma_a", "sigma_b", "v0", "tol")
+_INT_FIELDS = ("seed", "ensemble", "max_iters")
 _FIELD_ORDER = tuple(f.name for f in fields(SimulationConfig))
 
 
-def from_mapping(mapping, base=None):
-    """Build a SimulationConfig from a flat mapping over a base config.
+def from_mapping(mapping):
+    """Build a SimulationConfig from a flat mapping over the defaults.
 
     Unknown keys are rejected by name.  Integer literals are accepted for
-    float fields; everything else must match the field's type.
+    float fields (an integer beyond float range is rejected by name);
+    everything else must match the field's type.
     """
-    values = {name: getattr(base, name) for name in _FIELD_ORDER} if base else {}
+    values = {}
     for key, value in mapping.items():
         if key not in _FIELD_ORDER:
             raise ValueError(f"unknown config key {key!r}")
         if key in _FLOAT_FIELDS:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{key} must be a number, got {value!r}")
-            values[key] = float(value)
+            try:
+                values[key] = float(value)
+            except OverflowError:
+                raise ValueError(f"{key} is too large for a float")
         elif key in _INT_FIELDS:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
@@ -250,7 +240,7 @@ def from_mapping(mapping, base=None):
 
 
 def serialize_config(config):
-    """Render a SimulationConfig in field order; None fields are omitted."""
+    """Render a SimulationConfig in field order."""
     return serialize_mapping(asdict(config))
 
 

@@ -1,12 +1,20 @@
 """Spectral synthesis of the driving noise: white in time, fractional in
 space with spectral density c_H |xi|^(1-2h).
 
-The frequency axis is cut at xi_max and partitioned into bins carrying their
-exact measure mass (closed-form antiderivative per bin); each time step gets
-one independent circular complex Gaussian per positive-frequency bin, with
-the negative bins forced to the conjugate so realized fields are real.  The
-discretization error is deterministic, so it can be measured exactly before
-any Monte Carlo: see variance_bias_report and truncation_tail.
+Every command draws its noise from one band law.  On a frequency lattice of
+spacing d_omega, band k covers [max(k - 1/2, 0), k + 1/2) * d_omega and
+carries its exact one-sided measure mass (band_mass, a closed-form
+antiderivative); it is evaluated at the lattice frequency k * d_omega.  Each
+time step draws one independent circular complex Gaussian per band
+(spectral_increments), and the real field is 2 Re of the band sum, so band 0
+carries the two-sided mass of the band around zero.  The discretization
+error is deterministic, so it can be measured exactly before any Monte
+Carlo: see variance_bias_report and truncation_tail.
+
+The binned grid model (SpectralGrid, sample_noise, field_value and the FSPN
+container) partitions [-xi_max, xi_max] into linear bins evaluated at their
+mass centroids.  No command draws from it; it is the noise that integrals.py
+integrates against.
 """
 
 from __future__ import annotations
@@ -186,21 +194,25 @@ def discretized_covariance(grid: SpectralGrid, x, y) -> np.ndarray:
     return out.reshape(shape) if shape else float(out[0])
 
 
-def variance_bias_report(grid: SpectralGrid, xs) -> dict:
-    """Deterministic discretization + truncation error of Var X(1, x).
+def variance_bias_report(geom, xs) -> dict:
+    """Deterministic discretization + truncation error of Var X(1, x) for the
+    noise that the solver draws on the lattice bands of geom.
 
-    The synthesized field's exact one-step variance is
-    sum_k masses[k] |F1_(0,x](centroid_k)|^2; the continuum target is
-    |x|^(2h).  No sampling is involved, so the reported rel_err is the bias
-    any Monte Carlo estimate converges to.
+    The lattice field's exact one-step variance is
+    sum_k 2 m_k |F1_(0,x](omega_k)|^2 with |F1_(0,x](w)|^2 =
+    (2 sin(w x / 2) / w)^2, and x^2 for band 0; the continuum target is
+    |x|^(2h), and tail is the part of it above geom.xi_cut.  No sampling is
+    involved, so the reported rel_err is the bias any Monte Carlo estimate
+    converges to.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs == 0.0):
         raise ValueError("x = 0 has zero target variance; bias is undefined there")
-    phi = indicator_transfer(grid.centroids, xs[:, None])
-    discretized = (np.abs(phi) ** 2) @ grid.masses
-    exact = np.abs(xs) ** (2.0 * grid.h)
-    tails = np.array([truncation_tail(grid.h, x, grid.xi_max) for x in xs])
+    omega = geom.omega_r[1 : geom.n_bands]
+    transfer_sq = (2.0 * np.sin(0.5 * omega * xs[:, None]) / omega) ** 2
+    discretized = 2.0 * (transfer_sq @ geom.band_masses[1:] + geom.band_masses[0] * xs**2)
+    exact = np.abs(xs) ** (2.0 * geom.h)
+    tails = np.array([truncation_tail(geom.h, x, geom.xi_cut) for x in xs])
     rel_err = np.abs(discretized - exact) / exact
     return {
         "x": xs,

@@ -129,23 +129,35 @@ def constant_initial(value, v0_value=0.0, ):
     return InitialData(u0=u0, v0=v0, description=f"const:{value:g};v0:{v0_value:g}")
 
 
-def sampled_holder_initial(h, seed, amplitude=1.0, xi_max=128.0, n_bins=256):
+HOLDER_SAMPLE_BANDS = 128  # bands k = 1..128 at d_omega = 1
+
+
+def sampled_holder_initial(h, seed):
     """Random initial datum with Holder regularity h on macroscopic scales.
 
-    Draws one time slab of the synthesised noise field (a trigonometric sum
-    with fractional spectral weights) and freezes it as a deterministic
-    callable.  The sample is exactly zero at x = 0 and statistically
-    h-Holder at lags above 1/xi_max.
+    Draws one unit time slab of the noise under the band law of the solver,
+    on the bands k = 1..HOLDER_SAMPLE_BANDS at d_omega = 1, and freezes its
+    antiderivative u0(x) = 2 Re sum_k Z_k (1 - e^{-ikx}) / (ik) as a
+    deterministic callable.  Band 0, whose transfer is the unbounded ramp x,
+    is left out, so u0 is bounded and 2 pi-periodic.  The sample is exactly
+    zero at x = 0 and statistically h-Holder at lags above
+    1/HOLDER_SAMPLE_BANDS.
     """
-    from .noise import build_grid, sample_noise, field_value
-
     h = validate_hurst(h)
-    grid = build_grid(h, xi_max=float(xi_max), n_bins=int(n_bins))
-    frozen = sample_noise(grid, dt=1.0, n_steps=1, seed=int(seed))
-    amplitude = float(amplitude)
+    k = np.arange(1, HOLDER_SAMPLE_BANDS + 1)
+    z = spectral_increments(band_mass(h, k - 0.5, k + 0.5), 1.0, 1, seed)[0]
+    # sum_k c_k (1 - q^k) = (1 - q) sum_j d_j q^j with d_j = sum_{k>j} c_k
+    tail_sums = np.cumsum((z / (1j * k))[::-1])[::-1]
 
     def u0(x):
-        return amplitude * field_value(frozen, 1.0, x)
+        q = np.exp(-1j * np.asarray(x, dtype=float))
+        acc = np.full(q.shape, tail_sums[-1])
+        for d in tail_sums[-2::-1]:
+            acc *= q
+            acc += d
+        acc *= 1.0 - q
+        # 1 - q vanishes at x = 0; adding 0.0 turns a -0.0 there into 0.0
+        return 2.0 * acc.real + 0.0
 
     return InitialData(u0=u0, v0=None, description="holder-sample")
 

@@ -24,7 +24,9 @@ from fracspde.config import (
     serialize_mapping,
     to_picard_config,
 )
-from fracspde.noise import load_noise
+import fracspde.picard
+from fracspde.picard import build_geometry
+from fracspde.report import inputs_digest
 
 
 def read(path):
@@ -93,7 +95,7 @@ class TestConfigFormat:
             ({"hurst": 0.2}, "hurst"),
             ({"equation": "beam"}, "equation"),
             ({"dt": 0.3, "T": 0.5}, "whole number"),
-            ({"xi_max": 1e6}, "xi_max"),
+            ({"xi_max": 1e6}, "unknown config key"),
             ({"u0": "ramp"}, "u0"),
             ({"ensemble": 0}, "ensemble"),
             ({"seed": -1}, "seed"),
@@ -219,6 +221,24 @@ class TestExitCodes:
         assert main(["moments", "--p", "1", "--out", str(tmp_path)]) == 1
         assert "p must be at least 2" in capsys.readouterr().err
 
+    def test_moments_without_noise_rejected(self, tmp_path, capsys):
+        code = main(["moments", "--sigma-a", "0", "--sigma-b", "0", "--ensemble", "20",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: moments needs a noise term; sigma_a = sigma_b = 0 leaves u = w\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["verify-kernels", "simulate"])
+    def test_integer_beyond_float_range_rejected(self, tmp_path, capsys, command):
+        # verify-kernels converts in the settings path, simulate in from_mapping
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("T = 1" + "0" * 400 + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: T is too large for a float\n"
+        assert not out.exists()
+
 
 class TestVerifySuites:
     def test_identities_rows_and_report(self, tmp_path):
@@ -266,25 +286,78 @@ class TestVerifySuites:
 
 
 class TestSimulate:
+    ARGS = ["simulate", "--equation", "heat", "--hurst", "0.35", "--T", "0.25",
+            "--dt", "0.015625", "--dx", "0.015625", "--L", "0.5", "--seed", "9"]
+
     def test_container_round_trip(self, tmp_path):
         out = tmp_path / "sim"
-        code = main(
-            ["simulate", "--hurst", "0.35", "--T", "0.25", "--dt", "0.015625",
-             "--seed", "9", "--save-noise", "noise.bin", "--out", str(out)]
-        )
-        assert code == 0
-        noise = load_noise(str(out / "noise.bin"))
-        assert noise.grid.h == 0.35
-        assert noise.n_steps == 16
-        assert noise.increments.shape == (16, 2048)
+        assert main(self.ARGS + ["--save-noise", "noise.bin", "--out", str(out)]) == 0
+        z = np.load(out / "noise.bin")
+        cfg = from_mapping(parse_config_text(read(out / "effective-config.txt")))
+        geom = build_geometry(to_picard_config(cfg))
+        assert z.dtype == np.complex128
+        assert z.shape == (16, geom.n_bands)
+
+    def test_saved_noise_is_what_picard_draws(self, tmp_path, monkeypatch):
+        first = tmp_path / "sim"
+        assert main(self.ARGS + ["--save-noise", "noise.npy", "--out", str(first)]) == 0
+        saved = np.load(first / "noise.npy")
+
+        drawn = []
+        draw = fracspde.picard.spectral_increments
+
+        def record(*args, **kwargs):
+            drawn.append(draw(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(fracspde.picard, "spectral_increments", record)
+        echo = parse_config_text(read(first / "effective-config.txt"))
+        echo["out"] = str(tmp_path / "run")
+        cfg = tmp_path / "again.cfg"
+        cfg.write_text(serialize_mapping(echo))
+        assert main(["picard", "--config", str(cfg)]) == 0
+        assert len(drawn) == 1
+        assert np.array_equal(saved, drawn[0])
 
     def test_effective_config_resolves_cutoff(self, tmp_path):
+        # the echoed settings rebuild the lattice whose cutoff the checks used
         out = tmp_path / "sim"
-        assert main(["simulate", "--out", str(out)]) == 0
+        assert main(self.ARGS + ["--out", str(out)]) == 0
         echo = parse_config_text(read(out / "effective-config.txt"))
-        assert echo["xi_max"] > 0.0
-        again = from_mapping(echo)
-        assert again.xi_max == echo["xi_max"]
+        geom = build_geometry(to_picard_config(from_mapping(echo)))
+        report = json.loads(read(out / "report.json"))
+        assert geom.xi_cut > 0.0
+        # the check points are L/4, L/2 and L, here with L = 0.5
+        assert len(report) == 3
+        for row, x in zip(report, (0.125, 0.25, 0.5)):
+            inputs = {"h": 0.35, "x": x, "xi_cut": geom.xi_cut, "n_bands": geom.n_bands}
+            assert row["inputs_digest"] == inputs_digest(inputs)
+
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    def test_defaults_pass_and_echo_the_run_record(self, tmp_path, equation):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--equation", equation, "--out", str(out)]) == 0
+        echo = parse_config_text(read(out / "effective-config.txt"))
+        assert from_mapping(echo) == SimulationConfig(equation=equation, out=str(out))
+        report = json.loads(read(out / "report.json"))
+        assert [r["check_name"] for r in report] == [
+            "noise-variance-bias-x0.25", "noise-variance-bias-x0.5", "noise-variance-bias-x1",
+        ]
+        assert not (out / "noise.npy").exists()
+
+    def test_small_window_checks_inside_the_window(self, tmp_path):
+        # at L = 0.25 the wave lattice has period n_fft * dx = 1, where a check
+        # at x = 1 would see only band 0; the points follow L instead
+        out = tmp_path / "sim"
+        assert main(["simulate", "--L", "0.25", "--T", "0.0625", "--out", str(out)]) == 0
+        echo = parse_config_text(read(out / "effective-config.txt"))
+        geom = build_geometry(to_picard_config(from_mapping(echo)))
+        assert geom.n_fft * geom.dx == 1.0
+        report = json.loads(read(out / "report.json"))
+        assert [r["check_name"] for r in report] == [
+            "noise-variance-bias-x0.0625", "noise-variance-bias-x0.125", "noise-variance-bias-x0.25",
+        ]
+        assert all(r["pass"] for r in report)
 
 
 class TestPicardCommand:
@@ -349,7 +422,7 @@ class TestEchoReproducesEveryCommand:
              "--mc-samples", "5000", "--seed", "3"],
             ["holder", "--target", "noise", "--ensemble", "1000", "--seed", "4"],
             ["simulate", "--hurst", "0.4", "--T", "0.25", "--dt", "0.015625",
-             "--n-bins", "64", "--seed", "2"],
+             "--seed", "2"],
         ],
         ids=lambda argv: argv[0],
     )

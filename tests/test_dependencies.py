@@ -2,6 +2,7 @@
 that the source imports."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -33,3 +34,12 @@ def imported_packages():
 
 def test_declared_dependencies_are_the_imported_ones():
     assert declared_dependencies() == imported_packages()
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_every_exported_name_resolves(path):
+    name = PACKAGE.name if path.stem == "__init__" else f"{PACKAGE.name}.{path.stem}"
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", ())
+    assert len(set(exported)) == len(exported)
+    assert [attr for attr in exported if not hasattr(module, attr)] == []

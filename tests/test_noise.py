@@ -1,9 +1,11 @@
-"""Tests for spectral noise synthesis.
+"""Tests for spectral noise synthesis on the solver's lattice bands and on
+the binned grid model.
 
-Oracles: closed-form antiderivatives of the spectral density for bin masses,
+Oracles: closed-form antiderivatives of the spectral density for band masses,
 brute-force quadrature plus asymptotic tails for the truncation integral,
-explicit complex arithmetic for field assembly, and fixed-seed Monte Carlo
-(deterministic given the counter-based RNG) for the distributional checks.
+explicit complex band sums for the lattice field and its covariance, and
+fixed-seed Monte Carlo (deterministic given the counter-based RNG) for the
+distributional checks.
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracspde.constants import c_H, fbm_covariance
+from fracspde.constants import c_H
 from fracspde.noise import (
     FORMAT_MAGIC,
     SpectralNoise,
@@ -33,7 +35,36 @@ from fracspde.noise import (
     truncation_tail,
     variance_bias_report,
 )
+from fracspde.picard import AffineSigma, PicardConfig, build_geometry, constant_initial
 from fracspde.quadrature import gauss_panels, graded_oscillation_edges, oscillatory_power_tail
+
+
+def lattice(equation="wave", h=0.3, T=0.25, dx=1.0 / 64, L=1.0):
+    return build_geometry(
+        PicardConfig(
+            equation=equation, h=h, T=T, n_steps=8, dx=dx, L=L,
+            sigma=AffineSigma(0.0, 1.0), init=constant_initial(0.0), seed=0,
+        )
+    )
+
+
+def transfer(geom, xs):
+    """F1_(0,x](omega_k) = (1 - e^(-i omega_k x)) / (i omega_k) per (x, band),
+    and x for band 0, as explicit complex arithmetic."""
+    xs = np.asarray(xs, dtype=float)[:, None]
+    omega = geom.omega_r[: geom.n_bands]
+    out = np.empty((xs.shape[0], geom.n_bands), dtype=complex)
+    out[:, 1:] = (1.0 - np.exp(-1j * omega[1:] * xs)) / (1j * omega[1:])
+    out[:, 0] = xs[:, 0]
+    return out
+
+
+def lattice_covariance(geom, x, y):
+    """E[X(1, x) X(1, y)] = sum_k 2 m_k Re F_k(x) conj(F_k(y)) for the field
+    2 Re sum_k Z_k F_k(x) with E|Z_k|^2 = m_k."""
+    fx = transfer(geom, [x])[0]
+    fy = transfer(geom, [y])[0]
+    return float(np.sum(2.0 * geom.band_masses * (fx * np.conj(fy)).real))
 
 
 class TestBandMass:
@@ -63,6 +94,35 @@ class TestBandMass:
             band_mass(0.3, -1.0, 1.0)
         with pytest.raises(ValueError):
             band_mass(0.3, 2.0, 1.0)
+
+
+class TestBandLaw:
+    def test_band_edges(self):
+        # band k covers [max(k - 1/2, 0), k + 1/2) d_omega
+        g = lattice(h=0.4)
+        for k in (0, 1, 7, g.n_bands - 1):
+            lo = max(k - 0.5, 0.0) * g.d_omega
+            hi = (k + 0.5) * g.d_omega
+            assert g.band_masses[k] == pytest.approx(band_mass(0.4, lo, hi), rel=1e-13)
+
+    def test_bands_evaluated_at_the_lattice_frequencies(self):
+        g = lattice()
+        k = np.arange(g.n_bands)
+        np.testing.assert_allclose(g.omega_r[: g.n_bands], k * g.d_omega, rtol=1e-14)
+
+    @given(
+        h=st.floats(0.26, 0.49),
+        log2_dx=st.integers(-9, -4),
+        L=st.floats(0.25, 2.0),
+        equation=st.sampled_from(["wave", "heat"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_masses_telescope_to_the_cutoff(self, h, log2_dx, L, equation):
+        g = lattice(equation=equation, h=h, dx=2.0**log2_dx, L=L)
+        closed = c_H(h) * g.xi_cut ** (2.0 - 2.0 * h) / (2.0 - 2.0 * h)
+        assert g.band_masses.sum() == pytest.approx(closed, rel=1e-10)
+        assert np.all(g.band_masses > 0.0)
+        assert g.xi_cut * g.dx <= math.pi * (1.0 + 1e-12)
 
 
 class TestBuildGrid:
@@ -200,6 +260,7 @@ class TestSpectralIncrements:
         a = spectral_increments(np.ones(4), 1.0, 3, seed=9)
         b = spectral_increments(np.ones(4), 1.0, 3, seed=9)
         assert np.array_equal(a, b)
+        assert not np.array_equal(a, spectral_increments(np.ones(4), 1.0, 3, seed=10))
 
     def test_realization_splits_stream(self):
         a = spectral_increments(np.ones(4), 1.0, 3, seed=9, realization=0)
@@ -211,6 +272,34 @@ class TestSpectralIncrements:
             spectral_increments(np.ones(2), 0.0, 3, seed=1)
         with pytest.raises(ValueError):
             spectral_increments(np.ones(2), 1.0, 0, seed=1)
+
+    def test_per_band_variance(self):
+        # mean |increment|^2 over 1e5 iid draws vs dt * mass on lattice
+        # bands, within 3 SE; the fixed seed makes the outcome deterministic
+        masses = lattice().band_masses[:16]
+        z = spectral_increments(masses, dt=0.7, n_steps=100_000, seed=7)
+        m2 = np.mean(np.abs(z) ** 2, axis=0)
+        se = np.std(np.abs(z) ** 2, axis=0, ddof=1) / math.sqrt(z.shape[0])
+        assert np.all(np.abs(m2 - 0.7 * masses) <= 3.0 * se)
+
+    def test_independence_across_steps(self):
+        z = spectral_increments(lattice().band_masses[:8], 1.0, 100_000, seed=13)
+        prod = z.real[:-1] * z.real[1:]
+        zs = np.abs(prod.mean(axis=0)) / (prod.std(axis=0, ddof=1) / math.sqrt(prod.shape[0]))
+        assert np.max(zs) < 3.0
+
+    def test_independence_across_bands(self):
+        z = spectral_increments(lattice().band_masses[:8], 1.0, 100_000, seed=29)
+        for a, b in ((0, 1), (2, 5), (3, 7)):
+            prod = z[:, a].real * z[:, b].real
+            zs = abs(prod.mean()) / (prod.std(ddof=1) / math.sqrt(prod.size))
+            assert zs < 3.0
+
+    def test_real_imag_parts_balanced(self):
+        masses = lattice(h=0.4).band_masses[:8]
+        z = spectral_increments(masses, dt=2.0, n_steps=100_000, seed=3)
+        np.testing.assert_allclose(z.real.var(axis=0, ddof=1), 0.5 * 2.0 * masses, rtol=0.05)
+        np.testing.assert_allclose(z.imag.var(axis=0, ddof=1), 0.5 * 2.0 * masses, rtol=0.05)
 
 
 class TestSampleNoise:
@@ -411,30 +500,149 @@ class TestFieldLaw:
         assert abs(diff.mean()) <= 3.0 * se
 
 
+class TestLatticeFieldLaw:
+    """Distributional checks of the lattice field X(t, x) = 2 Re sum over
+    steps and bands of Z F_k(x), with fixed seeds (hence deterministic)."""
+
+    @staticmethod
+    def _ensemble(n_real, seed, xs, n_steps=2):
+        g = lattice()
+        phi = transfer(g, xs)
+        out = np.empty((n_real, n_steps, len(xs)))
+        for r in range(n_real):
+            z = spectral_increments(g.band_masses, 1.0, n_steps, seed, realization=r)
+            out[r] = np.cumsum(2.0 * (z @ phi.T).real, axis=0)
+        return g, out
+
+    def test_covariance_matches_lattice_target(self):
+        # the MC mean converges to the lattice covariance exactly; its gap to
+        # the fBm covariance is the deterministic bias of variance_bias_report
+        xs = [0.5, 1.0, 2.0]
+        g, ens = self._ensemble(3000, 424242, xs)
+        f1 = ens[:, 0, :]
+        prods = f1[:, :, None] * f1[:, None, :]
+        emp = prods.mean(axis=0)
+        se = prods.std(axis=0, ddof=1) / math.sqrt(ens.shape[0])
+        target = np.array([[lattice_covariance(g, x, y) for y in xs] for x in xs])
+        assert np.all(np.abs(emp - target) <= 3.0 * se)
+
+    def test_variance_linear_in_t(self):
+        _, ens = self._ensemble(3000, 99, [1.0], n_steps=2)
+        # E X(2,1)^2 = 2 E X(1,1)^2; compare the difference of estimators
+        diff = ens[:, 1, 0] ** 2 - 2.0 * ens[:, 0, 0] ** 2
+        se = diff.std(ddof=1) / math.sqrt(diff.size)
+        assert abs(diff.mean()) <= 3.0 * se
+
+    def test_cross_time_covariance(self):
+        # E[X(1,x) X(2,y)] = 1 * R(x,y): later steps are independent
+        xs = [0.5, 1.5]
+        g, ens = self._ensemble(3000, 55, xs, n_steps=2)
+        prods = ens[:, 0, 0] * ens[:, 1, 1]
+        se = prods.std(ddof=1) / math.sqrt(prods.size)
+        assert abs(prods.mean() - lattice_covariance(g, xs[0], xs[1])) <= 3.0 * se
+
+    def test_spatial_increment_stationarity_exact(self):
+        # F_k(x + d) - F_k(x) = e^(-i omega_k x) F_k(d) for every band k > 0,
+        # but band 0 is the ramp x, whose increment is d at every x too, so the
+        # lattice increment variance is exactly independent of x
+        g = lattice(L=2.0)
+        d = 0.3
+        base = lattice_covariance(g, d, d)
+        for x in (-2.0, 0.0, 1.0, 10.0):
+            var_inc = (
+                lattice_covariance(g, x + d, x + d)
+                - 2.0 * lattice_covariance(g, x + d, x)
+                + lattice_covariance(g, x, x)
+            )
+            assert var_inc == pytest.approx(base, rel=1e-10)
+
+    def test_spatial_increment_stationarity_mc(self):
+        xs = [0.7, 1.0, 3.7, 4.0]
+        _, ens = self._ensemble(2000, 1001, xs, n_steps=1)
+        inc_a = ens[:, 0, 1] - ens[:, 0, 0]
+        inc_b = ens[:, 0, 3] - ens[:, 0, 2]
+        diff = inc_a**2 - inc_b**2
+        se = diff.std(ddof=1) / math.sqrt(diff.size)
+        assert abs(diff.mean()) <= 3.0 * se
+
+
 class TestBiasReport:
+    def test_equals_the_explicit_band_sum(self):
+        g = lattice(h=0.35)
+        xs = np.array([0.25, 0.5, 1.0, 1.5])
+        rep = variance_bias_report(g, xs)
+        phi = transfer(g, xs)
+        explicit = (2.0 * np.abs(phi) ** 2) @ g.band_masses
+        np.testing.assert_allclose(rep["discretized"], explicit, rtol=1e-13)
+        np.testing.assert_allclose(rep["exact"], xs**0.7, rtol=1e-14)
+        for x, tail in zip(xs, rep["tail"]):
+            assert tail == truncation_tail(0.35, x, g.xi_cut)
+
+    def test_matches_monte_carlo(self):
+        # X(1, x) from the increments the solver draws, 4000 realizations
+        g = lattice()
+        xs = [0.25, 1.0]
+        phi = transfer(g, xs)
+        samples = np.array(
+            [
+                2.0 * (spectral_increments(g.band_masses, 1.0, 1, 31, realization=r) @ phi.T).real[0]
+                for r in range(4000)
+            ]
+        )
+        sq = samples**2
+        se = sq.std(axis=0, ddof=1) / math.sqrt(sq.shape[0])
+        rep = variance_bias_report(g, xs)
+        assert np.all(np.abs(sq.mean(axis=0) - rep["discretized"]) <= 3.0 * se)
+
+    def test_in_band_error_converges(self):
+        # discretized + tail reconstructs |x|^(2h) up to the in-band error of
+        # evaluating each band at its lattice frequency, which shrinks like
+        # d_omega^2: a 4x wider window (d_omega / 4) cuts it about 16x
+        errs = []
+        for L in (1.0, 4.0, 16.0):
+            rep = variance_bias_report(lattice(dx=1.0 / 256, L=L), [0.25, 0.5, 1.0])
+            in_band = np.abs(rep["discretized"] + rep["tail"] - rep["exact"])
+            assert np.all(in_band <= 1e-2 * rep["exact"])
+            errs.append(in_band.max())
+        assert errs[1] < 0.1 * errs[0]
+        assert errs[2] < 0.1 * errs[1]
+
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    def test_default_lattice_bias_within_budget(self, equation):
+        # the simulate check at the defaults: rel_err <= tail/exact + 0.01
+        g = lattice(equation=equation, T=0.5, dx=1.0 / 256)
+        rep = variance_bias_report(g, [0.25, 0.5, 1.0])
+        assert np.all(rep["rel_err"] <= rep["tail"] / rep["exact"] + 0.01)
+        assert rep["max_rel_err"] < 0.035
+
+    def test_rejects_zero_x(self):
+        with pytest.raises(ValueError):
+            variance_bias_report(lattice(), [0.0, 1.0])
+
     def test_centroid_rule_in_band_error_converges(self):
-        # discretized + tail reconstructs |x|^(2h) up to the centroid-rule
-        # curvature error, which shrinks like the squared bin width
+        # on the binned grid, discretized + tail reconstructs |x|^(2h) up to
+        # the centroid-rule curvature error, which shrinks like the squared
+        # bin width
+        xs = np.array([0.5, 1.0, 2.0])
         errs = []
         for n_bins in (4096, 8192, 16384):
             g = build_grid(0.3, default_xi_max(0.3), n_bins)
-            rep = variance_bias_report(g, [0.5, 1.0, 2.0])
-            in_band = np.abs(rep["discretized"] + rep["tail"] - rep["exact"])
-            assert np.all(in_band <= 1e-2 * rep["exact"])
+            disc = discretized_covariance(g, xs, xs)
+            tail = np.array([truncation_tail(0.3, x, g.xi_max) for x in xs])
+            exact = xs**0.6
+            in_band = np.abs(disc + tail - exact)
+            assert np.all(in_band <= 1e-2 * exact)
             errs.append(in_band.max())
         assert errs[1] < 0.3 * errs[0]
         assert errs[2] < 0.3 * errs[1]
 
     def test_default_grid_bias_within_budget(self):
         g = build_grid(0.3, default_xi_max(0.3), 4096)
-        rep = variance_bias_report(g, [0.25, 0.5, 1.0, 1.5, 2.0])
-        assert rep["tail"][2] / rep["exact"][2] < 0.01
-        assert rep["max_rel_err"] < 0.025
-
-    def test_rejects_zero_x(self):
-        g = build_grid(0.3, 10.0, 8)
-        with pytest.raises(ValueError):
-            variance_bias_report(g, [0.0, 1.0])
+        xs = np.array([0.25, 0.5, 1.0, 1.5, 2.0])
+        exact = xs**0.6
+        rel_err = np.abs(discretized_covariance(g, xs, xs) - exact) / exact
+        assert truncation_tail(0.3, 1.0, g.xi_max) / exact[2] < 0.01
+        assert rel_err.max() < 0.025
 
     def test_discretized_covariance_scalar_and_matrix(self):
         g = build_grid(0.3, 100.0, 256)

@@ -10,6 +10,7 @@ Carlo over the ensemble driver.
 """
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ import pytest
 
 from fracspde.constants import c_H
 from fracspde.kernels import A_T
+from fracspde.noise import band_mass, spectral_increments
 from fracspde.picard import (
     AffineSigma,
     InitialData,
@@ -85,6 +87,33 @@ class TestInitialData:
     def test_sampled_datum_zero_at_origin(self):
         init = sampled_holder_initial(0.35, seed=1)
         assert init.u0(np.array([0.0]))[0] == 0.0
+
+    def test_sampled_datum_is_the_band_sum(self):
+        # u0(x) = 2 Re sum_k Z_k (1 - e^{-ikx}) / (ik) over k = 1..128 on the
+        # wave-default d'Alembert points, in bounded memory
+        geom = build_geometry(small_config(T=0.5, n_steps=128, dx=1.0 / 256))
+        xp = (geom.x_grid[None, :] + geom.t_grid[:, None]).ravel()
+        init = sampled_holder_initial(0.3, seed=4)
+        tracemalloc.start()
+        try:
+            values = init.u0(xp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == xp.shape
+        assert peak < 50 * 2**20
+        k = np.arange(1, 129)
+        z = spectral_increments(band_mass(0.3, k - 0.5, k + 0.5), 1.0, 1, 4)[0]
+        x = xp[::101]
+        direct = 2.0 * (((1.0 - np.exp(-1j * np.outer(x, k))) / (1j * k)) @ z).real
+        np.testing.assert_allclose(values[::101], direct, rtol=0.0, atol=1e-13)
+
+    def test_sampled_datum_bounded_and_periodic(self):
+        # no band-0 ramp: the datum is 2 pi-periodic
+        init = sampled_holder_initial(0.3, seed=9)
+        x = np.linspace(-3.0, 3.0, 61)
+        np.testing.assert_allclose(init.u0(x + 2.0 * math.pi), init.u0(x), atol=1e-12)
+        assert init.u0(2.0 * math.pi * 40.0) == pytest.approx(0.0, abs=1e-11)
 
     def test_holder_spot_check_stable(self):
         init = sampled_holder_initial(0.3, seed=2)

@@ -438,9 +438,10 @@ class TestGaussianRatio:
         assert abs(report.computed - 3.0) < 1.2
 
     @pytest.mark.parametrize("equation", ["wave", "heat"])
-    def test_error_is_the_sample_delta_method(self, equation):
+    def test_error_is_the_gaussian_null(self, equation):
         # the first increments u^1 - w, read off the final fields of a
-        # one-iteration ensemble, give the check's ratio and standard error
+        # one-iteration ensemble, give the check's ratio; its standard error
+        # is the Gaussian null's sqrt(24 / n), whatever the sample
         config = PicardConfig(
             equation=equation, h=0.35, T=0.25, n_steps=8, dx=1.0 / 32, L=0.5,
             sigma=AffineSigma(0.0, 1.0), init=constant_initial(0.3), seed=11,
@@ -453,7 +454,32 @@ class TestGaussianRatio:
         expected = gaussian_moment_ratio_check(first)
         report = gaussian_ratio_check(config, 300)
         assert report.computed == pytest.approx(expected.ratio, rel=1e-12)
-        assert report.standard_error == pytest.approx(expected.se, rel=1e-12)
+        assert report.standard_error == math.sqrt(24.0 / 300)
+        assert expected.se == math.sqrt(24.0 / 300)
+
+
+class TestGaussianMomentRatio:
+    def test_heavy_tailed_sample_fails(self):
+        # Laplace draws have ratio 6; the null error of 300 draws is 0.28
+        rng = np.random.Generator(np.random.Philox(11))
+        chk = gaussian_moment_ratio_check(rng.laplace(size=300))
+        assert chk.se == math.sqrt(24.0 / 300)
+        assert not chk.passed
+        assert chk.ratio > 3.0 + 3.0 * chk.se
+
+    def test_light_tailed_sample_keeps_the_null_error(self):
+        # uniform draws (ratio 1.8) do not shrink their own error
+        rng = np.random.Generator(np.random.Philox(5))
+        chk = gaussian_moment_ratio_check(rng.uniform(-1.0, 1.0, size=60))
+        assert chk.se == math.sqrt(24.0 / 60)
+
+    def test_zero_second_moment_rejected(self):
+        with pytest.raises(ValueError, match="second moment is 0"):
+            gaussian_moment_ratio_check(np.zeros(20))
+
+    def test_needs_two_samples(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            gaussian_moment_ratio_check([1.0])
 
 
 class TestFieldSampleCollector:
