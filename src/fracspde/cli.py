@@ -123,21 +123,28 @@ def _checked(key, kind, value):
         return value
     if kind == _GRID:
         if isinstance(value, list):
-            return tuple(value)
-        try:
-            # str() of a float round-trips; a bool's "True" is no number
-            return tuple(float(tok) for tok in str(value).split(","))
-        except ValueError:
-            raise _CliError(f"{key} must be a comma-separated list of numbers, got {value!r}")
+            grid = tuple(value)
+        else:
+            try:
+                # str() of a float round-trips; a bool's "True" is no number
+                grid = tuple(float(tok) for tok in str(value).split(","))
+            except ValueError:
+                raise _CliError(f"{key} must be a comma-separated list of numbers, got {value!r}")
+        if not all(map(math.isfinite, grid)):
+            raise _CliError(f"{key} must list finite numbers, got {value!r}")
+        return grid
     if kind is str and isinstance(value, str):
         return value
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            return float(value)
+            value = float(value)
         except OverflowError:
             raise _CliError(f"{key} is too large for a float")
+        if not math.isfinite(value):
+            raise _CliError(f"{key} must be a finite number, got {value!r}")
+        return value
     raise _CliError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
@@ -147,11 +154,12 @@ def _settings(args, options):
     options maps each setting key, which is also its flag's dest, to
     (kind, default); a config key outside options is an error.  A value
     from the file or a flag must be of its key's kind: float takes an int
-    or a float (never a bool) and yields a float; int takes an int and str
-    a string, neither a bool; _GRID takes a repeatable flag, one number or a
-    comma-separated string of numbers and yields a tuple of floats; a tuple
-    kind lists the allowed values; None passes the value through for
-    from_mapping to check.  Any other value exits with code 1.
+    or a float (never a bool) and yields a finite float; int takes an int
+    and str a string, neither a bool; _GRID takes a repeatable flag, one
+    number or a comma-separated string of numbers and yields a tuple of
+    finite floats; a tuple kind lists the allowed values; None passes the
+    value through for from_mapping to check.  Any other value exits with
+    code 1.
     """
     mapping = parse_config_file(args.config) if args.config else {}
     unknown = [key for key in mapping if key not in options]

@@ -12,7 +12,7 @@ exactly.
 
 import math
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -170,20 +170,15 @@ class SimulationConfig:
         if self.equation not in ("wave", "heat"):
             raise ValueError(f"equation must be 'wave' or 'heat', got {self.equation!r}")
         validate_hurst(self.hurst, name="hurst")
-        if not (isinstance(self.T, float) and self.T > 0.0):
-            raise ValueError(f"T must be a positive float, got {self.T!r}")
-        if not (isinstance(self.dt, float) and self.dt > 0.0):
-            raise ValueError(f"dt must be a positive float, got {self.dt!r}")
-        n_steps = round(self.T / self.dt)
+        for name in ("T", "dt", "dx", "L"):
+            value = getattr(self, name)
+            if not (isinstance(value, float) and 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be a positive finite float, got {value!r}")
+        steps = self.T / self.dt
+        n_steps = round(steps) if math.isfinite(steps) else 0
         if n_steps < 1 or abs(self.dt * n_steps - self.T) > 1e-9 * self.T:
-            raise ValueError(
-                f"dt must divide T into a whole number of steps, got T/dt = {self.T / self.dt!r}"
-            )
+            raise ValueError(f"dt must divide T into a whole number of steps, got T/dt = {steps!r}")
         object.__setattr__(self, "dt", self.T / n_steps)
-        if not (isinstance(self.dx, float) and self.dx > 0.0):
-            raise ValueError(f"dx must be a positive float, got {self.dx!r}")
-        if not (isinstance(self.L, float) and self.L > 0.0):
-            raise ValueError(f"L must be a positive float, got {self.L!r}")
         for name in ("sigma_a", "sigma_b", "v0", "tol"):
             value = getattr(self, name)
             if not (isinstance(value, float) and math.isfinite(value)):
@@ -237,11 +232,6 @@ def from_mapping(mapping):
                 raise ValueError(f"{key} must be a string, got {value!r}")
             values[key] = value
     return SimulationConfig(**values)
-
-
-def serialize_config(config):
-    """Render a SimulationConfig in field order."""
-    return serialize_mapping(asdict(config))
 
 
 def initial_data(config):

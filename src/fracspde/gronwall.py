@@ -36,7 +36,6 @@ __all__ = [
     "fibonacci_closed_form",
     "density_cell_masses",
     "hitting_probability",
-    "a_n_bound",
     "a_n_sequence",
     "recurrence_violations",
     "recurrence_check",
@@ -253,12 +252,6 @@ def a_n_sequence(problem, n_max, n_cells=GRID_CELLS):
     for n in range(2, n_max + 1):
         out[n] = float(fibonacci(n + 1)) * big_k ** (n - 1) * hit[n // 2]
     return out
-
-
-def a_n_bound(problem, n, n_cells=GRID_CELLS):
-    """a_n for one index: a_0 = a_1 = 1, then Fibonacci times K-power
-    times the hitting probability at k = floor(n/2)."""
-    return float(a_n_sequence(problem, n, n_cells)[n])
 
 
 def _validated_sequence(problem):

@@ -3,7 +3,9 @@ that the source imports."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,3 +45,15 @@ def test_every_exported_name_resolves(path):
     exported = getattr(module, "__all__", ())
     assert len(set(exported)) == len(exported)
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def test_every_module_is_reached_from_the_cli():
+    # a module that `import fracspde.cli` never loads has no caller in any
+    # command; a fresh interpreter keeps this test's own imports out of it
+    script = "import sys, fracspde.cli; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    modules = {f"{PACKAGE.name}.{path.stem}" for path in PACKAGE.glob("*.py")}
+    assert sorted(modules - loaded - {f"{PACKAGE.name}.__init__"}) == []

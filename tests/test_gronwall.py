@@ -16,7 +16,6 @@ import pytest
 from fracspde.gronwall import (
     GronwallOverflowError,
     GronwallProblem,
-    a_n_bound,
     a_n_sequence,
     density_cell_masses,
     fibonacci,
@@ -169,19 +168,13 @@ def power_problem(**overrides):
 class TestAnBound:
     def test_first_two_are_one(self):
         prob = power_problem()
-        assert a_n_bound(prob, 0) == 1.0
-        assert a_n_bound(prob, 1) == 1.0
+        assert a_n_sequence(prob, 0)[0] == 1.0
+        assert a_n_sequence(prob, 1)[1] == 1.0
 
     def test_a2_is_twice_k(self):
         # b_3 = 2 and P(S_1 <= T) = 1, so a_2 = 2 max(G(T), 1)
-        assert a_n_bound(GronwallProblem(T=1.0, g="const", M0=1, M1=1), 2) == 2.0
-        assert a_n_bound(GronwallProblem(T=2.0, g="const:3", M0=1, M1=1), 2) == 12.0
-
-    def test_sequence_matches_pointwise(self):
-        prob = power_problem()
-        seq = a_n_sequence(prob, 12)
-        for n in range(13):
-            assert seq[n] == a_n_bound(prob, n)
+        assert a_n_sequence(GronwallProblem(T=1.0, g="const", M0=1, M1=1), 2)[2] == 2.0
+        assert a_n_sequence(GronwallProblem(T=2.0, g="const:3", M0=1, M1=1), 2)[2] == 12.0
 
     def test_nonnegative(self):
         seq = a_n_sequence(power_problem(), 30)
@@ -191,12 +184,9 @@ class TestAnBound:
         # K = 1e100: K^3 fits in a float, K^4 does not
         prob = GronwallProblem(T=1.0, g="const:1e100", M0=1, M1=1)
         seq = a_n_sequence(prob, 4)
-        assert seq[4] == a_n_bound(prob, 4)
         assert 1e300 < seq[4] < math.inf
         with pytest.raises(GronwallOverflowError, match="n = 5"):
             a_n_sequence(prob, 5)
-        with pytest.raises(GronwallOverflowError):
-            a_n_bound(prob, 5)
         # K = 1: the Fibonacci factor b_(n+1) leaves float range at n = 1476
         unit = GronwallProblem(T=1.0, g="const", M0=1, M1=1)
         assert float(fibonacci(1476)) < math.inf
@@ -206,8 +196,6 @@ class TestAnBound:
             a_n_sequence(unit, 1476)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            a_n_bound(power_problem(), -1)
         with pytest.raises(ValueError):
             a_n_sequence(power_problem(), -1)
 

@@ -1,5 +1,4 @@
-"""Tests for spectral noise synthesis on the solver's lattice bands and on
-the binned grid model.
+"""Tests for spectral noise synthesis on the solver's lattice bands.
 
 Oracles: closed-form antiderivatives of the spectral density for band masses,
 brute-force quadrature plus asymptotic tails for the truncation integral,
@@ -9,7 +8,6 @@ distributional checks.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -17,33 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracspde.constants import c_H
-from fracspde.noise import (
-    FORMAT_MAGIC,
-    SpectralNoise,
-    band_centroid,
-    band_mass,
-    build_grid,
-    default_xi_max,
-    discretized_covariance,
-    field_value,
-    grid_from_edges,
-    indicator_transfer,
-    load_noise,
-    sample_noise,
-    save_noise,
-    spectral_increments,
-    truncation_tail,
-    variance_bias_report,
-)
-from fracspde.picard import AffineSigma, PicardConfig, build_geometry, constant_initial
+from fracspde.noise import band_mass, spectral_increments, truncation_tail, variance_bias_report
+from fracspde.picard import AffineSigma, PicardConfig, build_geometry, constant_initial, noise_slabs
 from fracspde.quadrature import gauss_panels, graded_oscillation_edges, oscillatory_power_tail
+from fracspde.sobolev import gaussian_bump, sobolev_side, tent
 
 
-def lattice(equation="wave", h=0.3, T=0.25, dx=1.0 / 64, L=1.0):
+def lattice(equation="wave", h=0.3, T=0.25, dx=1.0 / 64, L=1.0, pad=None):
     return build_geometry(
         PicardConfig(
             equation=equation, h=h, T=T, n_steps=8, dx=dx, L=L,
-            sigma=AffineSigma(0.0, 1.0), init=constant_initial(0.0), seed=0,
+            sigma=AffineSigma(0.0, 1.0), init=constant_initial(0.0), seed=0, pad=pad,
         )
     )
 
@@ -84,11 +66,6 @@ class TestBandMass:
         oracle = gauss_panels(lambda xi: c_H(h) * xi ** (1.0 - 2.0 * h), edges)
         assert band_mass(h, lo, hi) == pytest.approx(oracle, rel=1e-12)
 
-    def test_centroid_inside_band(self):
-        c = band_centroid(0.3, 0.0, 1.0)
-        # int xi dmu / mass over [0,1]: (c_H/2.4) / (c_H/1.4) = 7/12
-        assert c == pytest.approx(7.0 / 12.0, rel=1e-14)
-
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             band_mass(0.3, -1.0, 1.0)
@@ -123,101 +100,6 @@ class TestBandLaw:
         assert g.band_masses.sum() == pytest.approx(closed, rel=1e-10)
         assert np.all(g.band_masses > 0.0)
         assert g.xi_cut * g.dx <= math.pi * (1.0 + 1e-12)
-
-
-class TestBuildGrid:
-    def test_two_bin_example(self):
-        g = build_grid(0.3, 1.0, 2)
-        expected = c_H(0.3) / 1.4
-        assert g.n_bins == 2
-        np.testing.assert_allclose(g.masses, [expected, expected], rtol=1e-14)
-        np.testing.assert_allclose(g.edges, [-1.0, 0.0, 1.0], atol=0.0)
-        np.testing.assert_allclose(g.centroids, [-7.0 / 12.0, 7.0 / 12.0], rtol=1e-14)
-
-    def test_mass_sum_closed_form(self):
-        for h in (0.26, 0.3, 0.35, 0.4, 0.45):
-            g = build_grid(h, default_xi_max(h), 4096)
-            closed = 2.0 * c_H(h) * g.xi_max ** (2.0 - 2.0 * h) / (2.0 - 2.0 * h)
-            assert abs(g.total_mass() - closed) <= 1e-10 * closed
-
-    def test_mass_sum_spec_grid(self):
-        g = build_grid(0.3, 100.0, 2048)
-        closed = 2.0 * c_H(0.3) * 100.0**1.4 / 1.4
-        assert g.total_mass() == pytest.approx(closed, rel=1e-12)
-
-    def test_total_mass_doubles_under_cutoff_scaling(self):
-        h = 0.3
-        g1 = build_grid(h, 50.0, 256)
-        g2 = build_grid(h, 50.0 * 2.0 ** (1.0 / (2.0 - 2.0 * h)), 256)
-        assert g2.total_mass() == pytest.approx(2.0 * g1.total_mass(), rel=1e-12)
-
-    def test_mirror_symmetry(self):
-        g = build_grid(0.4, 30.0, 64)
-        for k in range(g.n_bins):
-            m = g.mirror(k)
-            assert g.masses[k] == g.masses[m]
-            assert g.centroids[k] == -g.centroids[m]
-        assert 0.0 in g.edges
-        assert np.all(np.diff(g.edges) > 0)
-
-    def test_centroids_nonzero(self):
-        g = build_grid(0.3, 10.0, 128)
-        assert np.all(g.centroids != 0.0)
-
-    def test_positive_slice(self):
-        g = build_grid(0.3, 10.0, 8)
-        assert np.all(g.centroids[g.positive] > 0)
-        assert np.sum(g.masses[g.positive]) == pytest.approx(g.total_mass() / 2.0, rel=1e-14)
-
-    def test_arrays_immutable(self):
-        g = build_grid(0.3, 10.0, 8)
-        with pytest.raises(ValueError):
-            g.masses[0] = 1.0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            build_grid(0.3, 0.0, 4)
-        with pytest.raises(ValueError):
-            build_grid(0.3, -1.0, 4)
-        with pytest.raises(ValueError):
-            build_grid(0.3, 1.0, 3)
-        with pytest.raises(ValueError):
-            build_grid(0.3, 1.0, 0)
-        with pytest.raises(ValueError):
-            build_grid(0.6, 1.0, 4)
-
-    @given(
-        h=st.floats(0.26, 0.49),
-        xi_max=st.floats(0.5, 5000.0),
-        half_bins=st.integers(1, 300),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_mass_sum_property(self, h, xi_max, half_bins):
-        g = build_grid(h, xi_max, 2 * half_bins)
-        closed = 2.0 * c_H(h) * xi_max ** (2.0 - 2.0 * h) / (2.0 - 2.0 * h)
-        assert g.total_mass() == pytest.approx(closed, rel=1e-10)
-        # centroids sit strictly inside their bins
-        assert np.all(g.centroids > g.edges[:-1])
-        assert np.all(g.centroids < g.edges[1:])
-
-
-class TestDefaultXiMax:
-    def test_tail_fraction_below_one_percent(self):
-        # the defining requirement: truncated variance share of Var X(t,1)
-        for h in (0.26, 0.3, 0.4, 0.45):
-            tail = truncation_tail(h, 1.0, default_xi_max(h))
-            assert tail < 0.01
-
-    def test_decreases_with_h(self):
-        # heavier spectral tails (smaller h) need larger cutoffs
-        vals = [default_xi_max(h) for h in (0.26, 0.3, 0.35, 0.4, 0.45)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_rel_tail_domain(self):
-        with pytest.raises(ValueError):
-            default_xi_max(0.3, rel_tail=0.0)
-        with pytest.raises(ValueError):
-            default_xi_max(0.3, rel_tail=1.5)
 
 
 class TestTruncationTail:
@@ -300,204 +182,6 @@ class TestSpectralIncrements:
         z = spectral_increments(masses, dt=2.0, n_steps=100_000, seed=3)
         np.testing.assert_allclose(z.real.var(axis=0, ddof=1), 0.5 * 2.0 * masses, rtol=0.05)
         np.testing.assert_allclose(z.imag.var(axis=0, ddof=1), 0.5 * 2.0 * masses, rtol=0.05)
-
-
-class TestSampleNoise:
-    def test_hermitian_symmetry(self):
-        g = build_grid(0.3, 20.0, 32)
-        noise = sample_noise(g, dt=0.5, n_steps=6, seed=4)
-        assert np.array_equal(noise.increments, np.conj(noise.increments[:, ::-1]))
-
-    def test_determinism_bitwise(self):
-        g = build_grid(0.35, 15.0, 16)
-        a = sample_noise(g, 0.25, 5, seed=2024)
-        b = sample_noise(g, 0.25, 5, seed=2024)
-        assert np.array_equal(a.increments, b.increments)
-        c = sample_noise(g, 0.25, 5, seed=2025)
-        assert not np.array_equal(a.increments, c.increments)
-
-    def test_per_bin_variance(self):
-        # spec check: mean |increment|^2 over 1e5 iid draws vs dt * mass,
-        # within 3 SE; fixed seed makes the outcome deterministic
-        g = build_grid(0.3, 50.0, 16)
-        noise = sample_noise(g, dt=0.7, n_steps=100_000, seed=7)
-        m2 = np.mean(np.abs(noise.increments) ** 2, axis=0)
-        target = 0.7 * g.masses
-        se = np.std(np.abs(noise.increments) ** 2, axis=0, ddof=1) / math.sqrt(noise.n_steps)
-        assert np.all(np.abs(m2 - target) <= 3.0 * se)
-
-    def test_independence_across_steps(self):
-        g = build_grid(0.3, 50.0, 16)
-        noise = sample_noise(g, dt=1.0, n_steps=100_000, seed=13)
-        pos = noise.increments[:, g.positive].real
-        prod = pos[:-1] * pos[1:]
-        z = np.abs(prod.mean(axis=0)) / (prod.std(axis=0, ddof=1) / math.sqrt(prod.shape[0]))
-        assert np.max(z) < 3.0
-
-    def test_independence_across_bins(self):
-        g = build_grid(0.3, 50.0, 16)
-        noise = sample_noise(g, dt=1.0, n_steps=100_000, seed=29)
-        pos = noise.increments[:, g.positive]
-        for a, b in ((0, 1), (2, 5), (3, 7)):
-            prod = pos[:, a].real * pos[:, b].real
-            z = abs(prod.mean()) / (prod.std(ddof=1) / math.sqrt(prod.size))
-            assert z < 3.0
-
-    def test_real_imag_parts_balanced(self):
-        g = build_grid(0.4, 40.0, 8)
-        noise = sample_noise(g, dt=2.0, n_steps=100_000, seed=3)
-        re_var = noise.increments.real.var(axis=0, ddof=1)
-        im_var = noise.increments.imag.var(axis=0, ddof=1)
-        np.testing.assert_allclose(re_var, 0.5 * 2.0 * g.masses, rtol=0.05)
-        np.testing.assert_allclose(im_var, 0.5 * 2.0 * g.masses, rtol=0.05)
-
-    def test_increments_immutable(self):
-        g = build_grid(0.3, 10.0, 4)
-        noise = sample_noise(g, 1.0, 2, seed=1)
-        with pytest.raises(ValueError):
-            noise.increments[0, 0] = 0.0
-
-
-class TestFieldValue:
-    def test_x_zero_is_zero(self):
-        g = build_grid(0.3, 30.0, 64)
-        noise = sample_noise(g, 0.5, 4, seed=8)
-        for t in (0.0, 0.5, 1.0, 2.0):
-            assert field_value(noise, t, 0.0) == 0.0
-
-    def test_t_zero_is_zero(self):
-        g = build_grid(0.3, 30.0, 64)
-        noise = sample_noise(g, 0.5, 4, seed=8)
-        assert field_value(noise, 0.0, 1.7) == 0.0
-
-    def test_explicit_complex_oracle(self):
-        # hand-rolled double loop over steps and bins
-        g = build_grid(0.3, 5.0, 4)
-        noise = sample_noise(g, 1.0, 2, seed=21)
-        x = 0.8
-        acc = 0.0 + 0.0j
-        for j in range(2):
-            for k in range(4):
-                xi = g.centroids[k]
-                phi = (1.0 - complex(math.cos(xi * x), -math.sin(xi * x))) / (1j * xi)
-                acc += phi * noise.increments[j, k]
-        assert abs(acc.imag) < 1e-12 * max(abs(acc.real), 1e-30)
-        assert field_value(noise, 2.0, x) == pytest.approx(acc.real, rel=1e-12)
-
-    def test_step_lattice_flooring(self):
-        g = build_grid(0.3, 20.0, 16)
-        noise = sample_noise(g, 0.5, 4, seed=5)
-        # mid-step times see only the completed steps
-        assert field_value(noise, 0.74, 1.0) == field_value(noise, 0.5, 1.0)
-        assert field_value(noise, 0.49, 1.0) == 0.0
-
-    def test_uses_only_elapsed_steps(self):
-        g = build_grid(0.3, 20.0, 16)
-        base = sample_noise(g, 1.0, 2, seed=77)
-        other = sample_noise(g, 1.0, 2, seed=78)
-        hybrid = SpectralNoise(
-            g, 1.0, 2, np.vstack([base.increments[:1], other.increments[1:]]), seed=0
-        )
-        assert field_value(hybrid, 1.0, 1.3) == field_value(base, 1.0, 1.3)
-        assert field_value(hybrid, 2.0, 1.3) != field_value(base, 2.0, 1.3)
-
-    def test_additive_over_steps(self):
-        g = build_grid(0.35, 25.0, 32)
-        noise = sample_noise(g, 0.5, 4, seed=31)
-        parts = []
-        for j in range(4):
-            single = SpectralNoise(g, 0.5, 1, noise.increments[j : j + 1], seed=0)
-            parts.append(field_value(single, 0.5, 2.2))
-        assert field_value(noise, 2.0, 2.2) == pytest.approx(sum(parts), rel=1e-12)
-
-    def test_array_matches_scalar(self):
-        g = build_grid(0.3, 30.0, 64)
-        noise = sample_noise(g, 0.5, 3, seed=12)
-        xs = np.array([-1.0, 0.4, 2.5])
-        arr = field_value(noise, 1.5, xs)
-        for x, v in zip(xs, arr):
-            assert field_value(noise, 1.5, float(x)) == pytest.approx(v, rel=1e-14)
-
-    def test_horizon_error(self):
-        g = build_grid(0.3, 10.0, 8)
-        noise = sample_noise(g, 0.5, 4, seed=1)
-        with pytest.raises(ValueError):
-            field_value(noise, 2.5, 1.0)
-        with pytest.raises(ValueError):
-            field_value(noise, -0.1, 1.0)
-
-
-class TestFieldLaw:
-    """Distributional checks with fixed seeds (hence deterministic)."""
-
-    H = 0.3
-    XI_MAX = 200.0
-    N_BINS = 1024
-
-    @classmethod
-    def _ensemble(cls, n_real, seed, xs, n_steps=2):
-        g = build_grid(cls.H, cls.XI_MAX, cls.N_BINS)
-        phi = indicator_transfer(g.centroids, np.asarray(xs, dtype=float)[:, None])
-        out = np.empty((n_real, n_steps, len(xs)))
-        for r in range(n_real):
-            noise = sample_noise(g, 1.0, n_steps, seed=seed, realization=r)
-            fields = (noise.increments @ phi.T).real
-            out[r] = np.cumsum(fields, axis=0)
-        return g, out
-
-    def test_covariance_matches_discretized_target(self):
-        # MC mean converges to the discretized covariance exactly; fBm gap
-        # is the separately-reported deterministic bias
-        xs = [0.5, 1.0, 2.0]
-        g, ens = self._ensemble(3000, 424242, xs)
-        f1 = ens[:, 0, :]
-        prods = f1[:, :, None] * f1[:, None, :]
-        emp = prods.mean(axis=0)
-        se = prods.std(axis=0, ddof=1) / math.sqrt(ens.shape[0])
-        target = discretized_covariance(g, np.asarray(xs)[:, None], np.asarray(xs)[None, :])
-        assert np.all(np.abs(emp - target) <= 3.0 * se)
-
-    def test_variance_linear_in_t(self):
-        xs = [1.0]
-        g, ens = self._ensemble(3000, 99, xs, n_steps=2)
-        v1 = ens[:, 0, 0] ** 2
-        v2 = ens[:, 1, 0] ** 2
-        # E X(2,1)^2 = 2 E X(1,1)^2; compare the difference of estimators
-        diff = v2 - 2.0 * v1
-        se = diff.std(ddof=1) / math.sqrt(diff.size)
-        assert abs(diff.mean()) <= 3.0 * se
-
-    def test_cross_time_covariance(self):
-        # E[X(1,x) X(2,y)] = 1 * R_disc(x,y): later steps are independent
-        xs = [0.5, 1.5]
-        g, ens = self._ensemble(3000, 55, xs, n_steps=2)
-        prods = ens[:, 0, 0] * ens[:, 1, 1]
-        se = prods.std(ddof=1) / math.sqrt(prods.size)
-        target = discretized_covariance(g, xs[0], xs[1])
-        assert abs(prods.mean() - target) <= 3.0 * se
-
-    def test_spatial_increment_stationarity_exact(self):
-        # phi_{x+d} - phi_x = e^{-i xi x} phi_d makes the discretized
-        # increment variance exactly independent of x
-        g = build_grid(0.3, 500.0, 2048)
-        d = 0.3
-        for x in (-2.0, 0.0, 1.0, 10.0):
-            var_inc = (
-                discretized_covariance(g, x + d, x + d)
-                - 2.0 * discretized_covariance(g, x + d, x)
-                + discretized_covariance(g, x, x)
-            )
-            base = discretized_covariance(g, d, d)
-            assert var_inc == pytest.approx(base, rel=1e-10)
-
-    def test_spatial_increment_stationarity_mc(self):
-        xs = [0.7, 1.0, 3.7, 4.0]
-        g, ens = self._ensemble(2000, 1001, xs, n_steps=1)
-        inc_a = ens[:, 0, 1] - ens[:, 0, 0]
-        inc_b = ens[:, 0, 3] - ens[:, 0, 2]
-        diff = inc_a**2 - inc_b**2
-        se = diff.std(ddof=1) / math.sqrt(diff.size)
-        assert abs(diff.mean()) <= 3.0 * se
 
 
 class TestLatticeFieldLaw:
@@ -619,87 +303,37 @@ class TestBiasReport:
         with pytest.raises(ValueError):
             variance_bias_report(lattice(), [0.0, 1.0])
 
-    def test_centroid_rule_in_band_error_converges(self):
-        # on the binned grid, discretized + tail reconstructs |x|^(2h) up to
-        # the centroid-rule curvature error, which shrinks like the squared
-        # bin width
-        xs = np.array([0.5, 1.0, 2.0])
-        errs = []
-        for n_bins in (4096, 8192, 16384):
-            g = build_grid(0.3, default_xi_max(0.3), n_bins)
-            disc = discretized_covariance(g, xs, xs)
-            tail = np.array([truncation_tail(0.3, x, g.xi_max) for x in xs])
-            exact = xs**0.6
-            in_band = np.abs(disc + tail - exact)
-            assert np.all(in_band <= 1e-2 * exact)
-            errs.append(in_band.max())
-        assert errs[1] < 0.3 * errs[0]
-        assert errs[2] < 0.3 * errs[1]
 
-    def test_default_grid_bias_within_budget(self):
-        g = build_grid(0.3, default_xi_max(0.3), 4096)
-        xs = np.array([0.25, 0.5, 1.0, 1.5, 2.0])
-        exact = xs**0.6
-        rel_err = np.abs(discretized_covariance(g, xs, xs) - exact) / exact
-        assert truncation_tail(0.3, 1.0, g.xi_max) / exact[2] < 0.01
-        assert rel_err.max() < 0.025
+class TestIsometry:
+    """The isometry E|int S dX|^2 = T ||S||_H^2 for a deterministic
+    integrand S on the lattice.  The integral of S against the slabs the
+    solver draws, I = sum_j dx sum_x S(x) eta_j(x), has the exact variance
+    T sum_k 2 m_k |S^(w_k)|^2 with S^(w) = dx sum_x S(x) e^(-i w x); that
+    band sum is the continuum T * sobolev_side(S, h) up to the lattice's
+    discretization, and 400 fixed-seed realizations reproduce it."""
 
-    def test_discretized_covariance_scalar_and_matrix(self):
-        g = build_grid(0.3, 100.0, 256)
-        xs = np.array([0.5, 1.0])
-        mat = discretized_covariance(g, xs[:, None], xs[None, :])
-        assert mat.shape == (2, 2)
-        assert mat[0, 1] == pytest.approx(mat[1, 0], rel=1e-14)
-        assert discretized_covariance(g, 0.5, 1.0) == pytest.approx(mat[0, 1], rel=1e-14)
-        # x = 0 row vanishes identically
-        assert discretized_covariance(g, 0.0, 1.0) == 0.0
+    @staticmethod
+    def _integrand(h, g):
+        geom = lattice(equation="heat", h=h, T=0.25, dx=1.0 / 64, L=4.0, pad=16.0 / 64)
+        s = g.evaluator(geom.x_grid)
+        omega = geom.omega_r[: geom.n_bands]
+        s_hat = geom.dx * (np.exp(-1j * np.outer(omega, geom.x_grid)) @ s)
+        band_sum = geom.T * float(np.sum(2.0 * geom.band_masses * np.abs(s_hat) ** 2))
+        return geom, s, band_sum
 
+    @pytest.mark.parametrize("h", [0.3, 0.4])
+    @pytest.mark.parametrize("g", [gaussian_bump, tent], ids=["gaussian", "tent"])
+    def test_band_sum_is_the_continuum_seminorm(self, h, g):
+        geom, _, band_sum = self._integrand(h, g())
+        assert geom.n_fft == 1024
+        assert band_sum == pytest.approx(geom.T * sobolev_side(g(), h), rel=1e-2)
 
-class TestContainer:
-    def test_roundtrip_bitwise(self, tmp_path):
-        g = build_grid(0.35, default_xi_max(0.35), 64)
-        noise = sample_noise(g, dt=0.125, n_steps=7, seed=777, realization=3)
-        path = tmp_path / "noise.fspn"
-        save_noise(noise, path)
-        back = load_noise(path)
-        assert np.array_equal(back.increments, noise.increments)
-        assert np.array_equal(back.grid.edges, noise.grid.edges)
-        assert np.array_equal(back.grid.masses, noise.grid.masses)
-        assert back.grid.h == noise.grid.h
-        assert back.dt == noise.dt
-        assert back.n_steps == noise.n_steps
-        assert back.seed == noise.seed
-
-    def test_file_layout_size(self, tmp_path):
-        # 48-byte header, 8 bytes per edge, 16 bytes per complex increment
-        g = build_grid(0.3, 10.0, 16)
-        noise = sample_noise(g, 1.0, 5, seed=1)
-        path = tmp_path / "n.fspn"
-        save_noise(noise, path)
-        assert os.path.getsize(path) == 48 + 8 * 17 + 16 * 5 * 16
-
-    def test_rejects_wrong_magic(self, tmp_path):
-        path = tmp_path / "bad.fspn"
-        path.write_bytes(b"NOPE" + b"\x00" * 100)
-        with pytest.raises(ValueError, match="magic"):
-            load_noise(path)
-
-    def test_rejects_wrong_version(self, tmp_path):
-        g = build_grid(0.3, 10.0, 4)
-        noise = sample_noise(g, 1.0, 1, seed=1)
-        path = tmp_path / "v.fspn"
-        save_noise(noise, path)
-        raw = bytearray(path.read_bytes())
-        raw[4:8] = (99).to_bytes(4, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="version"):
-            load_noise(path)
-
-    def test_magic_constant(self):
-        assert FORMAT_MAGIC == b"FSPN"
-
-    def test_grid_from_edges_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            grid_from_edges(0.3, np.array([-1.0, 0.0, 2.0]))
-        with pytest.raises(ValueError):
-            grid_from_edges(0.3, np.array([-1.0, 0.0, 0.5, 1.0]))
+    @pytest.mark.parametrize("h", [0.3, 0.4])
+    @pytest.mark.parametrize("g", [gaussian_bump, tent], ids=["gaussian", "tent"])
+    def test_monte_carlo_matches_the_band_sum(self, h, g):
+        geom, s, band_sum = self._integrand(h, g())
+        samples = np.array([geom.dx * np.sum(noise_slabs(geom, 3, r) @ s) for r in range(400)])
+        root_n = math.sqrt(samples.size)
+        assert abs(samples.mean()) <= 3.0 * samples.std(ddof=1) / root_n
+        sq = samples**2
+        assert abs(sq.mean() - band_sum) <= 3.0 * sq.std(ddof=1) / root_n
