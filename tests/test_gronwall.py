@@ -176,6 +176,14 @@ class TestAnBound:
         assert a_n_sequence(GronwallProblem(T=1.0, g="const", M0=1, M1=1), 2)[2] == 2.0
         assert a_n_sequence(GronwallProblem(T=2.0, g="const:3", M0=1, M1=1), 2)[2] == 12.0
 
+    def test_sequence_matches_pointwise(self):
+        # one sweep to n = 12 reuses its convolution powers for every a_n;
+        # each term equals the last term of a sweep stopped at that n
+        prob = power_problem()
+        seq = a_n_sequence(prob, 12)
+        for n in range(13):
+            assert seq[n] == a_n_sequence(prob, n)[n]
+
     def test_nonnegative(self):
         seq = a_n_sequence(power_problem(), 30)
         assert np.all(seq >= 0.0)

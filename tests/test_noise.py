@@ -2,9 +2,10 @@
 
 Oracles: closed-form antiderivatives of the spectral density for band masses,
 brute-force quadrature plus asymptotic tails for the truncation integral,
-explicit complex band sums for the lattice field and its covariance, and
-fixed-seed Monte Carlo (deterministic given the counter-based RNG) for the
-distributional checks.
+explicit complex band sums for the lattice field and its covariance, the
+band increments themselves for the slab fields the solver integrates
+against, and fixed-seed Monte Carlo (deterministic given the counter-based
+RNG) for the distributional checks.
 """
 
 import math
@@ -16,9 +17,15 @@ from hypothesis import strategies as st
 
 from fracspde.constants import c_H
 from fracspde.noise import band_mass, spectral_increments, truncation_tail, variance_bias_report
-from fracspde.picard import AffineSigma, PicardConfig, build_geometry, constant_initial, noise_slabs
+from fracspde.picard import (
+    AffineSigma,
+    PicardConfig,
+    build_geometry,
+    constant_initial,
+    noise_slabs,
+    sampled_holder_initial,
+)
 from fracspde.quadrature import gauss_panels, graded_oscillation_edges, oscillatory_power_tail
-from fracspde.sobolev import gaussian_bump, sobolev_side, tent
 
 
 def lattice(equation="wave", h=0.3, T=0.25, dx=1.0 / 64, L=1.0, pad=None):
@@ -39,6 +46,32 @@ def transfer(geom, xs):
     out[:, 1:] = (1.0 - np.exp(-1j * omega[1:] * xs)) / (1j * omega[1:])
     out[:, 0] = xs[:, 0]
     return out
+
+
+def slab_lattice(n_steps, dt=1.0, h=0.3, dx=1.0 / 8, L=0.5, pad=0.5):
+    return build_geometry(
+        PicardConfig(
+            equation="heat", h=h, T=n_steps * dt, n_steps=n_steps, dx=dx, L=L,
+            sigma=AffineSigma(0.0, 1.0), init=constant_initial(0.0), seed=0, pad=pad,
+        )
+    )
+
+
+def slab_bands(geom, eta):
+    """The band increments Z_k behind slab fields eta = 2 Re sum_k Z_k e^(-i w_k x),
+    read back from the forward real FFT: Z_k = (-1)^k conj(rfft_k) for k >= 1;
+    band 0 comes back as its real part 2 Re Z_0 only."""
+    coeff = np.fft.rfft(eta, axis=-1, norm="forward")[..., : geom.n_bands]
+    signs = np.where(np.arange(geom.n_bands) % 2 == 0, 1.0, -1.0)
+    return signs * np.conj(coeff)
+
+
+def lattice_transfer(geom, lo, hi):
+    """D_k = dx sum over grid points y in (lo, hi] of e^(-i w_k y), per band:
+    the band transform of the lattice indicator of (lo, hi]."""
+    y = geom.x_grid[(geom.x_grid > lo + 1e-9) & (geom.x_grid <= hi + 1e-9)]
+    omega = geom.omega_r[: geom.n_bands]
+    return geom.dx * np.exp(-1j * np.outer(omega, y)).sum(axis=1)
 
 
 def lattice_covariance(geom, x, y):
@@ -184,6 +217,69 @@ class TestSpectralIncrements:
         np.testing.assert_allclose(z.imag.var(axis=0, ddof=1), 0.5 * 2.0 * masses, rtol=0.05)
 
 
+class TestSampleNoise:
+    """The slab fields of picard.noise_slabs, the noise the solver samples,
+    read back into their band increments."""
+
+    def test_hermitian_symmetry(self):
+        # the full spectrum of every slab is the Hermitian extension of the
+        # drawn band increments; the Nyquist bin carries nothing
+        g = lattice()
+        eta = noise_slabs(g, 4, realization=1)
+        z = spectral_increments(g.band_masses, g.dt, g.n_steps, 4, 1)
+        full = np.fft.fft(eta, axis=-1, norm="forward")
+        k = np.arange(1, g.n_bands)
+        signs = np.where(k % 2 == 0, 1.0, -1.0)
+        atol = 1e-13 * np.abs(full).max()
+        np.testing.assert_allclose(full[:, k], signs * np.conj(z[:, k]), rtol=0.0, atol=atol)
+        np.testing.assert_allclose(full[:, g.n_fft - k], signs * z[:, k], rtol=0.0, atol=atol)
+        np.testing.assert_allclose(full[:, 0], 2.0 * z[:, 0].real, rtol=0.0, atol=atol)
+        assert np.all(np.abs(full[:, g.n_fft // 2]) <= atol)
+
+    def test_determinism_bitwise(self):
+        # counter-based: a realization does not depend on what was drawn
+        # before it or on which geometry object asks for it
+        g = lattice()
+        first = noise_slabs(g, 2024, realization=3)
+        for r in range(3):
+            noise_slabs(g, 2024, realization=r)
+        noise_slabs(g, 7, realization=3)
+        assert np.array_equal(noise_slabs(lattice(), 2024, realization=3), first)
+        assert not np.array_equal(noise_slabs(g, 2025, realization=3), first)
+
+    def test_per_bin_variance(self):
+        # mean |Z_k|^2 over 1e5 slabs vs dt * mass, within 3 SE; band 0 comes
+        # back as 2 Re Z_0, whose mean square is 2 dt m_0
+        g = slab_lattice(100_000, dt=0.7)
+        z = slab_bands(g, noise_slabs(g, 7))
+        m2 = np.abs(z) ** 2
+        target = 0.7 * g.band_masses * np.where(np.arange(g.n_bands) == 0, 2.0, 1.0)
+        se = m2.std(axis=0, ddof=1) / math.sqrt(m2.shape[0])
+        assert np.all(np.abs(m2.mean(axis=0) - target) <= 3.0 * se)
+
+    def test_independence_across_steps(self):
+        g = slab_lattice(100_000)
+        re = slab_bands(g, noise_slabs(g, 13)).real
+        prod = re[:-1] * re[1:]
+        zs = np.abs(prod.mean(axis=0)) / (prod.std(axis=0, ddof=1) / math.sqrt(prod.shape[0]))
+        assert np.max(zs) < 3.0
+
+    def test_independence_across_bins(self):
+        g = slab_lattice(100_000)
+        z = slab_bands(g, noise_slabs(g, 29))
+        for a, b in ((0, 1), (2, 5), (3, 7)):
+            prod = z[:, a].real * z[:, b].real
+            zs = abs(prod.mean()) / (prod.std(ddof=1) / math.sqrt(prod.size))
+            assert zs < 3.0
+
+    def test_real_imag_parts_balanced(self):
+        g = slab_lattice(100_000, dt=2.0, h=0.4)
+        z = slab_bands(g, noise_slabs(g, 3))[:, 1:]
+        half = 0.5 * 2.0 * g.band_masses[1:]
+        np.testing.assert_allclose(z.real.var(axis=0, ddof=1), half, rtol=0.05)
+        np.testing.assert_allclose(z.imag.var(axis=0, ddof=1), half, rtol=0.05)
+
+
 class TestLatticeFieldLaw:
     """Distributional checks of the lattice field X(t, x) = 2 Re sum over
     steps and bands of Z F_k(x), with fixed seeds (hence deterministic)."""
@@ -250,6 +346,90 @@ class TestLatticeFieldLaw:
         assert abs(diff.mean()) <= 3.0 * se
 
 
+class TestFieldValue:
+    def test_array_matches_scalar(self):
+        # the holder-sample datum is one lattice field value X(1, x) of the
+        # band law; it evaluates the same at scalars and on arrays
+        u0 = sampled_holder_initial(0.3, seed=12).u0
+        xs = np.array([-1.0, 0.4, 2.5, 40.0])
+        arr = u0(xs)
+        for x, v in zip(xs, arr):
+            assert u0(float(x)) == pytest.approx(v, rel=1e-14)
+
+
+class TestFieldLaw:
+    """Distributional checks of the field the solver integrates against:
+    X(t_n, (lo, hi]) = sum_(j<n) dx sum over grid points in (lo, hi] of
+    eta_j, from picard.noise_slabs, with fixed seeds (hence deterministic).
+    Its exact covariance per unit time is sum_k 2 m_k Re D_k(A) conj D_k(B)
+    over the lattice transfers D of the two intervals."""
+
+    @staticmethod
+    def _geometry():
+        return slab_lattice(2, dx=1.0 / 16, L=4.5, pad=1.0)
+
+    @staticmethod
+    def _covariance(g, a, b):
+        da, db = lattice_transfer(g, *a), lattice_transfer(g, *b)
+        return float(np.sum(2.0 * g.band_masses * (da * np.conj(db)).real))
+
+    @classmethod
+    def _ensemble(cls, n_real, seed, xs, n_steps=2):
+        g = cls._geometry()
+        ind = np.array([(g.x_grid > 1e-9) & (g.x_grid <= x + 1e-9) for x in xs], dtype=float)
+        out = np.empty((n_real, n_steps, len(xs)))
+        for r in range(n_real):
+            slabs = g.dx * (noise_slabs(g, seed, r) @ ind.T)
+            out[r] = np.cumsum(slabs[:n_steps], axis=0)
+        return g, out
+
+    def test_covariance_matches_discretized_target(self):
+        xs = [0.5, 1.0, 2.0]
+        g, ens = self._ensemble(3000, 424242, xs)
+        f1 = ens[:, 0, :]
+        prods = f1[:, :, None] * f1[:, None, :]
+        emp = prods.mean(axis=0)
+        se = prods.std(axis=0, ddof=1) / math.sqrt(ens.shape[0])
+        target = g.dt * np.array(
+            [[self._covariance(g, (0.0, x), (0.0, y)) for y in xs] for x in xs]
+        )
+        assert np.all(np.abs(emp - target) <= 3.0 * se)
+
+    def test_variance_linear_in_t(self):
+        _, ens = self._ensemble(3000, 99, [1.0], n_steps=2)
+        # E X(2,1)^2 = 2 E X(1,1)^2; compare the difference of estimators
+        diff = ens[:, 1, 0] ** 2 - 2.0 * ens[:, 0, 0] ** 2
+        se = diff.std(ddof=1) / math.sqrt(diff.size)
+        assert abs(diff.mean()) <= 3.0 * se
+
+    def test_cross_time_covariance(self):
+        # E[X(1,x) X(2,y)] = dt R(x,y): the second slab is independent
+        xs = [0.5, 1.5]
+        g, ens = self._ensemble(3000, 55, xs, n_steps=2)
+        prods = ens[:, 0, 0] * ens[:, 1, 1]
+        se = prods.std(ddof=1) / math.sqrt(prods.size)
+        target = g.dt * self._covariance(g, (0.0, xs[0]), (0.0, xs[1]))
+        assert abs(prods.mean() - target) <= 3.0 * se
+
+    def test_spatial_increment_stationarity_exact(self):
+        # a grid shift multiplies every D_k by the phase e^(-i w_k x), so the
+        # increment variance over (x, x + d] is exactly that over (0, d]
+        g = self._geometry()
+        d = 5.0 / 16.0
+        base = self._covariance(g, (0.0, d), (0.0, d))
+        for x in (-2.0, 0.0, 1.0, 3.0):
+            assert self._covariance(g, (x, x + d), (x, x + d)) == pytest.approx(base, rel=1e-10)
+
+    def test_spatial_increment_stationarity_mc(self):
+        xs = [0.75, 1.0, 3.75, 4.0]
+        _, ens = self._ensemble(2000, 1001, xs, n_steps=1)
+        inc_a = ens[:, 0, 1] - ens[:, 0, 0]
+        inc_b = ens[:, 0, 3] - ens[:, 0, 2]
+        diff = inc_a**2 - inc_b**2
+        se = diff.std(ddof=1) / math.sqrt(diff.size)
+        assert abs(diff.mean()) <= 3.0 * se
+
+
 class TestBiasReport:
     def test_equals_the_explicit_band_sum(self):
         g = lattice(h=0.35)
@@ -302,38 +482,3 @@ class TestBiasReport:
     def test_rejects_zero_x(self):
         with pytest.raises(ValueError):
             variance_bias_report(lattice(), [0.0, 1.0])
-
-
-class TestIsometry:
-    """The isometry E|int S dX|^2 = T ||S||_H^2 for a deterministic
-    integrand S on the lattice.  The integral of S against the slabs the
-    solver draws, I = sum_j dx sum_x S(x) eta_j(x), has the exact variance
-    T sum_k 2 m_k |S^(w_k)|^2 with S^(w) = dx sum_x S(x) e^(-i w x); that
-    band sum is the continuum T * sobolev_side(S, h) up to the lattice's
-    discretization, and 400 fixed-seed realizations reproduce it."""
-
-    @staticmethod
-    def _integrand(h, g):
-        geom = lattice(equation="heat", h=h, T=0.25, dx=1.0 / 64, L=4.0, pad=16.0 / 64)
-        s = g.evaluator(geom.x_grid)
-        omega = geom.omega_r[: geom.n_bands]
-        s_hat = geom.dx * (np.exp(-1j * np.outer(omega, geom.x_grid)) @ s)
-        band_sum = geom.T * float(np.sum(2.0 * geom.band_masses * np.abs(s_hat) ** 2))
-        return geom, s, band_sum
-
-    @pytest.mark.parametrize("h", [0.3, 0.4])
-    @pytest.mark.parametrize("g", [gaussian_bump, tent], ids=["gaussian", "tent"])
-    def test_band_sum_is_the_continuum_seminorm(self, h, g):
-        geom, _, band_sum = self._integrand(h, g())
-        assert geom.n_fft == 1024
-        assert band_sum == pytest.approx(geom.T * sobolev_side(g(), h), rel=1e-2)
-
-    @pytest.mark.parametrize("h", [0.3, 0.4])
-    @pytest.mark.parametrize("g", [gaussian_bump, tent], ids=["gaussian", "tent"])
-    def test_monte_carlo_matches_the_band_sum(self, h, g):
-        geom, s, band_sum = self._integrand(h, g())
-        samples = np.array([geom.dx * np.sum(noise_slabs(geom, 3, r) @ s) for r in range(400)])
-        root_n = math.sqrt(samples.size)
-        assert abs(samples.mean()) <= 3.0 * samples.std(ddof=1) / root_n
-        sq = samples**2
-        assert abs(sq.mean() - band_sum) <= 3.0 * sq.std(ddof=1) / root_n
