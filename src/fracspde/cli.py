@@ -42,7 +42,7 @@ from .kernels import (
     peszat_probe,
     time_increment_bound_check,
 )
-from .noise import spectral_increments, variance_bias_report
+from .noise import keyed_rng, spectral_increments, variance_bias_report
 from .picard import (
     PicardConvergenceError,
     PicardDivergenceError,
@@ -53,6 +53,7 @@ from .picard import (
 from .quadrature import gauss_panels, geometric_edges, oscillation_edges, oscillatory_power_tail
 from .regularity import (
     FieldSampleCollector,
+    FirstIncrementCollector,
     gaussian_ratio_check,
     geometric_time_lags,
     holder_exponent_space,
@@ -507,7 +508,8 @@ def _cmd_simulate(args):
         path = args.save_noise
         if not os.path.isabs(path):
             path = os.path.join(out_dir, path)
-        z = spectral_increments(geom.band_masses, geom.dt, geom.n_steps, cfg.seed)
+        # the stream of realization 0, which noise_slabs draws for picard
+        z = spectral_increments(geom.band_masses, geom.dt, geom.n_steps, keyed_rng(cfg.seed, 0))
         # a file handle keeps np.save from appending .npy to the path
         with open(path, "wb") as fh:
             np.save(fh, z)
@@ -549,27 +551,33 @@ def _solve_ensemble_blocks(picard_cfg, n_realizations, n_iters, threads, thin=No
     """solve_ensemble over contiguous realization blocks, one per worker.
 
     Realizations are independent streams indexed by (seed, realization), so
-    splitting preserves every number the serial run produces.
+    splitting preserves every number the serial run produces.  Returns the
+    deltas, the thinned ensemble (None without ``thin``) and the first
+    increments at the final-time lattice center, in realization order.
     """
     geom = build_geometry(picard_cfg)
     blocks = _ensemble_blocks(n_realizations, threads)
     collectors = [FieldSampleCollector(geom, *thin) if thin else None for _ in blocks]
+    firsts = [FirstIncrementCollector() for _ in blocks]
 
-    def run(block, coll):
+    def run(block, coll, first):
         r0, r1 = block
         cfg = replace(picard_cfg, realization=picard_cfg.realization + r0)
         on_final = coll.on_final if coll is not None else None
-        return solve_ensemble(cfg, r1 - r0, n_iters=n_iters, on_final=on_final)
+        return solve_ensemble(
+            cfg, r1 - r0, n_iters=n_iters, collectors=(first,), on_final=on_final
+        )
 
     results = _run_parallel(
-        [lambda b=b, c=c: run(b, c) for b, c in zip(blocks, collectors)], threads
+        [lambda b=b, c=c, f=f: run(b, c, f) for b, c, f in zip(blocks, collectors, firsts)],
+        threads,
     )
     deltas = np.vstack([res.deltas for res in results])
     ensemble = None
     if thin:
         parts = [coll.finalize() for coll in collectors]
         ensemble = replace(parts[0], values=np.concatenate([p.values for p in parts]))
-    return deltas, ensemble, geom
+    return deltas, ensemble, [v for first in firsts for v in first.values]
 
 
 def _picard_single(cfg, out_dir, fmt):
@@ -818,7 +826,7 @@ def _cmd_moments(args):
         raise _CliError("moments needs a noise term; sigma_a = sigma_b = 0 leaves u = w")
 
     picard_cfg = to_picard_config(cfg)
-    _, ensemble, _ = _solve_ensemble_blocks(
+    _, ensemble, first = _solve_ensemble_blocks(
         picard_cfg, cfg.ensemble, cfg.max_iters, threads, thin=(16, 128)
     )
     reports = list(moment_report(ensemble, p_list=p_list))
@@ -837,7 +845,7 @@ def _cmd_moments(args):
     )
 
     if cfg.sigma_a == 0.0:
-        reports.append(gaussian_ratio_check(picard_cfg, cfg.ensemble))
+        reports.append(gaussian_ratio_check(picard_cfg, first))
 
     plots = [
         PlotSeries(

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .noise import keyed_rng
 from .report import make_check
 
 __all__ = [
@@ -212,7 +213,7 @@ def hitting_probability(g, T, k, method="convolution", n_cells=GRID_CELLS,
             return 0.0
         return float(dist[: i_max + 1].sum())
     if method == "mc":
-        rng = np.random.default_rng(seed)
+        rng = keyed_rng(seed)
         hits = 0
         chunk = max(1, 2_000_000 // k)
         for start in range(0, n_samples, chunk):

@@ -23,6 +23,7 @@ __all__ = [
     "band_mass",
     "truncation_tail",
     "variance_bias_report",
+    "keyed_rng",
     "spectral_increments",
 ]
 
@@ -93,16 +94,30 @@ def variance_bias_report(geom, xs) -> dict:
     }
 
 
-def spectral_increments(masses, dt: float, n_steps: int, seed: int, realization: int = 0) -> np.ndarray:
+def keyed_rng(seed: int, *key: int) -> np.random.Generator:
+    """The generator of the random stream keyed by (seed, *key).
+
+    Counter-based (Philox) on SeedSequence(entropy=seed, spawn_key=key), so
+    a stream is a pure function of its key and streams with different keys
+    are independent.  Every random draw of the package comes from here.
+    Keys in use: (r,) is the driving noise of realization r, (r, 1) the
+    innovations of the additive-solution sampler, and () the draws that
+    are not a realization of the noise (the sampled initial datum, the
+    Monte Carlo oracles, the Holder spot check).
+    """
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def spectral_increments(masses, dt: float, n_steps: int, rng) -> np.ndarray:
     """Circular complex Gaussian increments, one per (time step, band).
 
     Returns shape (n_steps, len(masses)); entry (j, k) has independent real
     and imaginary parts N(0, dt masses[k] / 2), so E|Z|^2 = dt masses[k] and
-    E[Z^2] = 0.  The RNG is counter-based (Philox) keyed by
-    SeedSequence(seed, spawn_key=(realization,)), and the draw order is fixed
-    as one standard_normal block of shape (n_steps, n_bands, 2) with the last
-    axis (real, imag): the realization is a pure function of
-    (seed, realization) for a given shape.
+    E[Z^2] = 0.  The draw order is fixed as one standard_normal block of
+    shape (n_steps, n_bands, 2) from rng with the last axis (real, imag), so
+    with rng = keyed_rng(seed, *key) the increments are a pure function of
+    the key for a given shape.
     """
     masses = np.asarray(masses, dtype=float)
     if not float(dt) > 0.0:
@@ -110,8 +125,6 @@ def spectral_increments(masses, dt: float, n_steps: int, seed: int, realization:
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(realization),))
-    rng = np.random.Generator(np.random.Philox(ss))
     raw = rng.standard_normal((n_steps, masses.size, 2))
-    scale = np.sqrt(0.5 * float(dt) * masses)
-    return (raw[..., 0] + 1j * raw[..., 1]) * scale
+    # the trailing (real, imag) pair is the memory layout of complex128
+    return raw.view(np.complex128)[..., 0] * np.sqrt(0.5 * float(dt) * masses)

@@ -13,9 +13,9 @@ band, so every kernel application is a pair of FFTs with closed-form symbols.
 Time uses the left-endpoint (Ito) rule: the integrand slice at step i is
 sigma(u^n(t_i, .)) against the increment of slab [t_i, t_{i+1}).
 
-All randomness flows through one counter-based generator keyed by
-(seed, realization); iterates of the same solve share one noise draw, so the
-Picard maps are deterministic functions of that draw.
+All randomness flows through noise.keyed_rng: the noise of realization r is
+the stream keyed by (seed, r); iterates of the same solve share one noise
+draw, so the Picard maps are deterministic functions of that draw.
 """
 
 import math
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .constants import validate_hurst
-from .noise import band_mass, spectral_increments
+from .noise import band_mass, keyed_rng, spectral_increments
 
 __all__ = [
     "AffineSigma",
@@ -141,11 +141,13 @@ def sampled_holder_initial(h, seed):
     deterministic callable.  Band 0, whose transfer is the unbounded ramp x,
     is left out, so u0 is bounded and 2 pi-periodic.  The sample is exactly
     zero at x = 0 and statistically h-Holder at lags above
-    1/HOLDER_SAMPLE_BANDS.
+    1/HOLDER_SAMPLE_BANDS.  It is drawn from keyed_rng(seed), the stream
+    with the empty key, which no realization of the driving noise uses, so
+    the datum is independent of the noise.
     """
     h = validate_hurst(h)
     k = np.arange(1, HOLDER_SAMPLE_BANDS + 1)
-    z = spectral_increments(band_mass(h, k - 0.5, k + 0.5), 1.0, 1, seed)[0]
+    z = spectral_increments(band_mass(h, k - 0.5, k + 0.5), 1.0, 1, keyed_rng(seed))[0]
     # sum_k c_k (1 - q^k) = (1 - q) sum_j d_j q^j with d_j = sum_{k>j} c_k
     tail_sums = np.cumsum((z / (1j * k))[::-1])[::-1]
 
@@ -172,7 +174,7 @@ def holder_spot_check(f, h, window, n_pairs=4096, seed=0):
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("window must satisfy lo < hi")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = keyed_rng(seed)
     x = rng.uniform(lo, hi, size=n_pairs)
     y = rng.uniform(lo, hi, size=n_pairs)
     keep = np.abs(x - y) > 1e-12
@@ -464,7 +466,8 @@ def noise_slabs(geom, seed, realization=0):
     the full two-sided mass of the band around zero.  Integrating any slice
     against eta_i reproduces the banded stochastic integral exactly.
     """
-    z = spectral_increments(geom.band_masses, geom.dt, geom.n_steps, seed, realization)
+    rng = keyed_rng(seed, realization)
+    z = spectral_increments(geom.band_masses, geom.dt, geom.n_steps, rng)
     return _band_field(geom, z)
 
 

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import c_H
+from .noise import keyed_rng, spectral_increments
 from .picard import (
-    AffineSigma, PicardConfig, _band_field, build_geometry, constant_initial, solve_ensemble,
+    AffineSigma, PicardConfig, _band_field, build_geometry, constant_initial,
 )
 from .report import make_check
 
@@ -41,6 +42,7 @@ __all__ = [
     "fit_exponent",
     "FieldEnsemble",
     "FieldSampleCollector",
+    "FirstIncrementCollector",
     "geometric_space_lags",
     "geometric_time_lags",
     "sample_noise_antiderivative",
@@ -204,11 +206,6 @@ def _sampler_geometry(equation, h, T, dx, half_width, seed):
     return build_geometry(config)
 
 
-def _proper_normal(rng, shape):
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return g * math.sqrt(0.5)
-
-
 _SAMPLER_CHUNK = 512
 
 
@@ -221,7 +218,10 @@ def sample_noise_antiderivative(h, t, dx, half_width, n_realizations, seed=0):
     process with exact increment variance t c_H kappa |h|^(2H): band k
     picks up the transfer 1/(-i w_k), and the k = 0 band becomes a random
     linear ramp.  Fields are anchored up to an additive per-realization
-    constant, which increments ignore.
+    constant, which increments ignore.  Realization r is the solver's band
+    law over one slab of length t, drawn from keyed_rng(seed, r): the
+    stream of the driving noise of realization r, independent of the
+    ensemble size.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be at least 1")
@@ -231,17 +231,16 @@ def sample_noise_antiderivative(h, t, dx, half_width, n_realizations, seed=0):
     om = geom.omega_r[: geom.n_bands]
     x_core = geom.x_grid[geom.core]
     out = np.empty((n_realizations, 1, x_core.size))
-    rng = np.random.default_rng((int(seed), 0x6E6F6973))
-    std = np.sqrt(t * geom.band_masses[1:])
     for start in range(0, n_realizations, _SAMPLER_CHUNK):
         stop = min(start + _SAMPLER_CHUNK, n_realizations)
-        r = stop - start
-        z0 = _proper_normal(rng, r) * math.sqrt(t * geom.band_masses[0])
-        z = _proper_normal(rng, (r, geom.n_bands - 1)) * std
-        coeff = np.zeros((r, geom.n_bands), dtype=complex)
-        coeff[:, 1:] = z / (-1j * om[1:])
-        fields = _band_field(geom, coeff)
-        fields += np.outer(2.0 * z0.real, geom.x_grid)
+        z = np.empty((stop - start, geom.n_bands), dtype=complex)
+        for i, r in enumerate(range(start, stop)):
+            z[i] = spectral_increments(geom.band_masses, t, 1, keyed_rng(seed, r))[0]
+        ramp = 2.0 * z[:, 0].real
+        z[:, 0] = 0.0
+        z[:, 1:] /= -1j * om[1:]
+        fields = _band_field(geom, z)
+        fields += np.outer(ramp, geom.x_grid)
         out[start:stop, 0, :] = fields[:, geom.core]
     return FieldEnsemble(
         kind="noise", h=h, t=np.array([t]), x=x_core, values=out,
@@ -281,7 +280,11 @@ def sample_additive_solution(equation, h, T, dx, half_width, times,
     from the continuum field are the band quantisation and the spectral
     cutoff.  Output fields are the zero-initial-data solution on the core
     window; adding initial data shifts fields by a deterministic term and
-    leaves every increment statistic unchanged.
+    leaves every increment statistic unchanged.  The innovations of
+    realization r come from keyed_rng(seed, r, 1), one complex Gaussian per
+    band and time (wave: the velocity innovation, then the rest of the
+    position innovation), so realization r does not depend on the ensemble
+    size.
     """
     if equation not in ("wave", "heat"):
         raise ValueError(f"equation must be wave or heat, got {equation!r}")
@@ -302,38 +305,41 @@ def sample_additive_solution(equation, h, T, dx, half_width, times,
     masses = geom.band_masses
     x_core = geom.x_grid[geom.core]
     out = np.empty((n_realizations, times.size, x_core.size))
-    rng = np.random.default_rng((int(seed), 0x736F6C76))
 
     deltas = np.diff(np.concatenate([[0.0], times]))
     steps = []
     for d in deltas:
         if equation == "heat":
             decay = np.exp(-0.5 * d * om**2)
-            steps.append((decay, np.sqrt(_heat_innovation_var(om, d, masses))))
+            steps.append((decay, _heat_innovation_var(om, d, masses)))
         else:
             th = om * d
             sindc = np.where(om > 0.0, np.sin(th) / np.where(om > 0.0, om, 1.0), d)
             v_y, v_v, c_yv = _wave_innovation_vars(om, d, masses)
-            s_v = np.sqrt(v_v)
             gain = c_yv / v_v
-            resid = np.sqrt(np.clip(v_y - c_yv**2 / v_v, 0.0, None))
-            steps.append((np.cos(th), sindc, -om * np.sin(th), s_v, gain, resid))
+            resid_var = np.clip(v_y - c_yv**2 / v_v, 0.0, None)
+            steps.append((np.cos(th), sindc, -om * np.sin(th), v_v, gain, resid_var))
 
     for start in range(0, n_realizations, _SAMPLER_CHUNK):
         stop = min(start + _SAMPLER_CHUNK, n_realizations)
-        r = stop - start
-        y = np.zeros((r, geom.n_bands), dtype=complex)
-        v = np.zeros_like(y) if equation == "wave" else None
+        rngs = [keyed_rng(seed, r, 1) for r in range(start, stop)]
+        y = np.zeros((stop - start, geom.n_bands), dtype=complex)
+        xi_y = np.empty_like(y)
+        if equation == "wave":
+            v = np.zeros_like(y)
+            xi_v = np.empty_like(y)
         for j, step in enumerate(steps):
             if equation == "heat":
-                decay, s_inn = step
-                y = decay * y + s_inn * _proper_normal(rng, y.shape)
+                decay, var = step
+                for i, rng in enumerate(rngs):
+                    xi_y[i] = spectral_increments(var, 1.0, 1, rng)[0]
+                y = decay * y + xi_y
             else:
-                cosd, sindc, msin, s_v, gain, resid = step
-                g_v = _proper_normal(rng, y.shape)
-                g_y = _proper_normal(rng, y.shape)
-                xi_v = s_v * g_v
-                xi_y = gain * xi_v + resid * g_y
+                cosd, sindc, msin, v_v, gain, resid_var = step
+                for i, rng in enumerate(rngs):
+                    xi_v[i] = spectral_increments(v_v, 1.0, 1, rng)[0]
+                    xi_y[i] = spectral_increments(resid_var, 1.0, 1, rng)[0]
+                xi_y += gain * xi_v
                 y, v = cosd * y + sindc * v + xi_y, msin * y + cosd * v + xi_v
             out[start:stop, j, :] = _band_field(geom, y)[:, geom.core]
     return FieldEnsemble(
@@ -437,7 +443,14 @@ def spectral_window_completion(kind, h, xi_cut, mode, anchor, lags):
     return out
 
 
-def _per_realization_stats(per_real):
+def _mean_square_stats(d):
+    """Mean square of increments d (realizations x anchors) averaged over
+    anchors, then over realizations, with the between-realization standard
+    error.  d is squared in place: it is as large as an ensemble slice, and
+    passing it as a temporary frees it before the next lag's is built.
+    """
+    d *= d
+    per_real = d.mean(axis=1)
     moment = float(per_real.mean())
     n = per_real.size
     stderr = float(per_real.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
@@ -459,8 +472,7 @@ def space_increment_moments(ensemble, lags, time_index=-1):
         m = int(round(lag / dx))
         if m < 1 or abs(m * dx - lag) > 1e-9 * dx:
             raise ValueError(f"lag {lag} is not a lattice multiple of dx = {dx}")
-        d = vals[:, m:] - vals[:, :-m]
-        moments[i], stderrs[i] = _per_realization_stats((d * d).mean(axis=1))
+        moments[i], stderrs[i] = _mean_square_stats(vals[:, m:] - vals[:, :-m])
     return moments, stderrs
 
 
@@ -480,8 +492,7 @@ def time_increment_moments(ensemble, lags):
         j = int(np.argmin(np.abs(ensemble.t - (anchor + lag))))
         if abs(ensemble.t[j] - anchor - lag) > 1e-9 * max(lag, 1.0):
             raise ValueError(f"no stored time at anchor + lag = {anchor + lag}")
-        d = ensemble.values[:, j, :] - base
-        moments[i], stderrs[i] = _per_realization_stats((d * d).mean(axis=1))
+        moments[i], stderrs[i] = _mean_square_stats(ensemble.values[:, j, :] - base)
     return moments, stderrs
 
 
@@ -618,31 +629,39 @@ def gaussian_moment_ratio_check(samples, target=3.0):
     return MomentRatioCheck(ratio, se, float(target), passed)
 
 
-def gaussian_ratio_check(config, n_realizations):
+class FirstIncrementCollector:
+    """Collect the first Picard increment at the final time and the lattice
+    center n_fft // 2, one value per realization.
+
+    Plug it into solve_ensemble's collectors; ``values`` then holds the
+    realizations in the order they ran.
+    """
+
+    def __init__(self):
+        self.values = []
+
+    def observe(self, n, diff, geom):
+        if n == 1:
+            self.values.append(float(diff[-1, geom.n_fft // 2]))
+
+
+def gaussian_ratio_check(config, first_increments):
     """Fourth-to-second moment ratio of the first stochastic increment.
 
     With a = 0 the first Picard increment is a Gaussian integral of a
     deterministic slice, so E|D|^4 / (E|D|^2)^2 = 3 at every grid point;
-    the check compares the ensemble ratio at the final-time core center
-    against 3 within the Gaussian-null error of
+    the check compares the ratio of ``first_increments`` (the increments
+    at the final-time core center, one per realization, as collected by
+    FirstIncrementCollector) against 3 within the Gaussian-null error of
     ``gaussian_moment_ratio_check``.
     """
     if config.sigma.a != 0.0:
         raise ValueError("the Gaussian ratio diagnostic applies to a = 0 only")
-    center = build_geometry(config).n_fft // 2
-    first = []
-
-    class FirstIncrement:
-        def observe(self, n, diff, geom):
-            if n == 1:
-                first.append(float(diff[-1, center]))
-
-    solve_ensemble(config, n_realizations, n_iters=1, collectors=(FirstIncrement(),))
-    chk = gaussian_moment_ratio_check(first)
+    chk = gaussian_moment_ratio_check(first_increments)
     return make_check(
         "gaussian-p4-p2-ratio",
         computed=chk.ratio,
         reference=3.0,
         standard_error=chk.se,
-        inputs={"equation": config.equation, "h": config.h, "n": len(first)},
+        inputs={"equation": config.equation, "h": config.h, "n": len(first_increments)},
     )

@@ -5,7 +5,7 @@ Oracles: the explicit band sum 2 Re sum_k c_k e^{-i w_k x} at the grid
 points, and the full complex FFT of the zero-padded, sign-twisted band
 amplitudes that assembled every lattice field before the inverse real FFT.
 The samplers are compared with that assembly under the same seed, so both
-sides consume the same PCG64 streams and only the transform differs.
+sides consume the same keyed streams and only the transform differs.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 
 from fracspde import regularity
 from fracspde.config import SimulationConfig, to_picard_config
-from fracspde.noise import spectral_increments
+from fracspde.noise import keyed_rng, spectral_increments
 from fracspde.picard import _band_field, build_geometry, noise_slabs
 
 
@@ -49,7 +49,7 @@ def test_matches_explicit_band_sum():
 @pytest.mark.parametrize("equation", ["wave", "heat"])
 def test_noise_slabs_match_full_fft(equation):
     geom = default_geometry(equation)
-    z = spectral_increments(geom.band_masses, geom.dt, geom.n_steps, 4, 2)
+    z = spectral_increments(geom.band_masses, geom.dt, geom.n_steps, keyed_rng(4, 2))
     assert_within_field_scale(noise_slabs(geom, 4, 2), full_fft_band_field(geom, z))
 
 

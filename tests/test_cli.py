@@ -517,6 +517,30 @@ class TestFitCommands:
         }
 
 
+    def test_moments_runs_its_ensemble_once(self, tmp_path, monkeypatch):
+        # with sigma_a = 0 the Gaussian ratio check reads the first
+        # increments off the main pass: no second pass over the realizations
+        calls = []
+        step = fracspde.picard.picard_step
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(fracspde.picard, "picard_step", counted)
+        out = tmp_path / "mom"
+        code = main(
+            ["moments", "--equation", "heat", "--T", "0.125", "--dt", "0.0078125",
+             "--dx", "0.03125", "--L", "0.5", "--u0", "const:0.7", "--sigma-a", "0",
+             "--p", "2", "--ensemble", "40", "--max-iters", "3", "--seed", "7",
+             "--out", str(out)]
+        )
+        assert code == 0
+        report = json.loads(read(out / "report.json"))
+        assert "gaussian-p4-p2-ratio" in {r["check_name"] for r in report}
+        assert len(calls) == 40 * 3
+
+
 class TestGronwallCommand:
     def test_default_run_passes_and_is_deterministic(self, tmp_path):
         a = tmp_path / "a"

@@ -1,5 +1,6 @@
 """The declared runtime dependencies are exactly the third-party packages
-that the source imports."""
+that the source imports, every module is reached from the CLI, and one
+function keys every random stream."""
 
 import ast
 import importlib
@@ -57,3 +58,42 @@ def test_every_module_is_reached_from_the_cli():
     loaded = set(run.stdout.split())
     modules = {f"{PACKAGE.name}.{path.stem}" for path in PACKAGE.glob("*.py")}
     assert sorted(modules - loaded - {f"{PACKAGE.name}.__init__"}) == []
+
+
+def numpy_random_sites(path):
+    """(line, function) of every np.random / numpy.random use in a module,
+    outside noise.keyed_rng; an import of numpy.random counts as a use."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = set()
+    if path.stem == "noise":
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "keyed_rng":
+                allowed.update(id(sub) for sub in ast.walk(node))
+    sites = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "random"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            sites.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+            alias.name.startswith("numpy.random") for alias in node.names
+        ):
+            sites.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (
+            (node.module or "").startswith("numpy.random")
+            or (node.module == "numpy" and any(alias.name == "random" for alias in node.names))
+        ):
+            sites.append(node.lineno)
+    return sites
+
+
+def test_every_random_draw_is_keyed_in_one_place():
+    # one keying of the random streams: noise.keyed_rng is the only code
+    # that reaches numpy's random module
+    sites = {path.name: numpy_random_sites(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in sites.items() if lines} == {}

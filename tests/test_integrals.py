@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from fracspde.noise import spectral_increments
+from fracspde.noise import keyed_rng, spectral_increments
 from fracspde.picard import (
     AffineSigma,
     PicardConfig,
@@ -178,7 +178,7 @@ class TestIntegrate:
         geom = lattice(dx=1.0 / 16, L=1.0, pad=1.0)
         rng = np.random.default_rng(8)
         vals = rng.standard_normal((geom.n_steps, geom.n_fft))
-        z = spectral_increments(geom.band_masses, geom.dt, geom.n_steps, 40, 2)
+        z = spectral_increments(geom.band_masses, geom.dt, geom.n_steps, keyed_rng(40, 2))
         acc = 0.0
         for j in range(geom.n_steps):
             for k in range(geom.n_bands):

@@ -19,7 +19,8 @@ import pytest
 
 from fracspde.constants import c_H
 from fracspde.kernels import A_T
-from fracspde.noise import band_mass, spectral_increments
+from fracspde.config import SimulationConfig, to_picard_config
+from fracspde.noise import band_mass, keyed_rng, spectral_increments
 from fracspde.picard import (
     AffineSigma,
     InitialData,
@@ -103,10 +104,33 @@ class TestInitialData:
         assert values.shape == xp.shape
         assert peak < 50 * 2**20
         k = np.arange(1, 129)
-        z = spectral_increments(band_mass(0.3, k - 0.5, k + 0.5), 1.0, 1, 4)[0]
+        z = spectral_increments(band_mass(0.3, k - 0.5, k + 0.5), 1.0, 1, keyed_rng(4))[0]
         x = xp[::101]
         direct = 2.0 * (((1.0 - np.exp(-1j * np.outer(x, k))) / (1j * k)) @ z).real
         np.testing.assert_allclose(values[::101], direct, rtol=0.0, atol=1e-13)
+
+    def test_sampled_datum_independent_of_the_noise(self):
+        # the datum's standardized draws z_k / sqrt(m_k), read off u0 by an
+        # FFT over one period, against the standardized step-0 draws of the
+        # noise of realization 0 at the same default settings
+        cfg = SimulationConfig(u0="holder-sample")
+        picard_cfg = to_picard_config(cfg)
+        geom = build_geometry(picard_cfg)
+        n = 1024
+        coef = np.fft.fft(picard_cfg.init.u0(2.0 * math.pi * np.arange(n) / n)) / n
+        k = np.arange(1, 129)
+        # u0 = 2 Re sum_k z_k (1 - e^{-ikx}) / (ik): e^{ikx} carries conj(z_k) / (ik)
+        z = np.conj(1j * k * coef[k])
+        datum = z / np.sqrt(band_mass(cfg.hurst, k - 0.5, k + 0.5))
+        noise = spectral_increments(
+            geom.band_masses, geom.dt, geom.n_steps, keyed_rng(cfg.seed, 0)
+        )[0, :128] / np.sqrt(geom.dt * geom.band_masses[:128])
+        # the read-back is exact: the datum is the draw of its own stream
+        own = spectral_increments(np.ones(128), 1.0, 1, keyed_rng(cfg.seed))[0]
+        np.testing.assert_allclose(datum, own, rtol=0.0, atol=1e-10)
+        assert not np.allclose(datum, noise, rtol=0.0, atol=1e-6)
+        # independent standard draws: no two coincide anywhere
+        assert np.min(np.abs(datum - noise)) > 1e-6
 
     def test_sampled_datum_bounded_and_periodic(self):
         # no band-0 ramp: the datum is 2 pi-periodic

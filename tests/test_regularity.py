@@ -13,6 +13,8 @@ import math
 import numpy as np
 import pytest
 
+from fracspde import regularity
+from fracspde.noise import keyed_rng, spectral_increments
 from fracspde.picard import (
     AffineSigma,
     PicardConfig,
@@ -25,6 +27,7 @@ from fracspde.regularity import (
     ExponentFit,
     FieldEnsemble,
     FieldSampleCollector,
+    FirstIncrementCollector,
     fit_exponent,
     gaussian_moment_ratio_check,
     gaussian_ratio_check,
@@ -309,6 +312,54 @@ class TestAdditiveSampler:
             assert abs(mom[i] - oracle[i]) < 4.0 * se[i]
 
 
+class TestRealizationKeying:
+    """Realization r of an exact-law sampler depends on (seed, r) only: not
+    on the ensemble size, nor on the chunk the sampler draws it in."""
+
+    REALIZATIONS = (0, 511, 550, 599)
+
+    @staticmethod
+    def _sample(kind, n_realizations):
+        if kind == "noise":
+            ens = sample_noise_antiderivative(0.3, 0.5, 1.0 / 64, 0.5, n_realizations, seed=4)
+        else:
+            ens = sample_additive_solution(
+                kind, 0.35, 0.5, 1.0 / 64, 0.5, np.array([0.25, 0.5]), n_realizations, seed=4
+            )
+        return ens.values
+
+    @pytest.mark.parametrize("kind", ["noise", "heat", "wave"])
+    def test_independent_of_ensemble_size(self, kind):
+        small = self._sample(kind, 600)
+        large = self._sample(kind, 1000)
+        for r in self.REALIZATIONS:
+            assert np.array_equal(small[r], large[r])
+
+    @pytest.mark.parametrize("kind", ["noise", "heat", "wave"])
+    def test_independent_of_chunk_size(self, kind, monkeypatch):
+        assert regularity._SAMPLER_CHUNK == 512
+        default = self._sample(kind, 600)
+        monkeypatch.setattr(regularity, "_SAMPLER_CHUNK", 256)
+        rechunked = self._sample(kind, 600)
+        for r in self.REALIZATIONS:
+            assert np.array_equal(default[r], rechunked[r])
+
+    def test_noise_sampler_is_the_band_sum_of_its_stream(self):
+        # realization r is the antiderivative of the solver's band law over
+        # one slab of length t, drawn from the stream keyed by (seed, r)
+        h, t, dx, half_width, seed = 0.3, 0.5, 1.0 / 64, 0.5, 4
+        values = sample_noise_antiderivative(h, t, dx, half_width, 600, seed=seed).values
+        geom = _sampler_geometry("heat", h, t, dx, half_width, seed)
+        om = geom.omega_r[1 : geom.n_bands]
+        x = geom.x_grid[geom.core]
+        transfer = np.exp(-1j * np.outer(x, om)) / (-1j * om)
+        for r in self.REALIZATIONS:
+            z = spectral_increments(geom.band_masses, t, 1, keyed_rng(seed, r))[0]
+            direct = 2.0 * (transfer @ z[1:]).real + 2.0 * z[0].real * x
+            scale = float(np.max(np.abs(direct)))
+            assert float(np.max(np.abs(values[r, 0] - direct))) <= 1e-12 * scale
+
+
 class TestHolderFits:
     def test_noise_slope_on_target(self):
         ens = sample_noise_antiderivative(0.3, 0.5, 1.0 / 512, 2.0, 1000, seed=23)
@@ -426,14 +477,16 @@ class TestGaussianRatio:
             sigma=AffineSigma(0.5, 1.0), init=constant_initial(0.0), seed=5,
         )
         with pytest.raises(ValueError, match="a = 0"):
-            gaussian_ratio_check(config, 10)
+            gaussian_ratio_check(config, np.ones(10))
 
     def test_ratio_near_three(self):
         config = PicardConfig(
             equation="wave", h=0.35, T=0.25, n_steps=8, dx=1.0 / 32, L=0.5,
             sigma=AffineSigma(0.0, 1.0), init=constant_initial(0.0), seed=11,
         )
-        report = gaussian_ratio_check(config, 1200)
+        coll = FirstIncrementCollector()
+        solve_ensemble(config, 1200, n_iters=1, collectors=(coll,))
+        report = gaussian_ratio_check(config, coll.values)
         assert report.passed
         assert abs(report.computed - 3.0) < 1.2
 
@@ -449,10 +502,11 @@ class TestGaussianRatio:
         center = build_geometry(config).n_fft // 2
         w_end = homogeneous_term(config).values[-1, center]
         first = []
-        solve_ensemble(config, 300, n_iters=1,
+        coll = FirstIncrementCollector()
+        solve_ensemble(config, 300, n_iters=1, collectors=(coll,),
                        on_final=lambda r, fld: first.append(fld.values[-1, center] - w_end))
         expected = gaussian_moment_ratio_check(first)
-        report = gaussian_ratio_check(config, 300)
+        report = gaussian_ratio_check(config, coll.values)
         assert report.computed == pytest.approx(expected.ratio, rel=1e-12)
         assert report.standard_error == math.sqrt(24.0 / 300)
         assert expected.se == math.sqrt(24.0 / 300)
