@@ -54,6 +54,7 @@ from .quadrature import gauss_panels, geometric_edges, oscillation_edges, oscill
 from .regularity import (
     FieldSampleCollector,
     FirstIncrementCollector,
+    IncrementCollector,
     gaussian_ratio_check,
     geometric_time_lags,
     holder_exponent_space,
@@ -589,11 +590,13 @@ def _picard_single(cfg, out_dir, fmt):
     x_all = field.core_x
     x_idx = _thin_indices(x_all.size, 257)
     values = field.core_values
+    # each t and x repeats across the grid: format it once
+    x_text = [format_float(x_all[j]) for j in x_idx]
     rows = []
     for i in t_idx:
-        t = float(field.t_grid[i])
-        for j in x_idx:
-            rows.append((t, float(x_all[j]), float(values[i, j])))
+        t_text = format_float(field.t_grid[i])
+        for j, x in zip(x_idx, x_text):
+            rows.append((t_text, x, float(values[i, j])))
     _write_text(os.path.join(out_dir, "field.csv"), _csv_text(("t", "x", "value"), rows))
 
     seminorm = pathwise_x2_seminorm(field.values - result.homogeneous, result.geometry)
@@ -715,31 +718,32 @@ def _holder_fits(target, h, n_realizations, seed):
 
     Geometry is fixed per target; the lag windows were chosen so the
     lattice, completion, and horizon constraints all hold with margin.
+    One sampling pass feeds every fit of the target.
     """
-    fits = []
     if target == "noise":
-        ens = sample_noise_antiderivative(h, 0.5, 1.0 / 512, 2.0, n_realizations, seed=seed)
-        lags = 2.0 ** -np.arange(3, 8)
-        fits.append(("space", holder_exponent_space(ens, lags), 2.0 * h))
-        return fits
+        increments = IncrementCollector(space_lags=2.0 ** -np.arange(3, 8))
+        sample_noise_antiderivative(
+            h, 0.5, 1.0 / 512, 2.0, n_realizations, seed=seed, collectors=(increments,)
+        )
+        return [("space", holder_exponent_space(increments), 2.0 * h)]
     lags_s = np.array([25, 17, 12, 8, 5, 3]) / 1024.0
     if target == "wave":
+        T, anchor, time_target = 0.5, 0.25, 2.0 * h
         lags_t = np.array([24, 16, 11, 8, 5, 3]) / 1024.0
-        times = np.concatenate([[0.25], 0.25 + np.sort(lags_t), [0.5]])
-        ens = sample_additive_solution(
-            "wave", h, 0.5, 1.0 / 1024, 1.0, times, n_realizations, seed=seed
-        )
-        fits.append(("space", holder_exponent_space(ens, lags_s, time_index=-1), 2.0 * h))
-        fits.append(("time", holder_exponent_time(ens, lags_t), 2.0 * h))
-        return fits
-    lags_t = geometric_time_lags(0.125, 0.25, largest=1.0 / 64, n_lags=6, ratio=1.6)
-    times = np.concatenate([[0.125], 0.125 + np.sort(lags_t)])
-    ens = sample_additive_solution(
-        "heat", h, 0.25, 1.0 / 1024, 1.0, times, n_realizations, seed=seed
+        times = np.concatenate([[anchor], anchor + np.sort(lags_t), [T]])
+    else:
+        T, anchor, time_target = 0.25, 0.125, h
+        lags_t = geometric_time_lags(anchor, T, largest=1.0 / 64, n_lags=6, ratio=1.6)
+        times = np.concatenate([[anchor], anchor + np.sort(lags_t)])
+    increments = IncrementCollector(space_lags=lags_s, time_lags=lags_t)
+    sample_additive_solution(
+        target, h, T, 1.0 / 1024, 1.0, times, n_realizations, seed=seed,
+        collectors=(increments,),
     )
-    fits.append(("space", holder_exponent_space(ens, lags_s, time_index=-1), 2.0 * h))
-    fits.append(("time", holder_exponent_time(ens, lags_t), h))
-    return fits
+    return [
+        ("space", holder_exponent_space(increments), 2.0 * h),
+        ("time", holder_exponent_time(increments), time_target),
+    ]
 
 
 def _cmd_holder(args):
@@ -831,12 +835,14 @@ def _cmd_moments(args):
     )
     reports = list(moment_report(ensemble, p_list=p_list))
 
+    # the first stored time is the deterministic datum: the sup runs over the rest
+    random_part = ensemble.values[:, 1:, :]
     rows = []
     for p in p_list:
-        momt = np.mean(np.abs(ensemble.values) ** p, axis=0)
+        momt = np.mean(np.abs(random_part) ** p, axis=0)
         it, ix = np.unravel_index(int(np.argmax(momt)), momt.shape)
         se = float(
-            np.std(np.abs(ensemble.values[:, it, ix]) ** p, ddof=1)
+            np.std(np.abs(random_part[:, it, ix]) ** p, ddof=1)
             / math.sqrt(ensemble.n_realizations)
         )
         rows.append((int(p), float(momt[it, ix]), se))
@@ -851,10 +857,7 @@ def _cmd_moments(args):
         PlotSeries(
             name=f"p{p}-sup-moment-over-time",
             x=tuple(float(t) for t in ensemble.t[1:]),
-            y=tuple(
-                float(v)
-                for v in np.mean(np.abs(ensemble.values[:, 1:, :]) ** p, axis=0).max(axis=1)
-            ),
+            y=tuple(float(v) for v in np.mean(np.abs(random_part) ** p, axis=0).max(axis=1)),
             axes="semilogy",
         )
         for p in p_list

@@ -34,7 +34,6 @@ __all__ = [
     "GronwallProblem",
     "GronwallOverflowError",
     "fibonacci",
-    "fibonacci_closed_form",
     "density_cell_masses",
     "hitting_probability",
     "a_n_sequence",
@@ -98,8 +97,8 @@ def _check_float_range(big_k, n):
 def fibonacci(n):
     """The n-th Fibonacci number, b_1 = b_2 = 1, as an exact integer.
 
-    Python integers are unbounded, so the recurrence never overflows and
-    stays the oracle at every n; the closed form is the cross-check.
+    Python integers are unbounded, so the recurrence never overflows at
+    any n.
     """
     if n < 1:
         raise ValueError("Fibonacci index must be at least 1")
@@ -107,14 +106,6 @@ def fibonacci(n):
     for _ in range(n - 1):
         a, b = b, a + b
     return a
-
-
-def fibonacci_closed_form(n):
-    """Binet form (phi^n - psi^n)/sqrt(5), at float precision."""
-    if n < 1:
-        raise ValueError("Fibonacci index must be at least 1")
-    s = math.sqrt(5.0)
-    return ((1.0 + s) / 2.0) ** n / s - ((1.0 - s) / 2.0) ** n / s
 
 
 def _load_table(path):

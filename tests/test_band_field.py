@@ -10,6 +10,7 @@ sides consume the same keyed streams and only the transform differs.
 
 import numpy as np
 import pytest
+from sampled import gather
 
 from fracspde import regularity
 from fracspde.config import SimulationConfig, to_picard_config
@@ -55,9 +56,9 @@ def test_noise_slabs_match_full_fft(equation):
 
 def test_noise_sampler_matches_full_fft(monkeypatch):
     args = dict(h=0.3, t=0.5, dx=1.0 / 64, half_width=1.0, n_realizations=9, seed=3)
-    fields = regularity.sample_noise_antiderivative(**args).values
+    fields = gather(regularity.sample_noise_antiderivative, **args).values
     monkeypatch.setattr(regularity, "_band_field", full_fft_band_field)
-    assert_within_field_scale(fields, regularity.sample_noise_antiderivative(**args).values)
+    assert_within_field_scale(fields, gather(regularity.sample_noise_antiderivative, **args).values)
 
 
 @pytest.mark.parametrize("equation", ["wave", "heat"])
@@ -66,6 +67,6 @@ def test_additive_sampler_matches_full_fft(monkeypatch, equation):
         equation=equation, h=0.35, T=0.5, dx=1.0 / 64, half_width=1.0,
         times=np.array([0.1, 0.25, 0.5]), n_realizations=9, seed=2,
     )
-    fields = regularity.sample_additive_solution(**args).values
+    fields = gather(regularity.sample_additive_solution, **args).values
     monkeypatch.setattr(regularity, "_band_field", full_fft_band_field)
-    assert_within_field_scale(fields, regularity.sample_additive_solution(**args).values)
+    assert_within_field_scale(fields, gather(regularity.sample_additive_solution, **args).values)

@@ -516,6 +516,19 @@ class TestFitCommands:
             "moment-p4-grid-sup-stability",
         }
 
+    def test_moments_sup_leaves_out_the_datum(self, tmp_path):
+        # u(0, x) = u0(x) carries no randomness: with a holder-sample datum
+        # the sup of E|u|^p must come from a later time, with a spread
+        out = tmp_path / "mom"
+        code = main(
+            ["moments", "--equation", "heat", "--T", "0.125", "--dt", "0.0078125",
+             "--dx", "0.03125", "--L", "0.5", "--u0", "holder-sample", "--ensemble", "200",
+             "--max-iters", "3", "--seed", "7", "--out", str(out)]
+        )
+        assert code == 0
+        for line in read(out / "moments.csv").splitlines()[1:]:
+            _, sup, stderr = (float(v) for v in line.split(","))
+            assert stderr > 1e-3 * sup
 
     def test_moments_runs_its_ensemble_once(self, tmp_path, monkeypatch):
         # with sigma_a = 0 the Gaussian ratio check reads the first

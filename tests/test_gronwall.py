@@ -1,6 +1,6 @@
 """Tests for the Fibonacci-renewal recurrence bounds.
 
-Oracles: exact integer Fibonacci recurrence against the Binet form,
+Oracles: the exact integer Fibonacci recurrence and its seeds,
 Irwin-Hall closed forms for uniform hitting probabilities, Beta-integral
 closed form for the power-density two-fold probability, Monte Carlo for
 the convolution grid, and equality-built sequences for the recurrence
@@ -19,7 +19,6 @@ from fracspde.gronwall import (
     a_n_sequence,
     density_cell_masses,
     fibonacci,
-    fibonacci_closed_form,
     hitting_probability,
     recurrence_check,
     recurrence_violations,
@@ -38,21 +37,11 @@ class TestFibonacci:
         for n in range(1, 30):
             assert fibonacci(n + 2) == fibonacci(n + 1) + fibonacci(n)
 
-    def test_closed_form_matches(self):
-        # the Binet form accumulates ~n eps relative error, so rounding
-        # recovers the integer only while that error stays below 0.5;
-        # beyond, the comparison is relative at float precision
-        for n in range(1, 56):
-            assert round(fibonacci_closed_form(n)) == fibonacci(n)
-        for n in range(56, 91):
-            rel = abs(fibonacci_closed_form(n) - fibonacci(n)) / fibonacci(n)
-            assert rel < 1e-12
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             fibonacci(0)
         with pytest.raises(ValueError):
-            fibonacci_closed_form(-1)
+            fibonacci(-1)
 
 
 class TestDensityCellMasses:

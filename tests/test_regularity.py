@@ -9,9 +9,11 @@ targets.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from sampled import gather
 
 from fracspde import regularity
 from fracspde.noise import keyed_rng, spectral_increments
@@ -28,10 +30,10 @@ from fracspde.regularity import (
     FieldEnsemble,
     FieldSampleCollector,
     FirstIncrementCollector,
+    IncrementCollector,
     fit_exponent,
     gaussian_moment_ratio_check,
     gaussian_ratio_check,
-    geometric_space_lags,
     geometric_time_lags,
     holder_exponent_space,
     holder_exponent_time,
@@ -131,19 +133,6 @@ class TestFitExponent:
 
 
 class TestLagBuilders:
-    def test_space_lags_inside_window(self):
-        dx = 1.0 / 256
-        lags = geometric_space_lags(dx, 1.0)
-        assert np.all(np.diff(lags) < 0.0)
-        assert np.all(lags > 2.0 * dx)
-        assert np.all(lags < 0.1)
-        ms = lags / dx
-        assert np.allclose(ms, np.rint(ms))
-
-    def test_space_lags_too_coarse(self):
-        with pytest.raises(ValueError, match="too coarse"):
-            geometric_space_lags(1.0 / 16, 1.0)
-
     def test_time_lags_geometric(self):
         lags = geometric_time_lags(0.125, 0.25, largest=1.0 / 64, n_lags=5, ratio=2.0)
         assert lags.size == 5
@@ -239,17 +228,19 @@ class TestBandOracleSlopes:
 
 class TestNoiseSampler:
     def test_deterministic(self):
-        a = sample_noise_antiderivative(0.3, 0.5, 1.0 / 64, 1.0, 5, seed=9)
-        b = sample_noise_antiderivative(0.3, 0.5, 1.0 / 64, 1.0, 5, seed=9)
-        c = sample_noise_antiderivative(0.3, 0.5, 1.0 / 64, 1.0, 5, seed=10)
+        a = gather(sample_noise_antiderivative, 0.3, 0.5, 1.0 / 64, 1.0, 5, seed=9)
+        b = gather(sample_noise_antiderivative, 0.3, 0.5, 1.0 / 64, 1.0, 5, seed=9)
+        c = gather(sample_noise_antiderivative, 0.3, 0.5, 1.0 / 64, 1.0, 5, seed=10)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
     def test_increment_variance_matches_band_sum(self):
-        ens = sample_noise_antiderivative(0.35, 0.4, 1.0 / 128, 1.0, 1500, seed=17)
-        geom = _sampler_geometry("heat", 0.35, 0.4, 1.0 / 128, 1.0, 17)
         lags = np.array([16, 4]) / 128.0
-        mom, se = space_increment_moments(ens, lags)
+        increments = IncrementCollector(space_lags=lags)
+        sample_noise_antiderivative(0.35, 0.4, 1.0 / 128, 1.0, 1500, seed=17,
+                                    collectors=(increments,))
+        geom = _sampler_geometry("heat", 0.35, 0.4, 1.0 / 128, 1.0, 17)
+        mom, se = space_increment_moments(increments)
         oracle = band_space_moments(geom, "noise", 0.4, lags)
         for i in range(lags.size):
             assert abs(mom[i] - oracle[i]) < 4.0 * se[i]
@@ -273,8 +264,9 @@ class TestAdditiveSampler:
             sample_additive_solution("wave", 0.3, 0.5, 1.0 / 64, 1.0, [0.2, 0.6], 3)
 
     def test_deterministic(self):
-        a = sample_additive_solution("heat", 0.3, 0.25, 1.0 / 64, 0.5, [0.1, 0.25], 4, seed=2)
-        b = sample_additive_solution("heat", 0.3, 0.25, 1.0 / 64, 0.5, [0.1, 0.25], 4, seed=2)
+        args = ("heat", 0.3, 0.25, 1.0 / 64, 0.5, [0.1, 0.25], 4)
+        a = gather(sample_additive_solution, *args, seed=2)
+        b = gather(sample_additive_solution, *args, seed=2)
         assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("equation,T", [("wave", 0.5), ("heat", 0.25)])
@@ -282,7 +274,8 @@ class TestAdditiveSampler:
         # the variance at the last of three times exercises the exact
         # transition algebra twice before the comparison
         times = np.array([0.4, 0.7, 1.0]) * T
-        ens = sample_additive_solution(equation, 0.35, T, 1.0 / 128, 1.0, times, 1500, seed=13)
+        ens = gather(sample_additive_solution, equation, 0.35, T, 1.0 / 128, 1.0, times, 1500,
+                     seed=13)
         geom = _sampler_geometry(equation, 0.35, T, 1.0 / 128, 1.0, 13)
         center = ens.values.shape[2] // 2
         v = ens.values[:, -1, center]
@@ -304,9 +297,11 @@ class TestAdditiveSampler:
         anchor, T = 0.25, 0.5
         lags = np.array([16, 8, 4]) / 256.0
         times = np.concatenate([[anchor], anchor + np.sort(lags)])
-        ens = sample_additive_solution("wave", 0.3, T, 1.0 / 256, 1.0, times, 1200, seed=19)
+        increments = IncrementCollector(time_lags=lags)
+        sample_additive_solution("wave", 0.3, T, 1.0 / 256, 1.0, times, 1200, seed=19,
+                                 collectors=(increments,))
         geom = _sampler_geometry("wave", 0.3, T, 1.0 / 256, 1.0, 19)
-        mom, se = time_increment_moments(ens, lags)
+        mom, se = time_increment_moments(increments)
         oracle = band_time_moments(geom, anchor, lags)
         for i in range(lags.size):
             assert abs(mom[i] - oracle[i]) < 4.0 * se[i]
@@ -321,10 +316,12 @@ class TestRealizationKeying:
     @staticmethod
     def _sample(kind, n_realizations):
         if kind == "noise":
-            ens = sample_noise_antiderivative(0.3, 0.5, 1.0 / 64, 0.5, n_realizations, seed=4)
+            ens = gather(sample_noise_antiderivative, 0.3, 0.5, 1.0 / 64, 0.5, n_realizations,
+                         seed=4)
         else:
-            ens = sample_additive_solution(
-                kind, 0.35, 0.5, 1.0 / 64, 0.5, np.array([0.25, 0.5]), n_realizations, seed=4
+            ens = gather(
+                sample_additive_solution,
+                kind, 0.35, 0.5, 1.0 / 64, 0.5, np.array([0.25, 0.5]), n_realizations, seed=4,
             )
         return ens.values
 
@@ -337,7 +334,7 @@ class TestRealizationKeying:
 
     @pytest.mark.parametrize("kind", ["noise", "heat", "wave"])
     def test_independent_of_chunk_size(self, kind, monkeypatch):
-        assert regularity._SAMPLER_CHUNK == 512
+        assert regularity._SAMPLER_CHUNK == 128
         default = self._sample(kind, 600)
         monkeypatch.setattr(regularity, "_SAMPLER_CHUNK", 256)
         rechunked = self._sample(kind, 600)
@@ -348,7 +345,7 @@ class TestRealizationKeying:
         # realization r is the antiderivative of the solver's band law over
         # one slab of length t, drawn from the stream keyed by (seed, r)
         h, t, dx, half_width, seed = 0.3, 0.5, 1.0 / 64, 0.5, 4
-        values = sample_noise_antiderivative(h, t, dx, half_width, 600, seed=seed).values
+        values = gather(sample_noise_antiderivative, h, t, dx, half_width, 600, seed=seed).values
         geom = _sampler_geometry("heat", h, t, dx, half_width, seed)
         om = geom.omega_r[1 : geom.n_bands]
         x = geom.x_grid[geom.core]
@@ -362,8 +359,10 @@ class TestRealizationKeying:
 
 class TestHolderFits:
     def test_noise_slope_on_target(self):
-        ens = sample_noise_antiderivative(0.3, 0.5, 1.0 / 512, 2.0, 1000, seed=23)
-        fit = holder_exponent_space(ens, 2.0 ** -np.arange(3, 8))
+        increments = IncrementCollector(space_lags=2.0 ** -np.arange(3, 8))
+        sample_noise_antiderivative(0.3, 0.5, 1.0 / 512, 2.0, 1000, seed=23,
+                                    collectors=(increments,))
+        fit = holder_exponent_space(increments)
         assert fit.status == "ok"
         assert abs(fit.fitted_slope - 0.6) < 0.05
 
@@ -371,22 +370,26 @@ class TestHolderFits:
         lags_s = np.array([25, 17, 12, 8, 5, 3]) / 1024.0
         lags_t = np.array([24, 16, 11, 8, 5, 3]) / 1024.0
         times = np.concatenate([[0.25], 0.25 + np.sort(lags_t), [0.5]])
-        ens = sample_additive_solution("wave", 0.35, 0.5, 1.0 / 1024, 1.0, times, 1000, seed=29)
-        fs = holder_exponent_space(ens, lags_s, time_index=-1)
-        ft = holder_exponent_time(ens, lags_t)
+        increments = IncrementCollector(space_lags=lags_s, time_lags=lags_t)
+        sample_additive_solution("wave", 0.35, 0.5, 1.0 / 1024, 1.0, times, 1000, seed=29,
+                                 collectors=(increments,))
+        fs = holder_exponent_space(increments)
+        ft = holder_exponent_time(increments)
         assert fs.status == "ok" and abs(fs.fitted_slope - 0.70) < 0.05
         assert ft.status == "ok" and abs(ft.fitted_slope - 0.70) < 0.05
 
     def test_heat_time_slope_on_target(self):
         lags = geometric_time_lags(0.125, 0.25, largest=1.0 / 64, n_lags=6, ratio=1.6)
         times = np.concatenate([[0.125], 0.125 + np.sort(lags)])
-        ens = sample_additive_solution("heat", 0.35, 0.25, 1.0 / 1024, 1.0, times, 1000, seed=37)
-        ft = holder_exponent_time(ens, lags)
+        increments = IncrementCollector(time_lags=lags)
+        sample_additive_solution("heat", 0.35, 0.25, 1.0 / 1024, 1.0, times, 1000, seed=37,
+                                 collectors=(increments,))
+        ft = holder_exponent_time(increments)
         assert ft.status == "ok"
         assert abs(ft.fitted_slope - 0.35) < 0.05
 
     def test_translation_invariance_exact(self):
-        ens = sample_noise_antiderivative(0.3, 0.5, 1.0 / 256, 1.0, 1000, seed=41)
+        ens = gather(sample_noise_antiderivative, 0.3, 0.5, 1.0 / 256, 1.0, 1000, seed=41)
         # quantising the field and shifting by a power of two keeps every
         # subtraction exact, so invariance must hold bitwise, proving the
         # fit consumes increments only
@@ -395,33 +398,120 @@ class TestHolderFits:
                              values=quantised, xi_cut=ens.xi_cut)
         shifted = FieldEnsemble(kind=ens.kind, h=ens.h, t=ens.t, x=ens.x,
                                 values=quantised + 8.0, xi_cut=ens.xi_cut)
-        lags = geometric_space_lags(1.0 / 256, 1.0, n_lags=5)
-        a = holder_exponent_space(base, lags)
-        b = holder_exponent_space(shifted, lags)
+        lags = np.array([25, 15, 9, 5, 3]) / 256.0
+        fits = []
+        for eager in (base, shifted):
+            increments = IncrementCollector(space_lags=lags)
+            increments.observe_chunk(eager)
+            fits.append(holder_exponent_space(increments))
+        a, b = fits
         assert np.array_equal(a.moments, b.moments)
         assert a.fitted_slope == b.fitted_slope
 
     def test_small_ensemble_rejected(self):
-        ens = sample_noise_antiderivative(0.3, 0.5, 1.0 / 256, 1.0, 50, seed=3)
+        increments = IncrementCollector(space_lags=np.array([25, 16, 11, 7, 5, 3]) / 256.0)
+        sample_noise_antiderivative(0.3, 0.5, 1.0 / 256, 1.0, 50, seed=3,
+                                    collectors=(increments,))
         with pytest.raises(ValueError, match="realizations"):
-            holder_exponent_space(ens, geometric_space_lags(1.0 / 256, 1.0))
+            holder_exponent_space(increments)
 
     def test_lag_window_enforced(self):
-        ens = sample_noise_antiderivative(0.3, 0.5, 1.0 / 256, 1.0, 1000, seed=3)
+        # one pass of the sampler feeds both collectors; the lags are lattice
+        # multiples, since a collector rejects any other lag as it samples
+        too_far = IncrementCollector(space_lags=np.array([64, 48, 32]) / 256.0)
+        too_near = IncrementCollector(space_lags=np.array([12, 3, 1]) / 256.0)
+        sample_noise_antiderivative(0.3, 0.5, 1.0 / 256, 1.0, 1000, seed=3,
+                                    collectors=(too_far, too_near))
+        assert too_far.n_realizations == too_near.n_realizations == 1000
         with pytest.raises(ValueError, match="inside"):
-            holder_exponent_space(ens, np.array([0.3, 0.2, 0.15]))
+            holder_exponent_space(too_far)
         with pytest.raises(ValueError, match="inside"):
-            holder_exponent_space(ens, np.array([0.05, 0.01, 1.0 / 256]))
+            holder_exponent_space(too_near)
 
     def test_non_lattice_lag_rejected(self):
-        ens = sample_noise_antiderivative(0.3, 0.5, 1.0 / 256, 1.0, 10, seed=3)
+        increments = IncrementCollector(space_lags=np.array([0.0151]))
         with pytest.raises(ValueError, match="lattice multiple"):
-            space_increment_moments(ens, np.array([0.0151]))
+            sample_noise_antiderivative(0.3, 0.5, 1.0 / 256, 1.0, 10, seed=3,
+                                        collectors=(increments,))
 
     def test_missing_anchor_time_rejected(self):
-        ens = sample_additive_solution("heat", 0.3, 0.25, 1.0 / 64, 0.5, [0.1, 0.12], 10, seed=3)
+        increments = IncrementCollector(time_lags=np.array([0.05]))
         with pytest.raises(ValueError, match="no stored time"):
-            time_increment_moments(ens, np.array([0.05]))
+            sample_additive_solution("heat", 0.3, 0.25, 1.0 / 64, 0.5, [0.1, 0.12], 10, seed=3,
+                                     collectors=(increments,))
+
+    def test_empty_collector_rejected(self):
+        with pytest.raises(ValueError, match="no realizations"):
+            space_increment_moments(IncrementCollector(space_lags=[0.1, 0.05, 0.025]))
+
+
+class TestStreamedIncrements:
+    """The samplers hand out chunks of realizations and the increment
+    collector keeps only per-realization rows: the statistics are those of
+    the whole ensemble, and memory does not grow with it."""
+
+    SPACE_LAGS = np.array([8, 4, 2]) / 64.0
+
+    @staticmethod
+    def _sample(kind, n_realizations, collectors):
+        if kind == "noise":
+            sample_noise_antiderivative(0.3, 0.5, 1.0 / 64, 0.5, n_realizations, seed=6,
+                                        collectors=collectors)
+        else:
+            sample_additive_solution(kind, 0.35, 0.5, 1.0 / 64, 0.5, np.array([0.25, 0.5]),
+                                     n_realizations, seed=6, collectors=collectors)
+
+    @pytest.mark.parametrize("kind", ["noise", "heat", "wave"])
+    def test_streamed_moments_equal_the_gathered_ensemble(self, kind, monkeypatch):
+        # 300 realizations in chunks of 128: three chunks, the last ragged
+        monkeypatch.setattr(regularity, "_SAMPLER_CHUNK", 128)
+        time_lags = () if kind == "noise" else np.array([0.25])
+        streamed = IncrementCollector(space_lags=self.SPACE_LAGS, time_lags=time_lags)
+        chunk_sizes = []
+
+        class ChunkSizes:
+            def observe_chunk(self, chunk):
+                chunk_sizes.append(chunk.n_realizations)
+
+        self._sample(kind, 300, (streamed, ChunkSizes()))
+        assert chunk_sizes == [128, 128, 44]
+        if kind == "noise":
+            ens = gather(sample_noise_antiderivative, 0.3, 0.5, 1.0 / 64, 0.5, 300, seed=6)
+        else:
+            ens = gather(sample_additive_solution, kind, 0.35, 0.5, 1.0 / 64, 0.5,
+                         np.array([0.25, 0.5]), 300, seed=6)
+        eager = IncrementCollector(space_lags=self.SPACE_LAGS, time_lags=time_lags)
+        eager.observe_chunk(ens)
+        mom, se = space_increment_moments(streamed)
+        assert np.array_equal(mom, space_increment_moments(eager)[0])
+        assert np.array_equal(se, space_increment_moments(eager)[1])
+        # the gathered ensemble's statistic written out: per-realization
+        # anchor means, then their mean and between-realization error
+        for i, m in enumerate(np.rint(self.SPACE_LAGS * 64).astype(int)):
+            d = ens.values[:, -1, m:] - ens.values[:, -1, :-m]
+            per_real = (d * d).mean(axis=1)
+            assert mom[i] == per_real.mean()
+            assert se[i] == per_real.std(ddof=1) / math.sqrt(300)
+        if kind != "noise":
+            assert np.array_equal(time_increment_moments(streamed)[0],
+                                  time_increment_moments(eager)[0])
+            assert np.array_equal(time_increment_moments(streamed)[1],
+                                  time_increment_moments(eager)[1])
+
+    def test_memory_does_not_grow_with_the_ensemble(self):
+        def traced_peak(n_realizations):
+            increments = IncrementCollector(space_lags=np.array([16, 8, 4, 2]) / 256.0)
+            tracemalloc.start()
+            try:
+                sample_noise_antiderivative(0.3, 0.5, 1.0 / 256, 1.0, n_realizations, seed=2,
+                                            collectors=(increments,))
+                space_increment_moments(increments)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        n = 2 * regularity._SAMPLER_CHUNK
+        assert traced_peak(3 * n) <= 1.2 * traced_peak(n)
 
 
 class TestMomentReport:
@@ -446,8 +536,8 @@ class TestMomentReport:
         assert float(np.abs(ens.values).max() ** 2) == pytest.approx(0.49, rel=1e-12)
 
     def test_ratio_at_least_one(self):
-        ens = sample_additive_solution("wave", 0.3, 0.5, 1.0 / 64, 0.5,
-                                       [0.1, 0.3, 0.5], 400, seed=7)
+        ens = gather(sample_additive_solution, "wave", 0.3, 0.5, 1.0 / 64, 0.5,
+                     [0.1, 0.3, 0.5], 400, seed=7)
         reports = moment_report(ens, p_list=(2,))
         assert reports[0].computed >= 1.0
 
@@ -457,8 +547,36 @@ class TestMomentReport:
             moment_report(ens, p_list=(1,))
 
     def test_needs_three_times(self):
-        ens = sample_noise_antiderivative(0.3, 0.5, 1.0 / 64, 0.5, 4, seed=3)
+        ens = gather(sample_noise_antiderivative, 0.3, 0.5, 1.0 / 64, 0.5, 4, seed=3)
         with pytest.raises(ValueError, match="at least 3 stored times"):
+            moment_report(ens, p_list=(2,))
+
+    @staticmethod
+    def _with_datum_row(values, datum):
+        # the first stored time is the datum u(0, x): a constant there has no
+        # spread across realizations
+        values = values.copy()
+        values[:, 0, :] = datum
+        t = 0.1 * np.arange(values.shape[1])
+        return FieldEnsemble(kind="heat", h=0.3, t=t, x=np.linspace(0.0, 1.0, values.shape[2]),
+                             values=values, xi_cut=100.0)
+
+    def test_sup_leaves_out_the_datum_row(self):
+        rng = np.random.Generator(np.random.Philox(3))
+        values = 1.0 + 0.1 * rng.standard_normal((50, 5, 6))
+        values[:, 3, 2] += 0.5
+        ens = self._with_datum_row(values, 100.0)
+        rep, = moment_report(ens, p_list=(2,))
+        # fine grid: stored times 1..4; coarse grid: stored times 2 and 4
+        mean = np.mean(ens.values[:, 1:, :] ** 2, axis=0)
+        assert rep.computed == pytest.approx(mean.max() / mean[1::2].max(), rel=1e-12)
+        assert rep.computed > 1.1
+
+    def test_guard_reads_past_the_datum_row(self):
+        values = np.full((8, 3, 4), 0.01)
+        values[0] = 100.0
+        ens = self._with_datum_row(values, 1000.0)
+        with pytest.raises(RuntimeError, match="heavy-tailed"):
             moment_report(ens, p_list=(2,))
 
     def test_kurtosis_guard_fires(self):
