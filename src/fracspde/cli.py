@@ -1,5 +1,14 @@
 """Command-line front end: verification suites, the lattice noise audit, solver runs.
 
+A command parses its flags, resolves its settings, calls the library and
+writes the artifacts.  Every check of a proof object is built in the
+library, in the module that owns its mathematics: the kernel suite
+(kernels.kernel_checks), the seminorm identities, the moment sups and the
+Gaussian ratio, and the Gronwall summability verdict.  A command builds a
+check itself only for a run-level tolerance that no library function owns:
+the noise audit's bias allowance, picard's run status, holder's slope band,
+peszat's monotone count and gronwall's Monte Carlo agreement.
+
 Exit codes: 0 when every check passed (or the run completed, for commands
 without checks), 2 when at least one check failed, 1 on usage or
 configuration errors, 3 when a Picard iteration diverges (a delta that is
@@ -30,18 +39,13 @@ from .config import (
     to_picard_config,
 )
 from .diagnostics import pathwise_x2_seminorm
-from .gronwall import GronwallProblem, a_n_sequence, hitting_probability
-from .kernels import (
-    EQUATIONS,
-    A_T,
-    cos_increment_bound_check,
-    fourier_moment,
-    g_l2_norm_sq,
-    green,
-    green_fourier,
-    peszat_probe,
-    time_increment_bound_check,
+from .gronwall import (
+    GronwallProblem,
+    a_n_sequence,
+    hitting_probability,
+    root_summability_check,
 )
+from .kernels import EQUATIONS, kernel_checks, peszat_probe
 from .noise import keyed_rng, spectral_increments, variance_bias_report
 from .picard import (
     PicardConvergenceError,
@@ -50,7 +54,6 @@ from .picard import (
     solve,
     solve_ensemble,
 )
-from .quadrature import gauss_panels, geometric_edges, oscillation_edges, oscillatory_power_tail
 from .regularity import (
     FieldSampleCollector,
     FirstIncrementCollector,
@@ -67,6 +70,7 @@ from .report import (
     PlotSeries,
     VerificationReport,
     all_passed,
+    csv_text,
     emit_report,
     format_float,
     make_check,
@@ -241,13 +245,6 @@ def _thin_indices(n_points, target):
     return np.unique(np.linspace(0, n_points - 1, target).round().astype(int))
 
 
-def _csv_text(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _log10_intercept(fit):
     lx = np.log10(fit.lags)
     ly = np.log10(fit.moments)
@@ -263,179 +260,37 @@ def _cmd_verify_identities(args):
     )
     out_dir = _echo(settings)
 
-    rows = []
-    reports = []
-    for g in (gaussian_bump(), tent(), indicator()):
-        for row in identity_check(g, settings["hurst_grid"], tol=settings["tol"]):
-            rows.append(
-                {
-                    "g": row.name,
-                    "h": _json_number(row.h),
-                    "lhs": _json_number(row.fourier),
-                    "rhs": _json_number(row.sobolev),
-                    "rel_err": _json_number(row.rel_err),
-                    "pass": row.passed,
-                }
-            )
-            scale = max(abs(row.fourier), abs(row.sobolev), 1e-300)
-            reports.append(
-                make_check(
-                    f"sobolev-fourier-{row.name}-h{row.h:g}",
-                    computed=row.fourier,
-                    reference=row.sobolev,
-                    tolerance=row.tol * scale,
-                    inputs={"g": row.name, "h": row.h},
-                )
-            )
-
+    rows = [
+        row
+        for g in (gaussian_bump(), tent(), indicator())
+        for row in identity_check(g, settings["hurst_grid"], tol=settings["tol"])
+    ]
     if args.format == "csv":
-        text = _csv_text(
-            ("g", "h", "lhs", "rhs", "rel_err", "pass"),
-            [
-                (
-                    r["g"],
-                    float(r["h"]),
-                    float(r["lhs"]) if not isinstance(r["lhs"], str) else r["lhs"],
-                    float(r["rhs"]) if not isinstance(r["rhs"], str) else r["rhs"],
-                    float(r["rel_err"]) if not isinstance(r["rel_err"], str) else r["rel_err"],
-                    "true" if r["pass"] else "false",
-                )
-                for r in rows
-            ],
+        cells = [
+            (row.name, row.h, row.fourier, row.sobolev, row.rel_err, row.report.passed)
+            for row in rows
+        ]
+        _write_text(
+            os.path.join(out_dir, "identities.csv"),
+            csv_text(("g", "h", "lhs", "rhs", "rel_err", "pass"), cells),
         )
-        _write_text(os.path.join(out_dir, "identities.csv"), text)
     else:
-        _write_json(os.path.join(out_dir, "identities.json"), rows)
-    return _finish(reports, out_dir, args.format)
+        records = [
+            {
+                "g": row.name,
+                "h": _json_number(row.h),
+                "lhs": _json_number(row.fourier),
+                "rhs": _json_number(row.sobolev),
+                "rel_err": _json_number(row.rel_err),
+                "pass": row.report.passed,
+            }
+            for row in rows
+        ]
+        _write_json(os.path.join(out_dir, "identities.json"), records)
+    return _finish([row.report for row in rows], out_dir, args.format)
 
 
 # ------------------------------------------------------------------- kernels
-
-
-def _wave_moment_quadrature(t, alpha):
-    # |FG_t|^2 |xi|^alpha over the line: resolve each half oscillation up to
-    # the cutoff, then add the analytic power tail and its oscillatory
-    # remainder.
-    cutoff = 2000.0
-
-    def f(xi):
-        return np.abs(green_fourier("wave", t, xi)) ** 2 * xi**alpha
-
-    edges = np.concatenate([[0.0], oscillation_edges(1.0, cutoff, math.pi / t)])
-    body = gauss_panels(f, edges)
-    tail = cutoff ** (alpha - 1.0) / (2.0 * (1.0 - alpha))
-    tail -= 0.5 * oscillatory_power_tail("cos", 2.0 * t, alpha - 2.0, cutoff)
-    return 2.0 * (body + tail)
-
-
-def _heat_moment_quadrature(t, alpha):
-    cutoff = math.sqrt(745.0 / t)
-
-    def f(xi):
-        return np.abs(green_fourier("heat", t, xi)) ** 2 * xi**alpha
-
-    edges = np.concatenate([[0.0], geometric_edges(1e-8 * cutoff, cutoff)])
-    return 2.0 * gauss_panels(f, edges)
-
-
-def _a_t_time_quadrature(equation, T, alpha):
-    lo = 1e-12 * T
-
-    def f(t):
-        return np.array([fourier_moment(equation, v, alpha) for v in np.atleast_1d(t)])
-
-    body = gauss_panels(f, geometric_edges(lo, T))
-    # the integrand is an exact power of t, so the [0, lo] stub is analytic
-    p = 1.0 - alpha if equation == "wave" else -(alpha + 1.0) / 2.0
-    c = fourier_moment(equation, lo, alpha) / lo**p
-    return body + c * lo ** (p + 1.0) / (p + 1.0)
-
-
-def _g_l2_quadrature(equation, t):
-    def f(x):
-        return green(equation, t, x) ** 2
-
-    if equation == "wave":
-        return gauss_panels(f, np.array([-t, 0.0, t]))
-    width = 12.0 * math.sqrt(t)
-    return 2.0 * gauss_panels(f, np.concatenate([[0.0], geometric_edges(1e-10 * width, width)]))
-
-
-def _kernel_suite(equation, T, alphas):
-    reports = []
-    for alpha in alphas:
-        quad = _wave_moment_quadrature if equation == "wave" else _heat_moment_quadrature
-        reference = fourier_moment(equation, 0.7 * T, alpha)
-        reports.append(
-            make_check(
-                f"fourier-moment-quadrature-{equation}-alpha{alpha:g}",
-                computed=quad(0.7 * T, alpha),
-                reference=reference,
-                tolerance=1e-3 * abs(reference),
-                inputs={"equation": equation, "t": 0.7 * T, "alpha": alpha},
-            )
-        )
-        reference = A_T(equation, T, alpha)
-        reports.append(
-            make_check(
-                f"A_T-time-quadrature-{equation}-alpha{alpha:g}",
-                computed=_a_t_time_quadrature(equation, T, alpha),
-                reference=reference,
-                tolerance=1e-3 * reference,
-                inputs={"equation": equation, "T": T, "alpha": alpha},
-            )
-        )
-        scale_target = 2.0 ** (2.0 - alpha) if equation == "wave" else 2.0 ** ((1.0 - alpha) / 2.0)
-        reports.append(
-            make_check(
-                f"A_T-scaling-{equation}-alpha{alpha:g}",
-                computed=A_T(equation, 2.0 * T, alpha) / A_T(equation, T, alpha),
-                reference=scale_target,
-                tolerance=1e-12 * scale_target,
-                inputs={"equation": equation, "T": T, "alpha": alpha},
-            )
-        )
-    special = math.pi * T**2 / 2.0 if equation == "wave" else 2.0 * math.sqrt(math.pi * T)
-    reports.append(
-        make_check(
-            f"A_T-special-value-{equation}",
-            computed=A_T(equation, T, 0.0),
-            reference=special,
-            tolerance=1e-12 * special,
-            inputs={"equation": equation, "T": T},
-        )
-    )
-    reference = g_l2_norm_sq(equation, 0.7 * T)
-    reports.append(
-        make_check(
-            f"g-l2-norm-{equation}",
-            computed=_g_l2_quadrature(equation, 0.7 * T),
-            reference=reference,
-            tolerance=1e-6 * reference,
-            inputs={"equation": equation, "t": 0.7 * T},
-        )
-    )
-    cos_check = cos_increment_bound_check(equation, T, alpha=0.3, shift=0.25 * T)
-    reports.append(
-        make_check(
-            f"cos-increment-bound-{equation}",
-            computed=cos_check.ratio,
-            reference=0.0,
-            tolerance=1.0 + 1e-6,
-            inputs={"equation": equation, "T": T, "alpha": 0.3},
-        )
-    )
-    rate = time_increment_bound_check(equation, T, 0.3)
-    reports.append(
-        make_check(
-            f"time-increment-rate-shortfall-{equation}",
-            computed=max(rate.target - rate.slope, 0.0),
-            reference=0.0,
-            tolerance=rate.margin,
-            inputs={"equation": equation, "T": T, "alpha": 0.3},
-        )
-    )
-    return reports
 
 
 def _cmd_verify_kernels(args):
@@ -456,7 +311,7 @@ def _cmd_verify_kernels(args):
             raise _CliError(f"alpha must lie in (-1, 1), got {alpha!r}")
     out_dir = _echo(settings)
     equations = EQUATIONS if equation == "both" else (equation,)
-    reports = [rep for eq in equations for rep in _kernel_suite(eq, T, alphas)]
+    reports = [rep for eq in equations for rep in kernel_checks(eq, T, alphas)]
     return _finish(reports, out_dir, args.format)
 
 
@@ -493,7 +348,7 @@ def _cmd_peszat(args):
                 inputs={"h": h, "etas": _grid_text(etas)},
             )
         )
-    _write_text(os.path.join(out_dir, "probes.csv"), _csv_text(("h", "eta", "value"), rows))
+    _write_text(os.path.join(out_dir, "probes.csv"), csv_text(("h", "eta", "value"), rows))
     return _finish(reports, out_dir, args.format)
 
 
@@ -597,7 +452,7 @@ def _picard_single(cfg, out_dir, fmt):
         t_text = format_float(field.t_grid[i])
         for j, x in zip(x_idx, x_text):
             rows.append((t_text, x, float(values[i, j])))
-    _write_text(os.path.join(out_dir, "field.csv"), _csv_text(("t", "x", "value"), rows))
+    _write_text(os.path.join(out_dir, "field.csv"), csv_text(("t", "x", "value"), rows))
 
     seminorm = pathwise_x2_seminorm(field.values - result.homogeneous, result.geometry)
     diagnostics = {
@@ -656,7 +511,7 @@ def _picard_ensemble(cfg, out_dir, fmt, threads):
     rows = [(n + 1, float(mean[n]), float(peak[n])) for n in range(mean.size)]
     _write_text(
         os.path.join(out_dir, "deltas.csv"),
-        _csv_text(("iteration", "mean_delta", "max_delta"), rows),
+        csv_text(("iteration", "mean_delta", "max_delta"), rows),
     )
     diagnostics = {
         "equation": cfg.equation,
@@ -776,7 +631,7 @@ def _cmd_holder(args):
         ]
         _write_text(
             os.path.join(out_dir, f"holder-{target}-{axis}.csv"),
-            _csv_text(("lag", "moment", "stderr"), rows),
+            csv_text(("lag", "moment", "stderr"), rows),
         )
         summary[axis] = {
             "label": fit.label,
@@ -833,34 +688,24 @@ def _cmd_moments(args):
     _, ensemble, first = _solve_ensemble_blocks(
         picard_cfg, cfg.ensemble, cfg.max_iters, threads, thin=(16, 128)
     )
-    reports = list(moment_report(ensemble, p_list=p_list))
-
-    # the first stored time is the deterministic datum: the sup runs over the rest
-    random_part = ensemble.values[:, 1:, :]
-    rows = []
-    for p in p_list:
-        momt = np.mean(np.abs(random_part) ** p, axis=0)
-        it, ix = np.unravel_index(int(np.argmax(momt)), momt.shape)
-        se = float(
-            np.std(np.abs(random_part[:, it, ix]) ** p, ddof=1)
-            / math.sqrt(ensemble.n_realizations)
-        )
-        rows.append((int(p), float(momt[it, ix]), se))
+    reports, sups = moment_report(ensemble, p_list=p_list)
     _write_text(
-        os.path.join(out_dir, "moments.csv"), _csv_text(("p", "sup_moment", "stderr"), rows)
+        os.path.join(out_dir, "moments.csv"),
+        csv_text(("p", "sup_moment", "stderr"), [(s.p, s.sup, s.stderr) for s in sups]),
     )
 
     if cfg.sigma_a == 0.0:
         reports.append(gaussian_ratio_check(picard_cfg, first))
 
+    # the first stored time is the deterministic datum: the curves start after it
     plots = [
         PlotSeries(
-            name=f"p{p}-sup-moment-over-time",
+            name=f"p{s.p}-sup-moment-over-time",
             x=tuple(float(t) for t in ensemble.t[1:]),
-            y=tuple(float(v) for v in np.mean(np.abs(random_part) ** p, axis=0).max(axis=1)),
+            y=tuple(float(v) for v in s.sup_over_time),
             axes="semilogy",
         )
-        for p in p_list
+        for s in sups
     ]
     return _finish(reports, out_dir, args.format, plots=plots)
 
@@ -893,7 +738,7 @@ def _cmd_gronwall(args):
     problem = GronwallProblem(T=T, g=g_spec, M0=m0, M1=m1)
     seq = a_n_sequence(problem, n_max)
     rows = [(n, float(seq[n])) for n in range(seq.size)]
-    _write_text(os.path.join(out_dir, "a_n.csv"), _csv_text(("n", "a_n"), rows))
+    _write_text(os.path.join(out_dir, "a_n.csv"), csv_text(("n", "a_n"), rows))
 
     conv = hitting_probability(g_spec, T, k)
     mc = hitting_probability(g_spec, T, k, method="mc", n_samples=mc_samples, seed=seed)
@@ -918,21 +763,7 @@ def _cmd_gronwall(args):
             )
         )
 
-    # numerical Cauchy verdict: the second half of the root partial sums
-    # must add less than 1e-5 of the first half (factorial decay regime)
-    roots = np.sqrt(seq)
-    split = seq.size // 2 + 1
-    head = float(roots[:split].sum())
-    tail = float(roots[split:].sum())
-    reports.append(
-        make_check(
-            "gronwall-root-summability-tail",
-            computed=tail / max(head, 1e-300),
-            reference=0.0,
-            tolerance=1e-5,
-            inputs={"g": g_spec, "T": T, "n_max": n_max},
-        )
-    )
+    reports.append(root_summability_check(problem, seq))
 
     positive = seq > 0.0
     plots = [

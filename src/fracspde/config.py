@@ -246,7 +246,7 @@ def initial_data(config):
         def v0(x):
             return np.full_like(np.asarray(x, dtype=float), v0_value)
 
-        return InitialData(u0=base.u0, v0=v0, description="holder-sample;v0")
+        return InitialData(u0=base.u0, v0=v0)
     return constant_initial(const_value, config.v0)
 
 

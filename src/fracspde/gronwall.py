@@ -37,6 +37,7 @@ __all__ = [
     "density_cell_masses",
     "hitting_probability",
     "a_n_sequence",
+    "root_summability_check",
     "recurrence_violations",
     "recurrence_check",
 ]
@@ -161,20 +162,26 @@ def density_cell_masses(g, T, n_cells=GRID_CELLS):
     return vals * width
 
 
-def _prefix_distribution(p, k):
-    """Masses of S_k on conv indices 0..n_cells, truncated to the prefix.
+def _hitting_sweep(p, k_max, n_cells):
+    """P(S_k <= T) at index k = 1..k_max of the returned array (index 0 is
+    unused), from one k-fold convolution sweep of the cell masses p.
 
-    Index additivity means entries beyond n_cells never feed back into
-    the prefix, so truncating after each direct convolution is exact for
-    the retained entries; direct (not FFT) convolution keeps the deep
-    sub-1e-30 tail masses at full relative precision, which the
-    summability checks rely on.
+    The distribution of S_k lives on conv indices 0..n_cells, truncated
+    to that prefix: index additivity means entries beyond n_cells never
+    feed back into the prefix, so truncating after each direct
+    convolution is exact for the retained entries; direct (not FFT)
+    convolution keeps the deep sub-1e-30 tail masses at full relative
+    precision, which the summability checks rely on.  Atom i sits at
+    (i + k/2) * width, and the atoms at or below T are kept.
     """
-    n = p.size
+    hit = np.zeros(k_max + 1)
     dist = p
-    for _ in range(k - 1):
-        dist = np.convolve(dist, p)[: n + 1]
-    return dist
+    for k in range(1, k_max + 1):
+        i_max = int(math.floor(n_cells - 0.5 * k + 1e-9))
+        hit[k] = float(dist[: i_max + 1].sum()) if i_max >= 0 else 0.0
+        if k < k_max:
+            dist = np.convolve(dist, p)[: n_cells + 1]
+    return hit
 
 
 def hitting_probability(g, T, k, method="convolution", n_cells=GRID_CELLS,
@@ -197,12 +204,7 @@ def hitting_probability(g, T, k, method="convolution", n_cells=GRID_CELLS,
     p = masses / total
     width = float(T) / n_cells
     if method == "convolution":
-        dist = _prefix_distribution(p, k)
-        # atom i sits at (i + 0.5 k) * width; keep atoms at or below T
-        i_max = int(math.floor(n_cells - 0.5 * k + 1e-9))
-        if i_max < 0:
-            return 0.0
-        return float(dist[: i_max + 1].sum())
+        return float(_hitting_sweep(p, k, n_cells)[k])
     if method == "mc":
         rng = keyed_rng(seed)
         hits = 0
@@ -219,31 +221,46 @@ def hitting_probability(g, T, k, method="convolution", n_cells=GRID_CELLS,
 def a_n_sequence(problem, n_max, n_cells=GRID_CELLS):
     """The bound sequence a_0 .. a_n_max, reusing one convolution sweep.
 
-    Raises GronwallOverflowError before the sweep when a factor of a_n_max
-    lies beyond float range.
+    Raises GronwallOverflowError before anything of the size of n_max is
+    allocated when a factor of a_n_max lies beyond float range.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    out = np.ones(n_max + 1)
     if n_max < 2:
-        return out
+        return np.ones(n_max + 1)
     masses = density_cell_masses(problem.g, problem.T, n_cells)
     total = float(masses.sum())
     big_k = max(total, 1.0)
     _check_float_range(big_k, n_max)
     k_max = n_max // 2
-    hit = np.zeros(k_max + 1)
     if total > 0.0:
-        p = masses / total
-        dist = p
-        for k in range(1, k_max + 1):
-            i_max = int(math.floor(n_cells - 0.5 * k + 1e-9))
-            hit[k] = float(dist[: i_max + 1].sum()) if i_max >= 0 else 0.0
-            if k < k_max:
-                dist = np.convolve(dist, p)[: n_cells + 1]
+        hit = _hitting_sweep(masses / total, k_max, n_cells)
+    else:
+        hit = np.zeros(k_max + 1)
+    out = np.ones(n_max + 1)
     for n in range(2, n_max + 1):
         out[n] = float(fibonacci(n + 1)) * big_k ** (n - 1) * hit[n // 2]
     return out
+
+
+def root_summability_check(problem, a_seq):
+    """Numerical Cauchy verdict on the root partial sums of a_0 .. a_n_max.
+
+    The second half of the partial sums of sqrt(a_n) must add less than
+    1e-5 of the first half, the factorial decay regime; this is evidence
+    of summability, never a proof.
+    """
+    roots = np.sqrt(a_seq)
+    split = a_seq.size // 2 + 1
+    head = float(roots[:split].sum())
+    tail = float(roots[split:].sum())
+    return make_check(
+        "gronwall-root-summability-tail",
+        computed=tail / max(head, 1e-300),
+        reference=0.0,
+        tolerance=1e-5,
+        inputs={"g": problem.g, "T": problem.T, "n_max": a_seq.size - 1},
+    )
 
 
 def _validated_sequence(problem):

@@ -7,7 +7,8 @@ Conventions.  The Fourier transform is Fg(xi) = int e^(-i xi x) g(x) dx, so
     heat:  G_t(x) = exp(-x^2 / 2t) / sqrt(2 pi t),   FG_t(xi) = exp(-t xi^2 / 2)
 
 Everything with a closed form here is cross-checked against independent
-quadrature in the tests; the two bound-check helpers are themselves
+quadrature by ``kernel_checks``, the suite behind ``verify-kernels``, and
+again in the tests; the two bound-check helpers are themselves
 quadrature-based because the quantities they bound have no closed form.
 """
 
@@ -24,8 +25,10 @@ from .quadrature import (
     gauss_panels,
     geometric_edges,
     graded_oscillation_edges,
+    oscillation_edges,
     oscillatory_power_tail,
 )
+from .report import make_check
 
 __all__ = [
     "EQUATIONS",
@@ -39,6 +42,7 @@ __all__ = [
     "cos_increment_bound_check",
     "TimeIncrementCheck",
     "time_increment_bound_check",
+    "kernel_checks",
     "peszat_probe",
 ]
 
@@ -252,10 +256,6 @@ class CosIncrementCheck:
             return 0.0
         return self.lhs / self.bound
 
-    @property
-    def passed(self) -> bool:
-        return self.lhs <= self.bound * (1.0 + 1e-6)
-
 
 def cos_increment_bound_check(equation: str, T: float, alpha: float, shift: float) -> CosIncrementCheck:
     """Check int_0^T int (1-cos(xi h)) |FG_t|^2 |xi|^alpha dxi dt <= C T |h|^(1-alpha)
@@ -340,11 +340,6 @@ class TimeIncrementCheck:
     target: float
     margin: float = 0.05
 
-    @property
-    def passed(self) -> bool:
-        # upper power bound: decaying faster than the target rate is fine
-        return self.slope >= self.target - self.margin
-
 
 def time_increment_bound_check(
     equation: str,
@@ -371,6 +366,147 @@ def time_increment_bound_check(
     return TimeIncrementCheck(equation, T, a, shifts, values, slope, target)
 
 
+# ---------------------------------------------------------------------------
+# The kernel suite: each closed form against an independent quadrature
+# ---------------------------------------------------------------------------
+
+
+def _wave_moment_quadrature(t, alpha):
+    # |FG_t|^2 |xi|^alpha over the line: resolve each half oscillation up to
+    # the cutoff, then add the analytic power tail and its oscillatory
+    # remainder.
+    cutoff = 2000.0
+
+    def f(xi):
+        return np.abs(green_fourier("wave", t, xi)) ** 2 * xi**alpha
+
+    edges = np.concatenate([[0.0], oscillation_edges(1.0, cutoff, math.pi / t)])
+    body = gauss_panels(f, edges)
+    tail = cutoff ** (alpha - 1.0) / (2.0 * (1.0 - alpha))
+    tail -= 0.5 * oscillatory_power_tail("cos", 2.0 * t, alpha - 2.0, cutoff)
+    return 2.0 * (body + tail)
+
+
+def _heat_moment_quadrature(t, alpha):
+    cutoff = math.sqrt(745.0 / t)
+
+    def f(xi):
+        return np.abs(green_fourier("heat", t, xi)) ** 2 * xi**alpha
+
+    edges = np.concatenate([[0.0], geometric_edges(1e-8 * cutoff, cutoff)])
+    return 2.0 * gauss_panels(f, edges)
+
+
+def _a_t_time_quadrature(equation, T, alpha):
+    lo = 1e-12 * T
+
+    def f(t):
+        return np.array([fourier_moment(equation, v, alpha) for v in np.atleast_1d(t)])
+
+    body = gauss_panels(f, geometric_edges(lo, T))
+    # the integrand is an exact power of t, so the [0, lo] stub is analytic
+    p = 1.0 - alpha if equation == "wave" else -(alpha + 1.0) / 2.0
+    c = fourier_moment(equation, lo, alpha) / lo**p
+    return body + c * lo ** (p + 1.0) / (p + 1.0)
+
+
+def _g_l2_quadrature(equation, t):
+    def f(x):
+        return green(equation, t, x) ** 2
+
+    if equation == "wave":
+        return gauss_panels(f, np.array([-t, 0.0, t]))
+    width = 12.0 * math.sqrt(t)
+    return 2.0 * gauss_panels(f, np.concatenate([[0.0], geometric_edges(1e-10 * width, width)]))
+
+
+def kernel_checks(equation: str, T: float, alphas) -> list:
+    """The kernel suite of one equation: closed forms against quadrature.
+
+    For each alpha: fourier_moment at t = 0.7 T and A_T against panel
+    quadrature (relative 1e-3), and the scaling A_(2T) / A_T against its
+    exact power of 2.  Then A_T at alpha = 0 against its special value,
+    ||G_t||^2 against quadrature in x, the cosine-increment integral
+    against its power bound (ratio at most 1 + 1e-6), and the fitted
+    time-increment rate against its target (shortfall within the margin).
+    Returns the VerificationReports in that order.
+    """
+    reports = []
+    for alpha in alphas:
+        quad = _wave_moment_quadrature if equation == "wave" else _heat_moment_quadrature
+        reference = fourier_moment(equation, 0.7 * T, alpha)
+        reports.append(
+            make_check(
+                f"fourier-moment-quadrature-{equation}-alpha{alpha:g}",
+                computed=quad(0.7 * T, alpha),
+                reference=reference,
+                tolerance=1e-3 * abs(reference),
+                inputs={"equation": equation, "t": 0.7 * T, "alpha": alpha},
+            )
+        )
+        reference = A_T(equation, T, alpha)
+        reports.append(
+            make_check(
+                f"A_T-time-quadrature-{equation}-alpha{alpha:g}",
+                computed=_a_t_time_quadrature(equation, T, alpha),
+                reference=reference,
+                tolerance=1e-3 * reference,
+                inputs={"equation": equation, "T": T, "alpha": alpha},
+            )
+        )
+        scale_target = 2.0 ** (2.0 - alpha) if equation == "wave" else 2.0 ** ((1.0 - alpha) / 2.0)
+        reports.append(
+            make_check(
+                f"A_T-scaling-{equation}-alpha{alpha:g}",
+                computed=A_T(equation, 2.0 * T, alpha) / A_T(equation, T, alpha),
+                reference=scale_target,
+                tolerance=1e-12 * scale_target,
+                inputs={"equation": equation, "T": T, "alpha": alpha},
+            )
+        )
+    special = math.pi * T**2 / 2.0 if equation == "wave" else 2.0 * math.sqrt(math.pi * T)
+    reports.append(
+        make_check(
+            f"A_T-special-value-{equation}",
+            computed=A_T(equation, T, 0.0),
+            reference=special,
+            tolerance=1e-12 * special,
+            inputs={"equation": equation, "T": T},
+        )
+    )
+    reference = g_l2_norm_sq(equation, 0.7 * T)
+    reports.append(
+        make_check(
+            f"g-l2-norm-{equation}",
+            computed=_g_l2_quadrature(equation, 0.7 * T),
+            reference=reference,
+            tolerance=1e-6 * reference,
+            inputs={"equation": equation, "t": 0.7 * T},
+        )
+    )
+    cos_check = cos_increment_bound_check(equation, T, alpha=0.3, shift=0.25 * T)
+    reports.append(
+        make_check(
+            f"cos-increment-bound-{equation}",
+            computed=cos_check.ratio,
+            reference=0.0,
+            tolerance=1.0 + 1e-6,
+            inputs={"equation": equation, "T": T, "alpha": 0.3},
+        )
+    )
+    rate = time_increment_bound_check(equation, T, 0.3)
+    reports.append(
+        make_check(
+            f"time-increment-rate-shortfall-{equation}",
+            computed=max(rate.target - rate.slope, 0.0),
+            reference=0.0,
+            tolerance=rate.margin,
+            inputs={"equation": equation, "T": T, "alpha": 0.3},
+        )
+    )
+    return reports
+
+
 def peszat_probe(h: float, eta: float, cutoff: float = 1e4) -> float:
     """Shifted resolvent mass int_0^cutoff (1 + xi^2)^(-1) (xi + eta)^(1-2h) dxi.
 
@@ -395,3 +531,4 @@ def peszat_probe(h: float, eta: float, cutoff: float = 1e4) -> float:
     pts = [p for p in (1.0, eta) if 0.0 < p < cutoff]
     val, _ = _scipy_integrate.quad(f, 0.0, cutoff, limit=400, points=pts or None)
     return float(val)
+

@@ -102,8 +102,8 @@ def keyed_rng(seed: int, *key: int) -> np.random.Generator:
     are independent.  Every random draw of the package comes from here.
     Keys in use: (r,) is the driving noise of realization r, (r, 1) the
     innovations of the additive-solution sampler, and () the draws that
-    are not a realization of the noise (the sampled initial datum, the
-    Monte Carlo oracles, the Holder spot check).
+    are not a realization of the noise (the sampled initial datum and the
+    Monte Carlo hitting oracle).
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))

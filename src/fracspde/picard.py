@@ -33,7 +33,6 @@ __all__ = [
     "InitialData",
     "constant_initial",
     "sampled_holder_initial",
-    "holder_spot_check",
     "PicardConfig",
     "SolverGeometry",
     "build_geometry",
@@ -110,7 +109,6 @@ class InitialData:
 
     u0: object
     v0: object = None
-    description: str = ""
 
 
 def constant_initial(value, v0_value=0.0, ):
@@ -121,12 +119,12 @@ def constant_initial(value, v0_value=0.0, ):
         return np.full_like(np.asarray(x, dtype=float), value)
 
     if v0_value == 0.0:
-        return InitialData(u0=u0, v0=None, description=f"const:{value:g}")
+        return InitialData(u0=u0)
 
     def v0(x):
         return np.full_like(np.asarray(x, dtype=float), v0_value)
 
-    return InitialData(u0=u0, v0=v0, description=f"const:{value:g};v0:{v0_value:g}")
+    return InitialData(u0=u0, v0=v0)
 
 
 HOLDER_SAMPLE_BANDS = 128  # bands k = 1..128 at d_omega = 1
@@ -161,31 +159,7 @@ def sampled_holder_initial(h, seed):
         # 1 - q vanishes at x = 0; adding 0.0 turns a -0.0 there into 0.0
         return 2.0 * acc.real + 0.0
 
-    return InitialData(u0=u0, v0=None, description="holder-sample")
-
-
-def holder_spot_check(f, h, window, n_pairs=4096, seed=0):
-    """Largest observed ratio |f(x)-f(y)| / |x-y|^h over random pairs.
-
-    A finite, stable value across reruns is evidence the datum is h-Holder
-    on the window; this is a spot check, not a proof.
-    """
-    h = float(h)
-    lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError("window must satisfy lo < hi")
-    rng = keyed_rng(seed)
-    x = rng.uniform(lo, hi, size=n_pairs)
-    y = rng.uniform(lo, hi, size=n_pairs)
-    keep = np.abs(x - y) > 1e-12
-    x, y = x[keep], y[keep]
-    num = np.abs(np.asarray(f(x), dtype=float) - np.asarray(f(y), dtype=float))
-    ratios = num / np.abs(x - y) ** h
-    return {
-        "constant": float(np.max(ratios)) if ratios.size else 0.0,
-        "n_pairs": int(ratios.size),
-        "sup_abs": float(np.max(np.abs(f(np.linspace(lo, hi, 512))))),
-    }
+    return InitialData(u0=u0)
 
 
 @dataclass(frozen=True)

@@ -60,9 +60,8 @@ __all__ = [
     "time_increment_moments",
     "holder_exponent_space",
     "holder_exponent_time",
+    "SupMoment",
     "moment_report",
-    "MomentRatioCheck",
-    "gaussian_moment_ratio_check",
     "gaussian_ratio_check",
 ]
 
@@ -598,6 +597,20 @@ def holder_exponent_time(increments, complete=True, min_realizations=1000):
                         label=f"{increments.kind}-time-h{increments.h:g}")
 
 
+@dataclass(frozen=True)
+class SupMoment:
+    """The grid sup of E|u|^p over the stored times after the first.
+
+    stderr is the empirical standard error at the sup cell, and
+    sup_over_time holds, for each of those times, the sup over x.
+    """
+
+    p: int
+    sup: float
+    stderr: float
+    sup_over_time: np.ndarray
+
+
 def moment_report(ensemble, p_list=(2, 4), kurtosis_cap=0.25):
     """Grid-sup p-th moments with a refinement-stability finiteness check.
 
@@ -610,7 +623,7 @@ def moment_report(ensemble, p_list=(2, 4), kurtosis_cap=0.25):
     it carries no randomness and is left out of both.  The standard error
     at the sup cell is the empirical one; if it exceeds kurtosis_cap times
     the estimate, the p-th moment is too heavy-tailed for the ensemble and
-    the run aborts.
+    the run aborts.  Returns the checks and, for each p, its SupMoment.
     """
     for p in p_list:
         if p < 2:
@@ -619,6 +632,7 @@ def moment_report(ensemble, p_list=(2, 4), kurtosis_cap=0.25):
         raise ValueError("moment report needs at least 3 stored times")
     n = ensemble.n_realizations
     checks = []
+    sups = []
     inputs = {
         "kind": ensemble.kind, "h": ensemble.h,
         "n_realizations": n, "n_times": ensemble.t.size,
@@ -649,38 +663,8 @@ def moment_report(ensemble, p_list=(2, 4), kurtosis_cap=0.25):
             tolerance=2.0,
             inputs={**inputs, "p": p, "sup": sup_fine, "se": se_at_sup},
         ))
-    return checks
-
-
-@dataclass(frozen=True)
-class MomentRatioCheck:
-    ratio: float
-    se: float
-    target: float
-    passed: bool
-
-
-def gaussian_moment_ratio_check(samples, target=3.0):
-    """E|Z|^4 / (E|Z|^2)^2 with its standard error under the Gaussian null.
-
-    Wiener integrals of deterministic integrands are Gaussian, so the ratio
-    is 3, and the sample ratio of n Gaussian draws has standard error
-    sqrt(24 / n).  The error is taken from the null rather than from the
-    sample, so a light-tailed sample cannot shrink its own error; passes
-    when the target sits within 3 SE of the estimate.  Raises ValueError on
-    fewer than 2 samples or a zero second moment.
-    """
-    z = np.asarray(samples, dtype=float)
-    n = z.size
-    if n < 2:
-        raise ValueError("need at least 2 samples for the moment ratio")
-    m2 = float(np.mean(z**2))
-    if m2 == 0.0:
-        raise ValueError("the moment ratio is undefined: the second moment is 0")
-    ratio = float(np.mean(z**4)) / m2**2
-    se = math.sqrt(24.0 / n)
-    passed = abs(ratio - target) <= 3.0 * se
-    return MomentRatioCheck(ratio, se, float(target), passed)
+        sups.append(SupMoment(int(p), sup_fine, se_at_sup, mean.max(axis=1)))
+    return checks, sups
 
 
 class FirstIncrementCollector:
@@ -699,23 +683,33 @@ class FirstIncrementCollector:
             self.values.append(float(diff[-1, geom.n_fft // 2]))
 
 
-def gaussian_ratio_check(config, first_increments):
-    """Fourth-to-second moment ratio of the first stochastic increment.
+def gaussian_ratio_check(config, samples):
+    """Fourth-to-second moment ratio E|Z|^4 / (E|Z|^2)^2 against 3.
 
     With a = 0 the first Picard increment is a Gaussian integral of a
-    deterministic slice, so E|D|^4 / (E|D|^2)^2 = 3 at every grid point;
-    the check compares the ratio of ``first_increments`` (the increments
-    at the final-time core center, one per realization, as collected by
-    FirstIncrementCollector) against 3 within the Gaussian-null error of
-    ``gaussian_moment_ratio_check``.
+    deterministic slice, so the ratio is 3 at every grid point; samples
+    are such increments at one point, one per realization (for instance
+    at the final-time core center, as FirstIncrementCollector collects
+    them).  The sample ratio of n Gaussian draws has standard error
+    sqrt(24 / n).  The error is taken from the null rather than from the
+    sample, so a light-tailed sample cannot shrink its own error; the
+    check passes when 3 sits within 3 SE of the estimate.  Raises
+    ValueError when a != 0, on fewer than 2 samples or a zero second
+    moment.
     """
     if config.sigma.a != 0.0:
         raise ValueError("the Gaussian ratio diagnostic applies to a = 0 only")
-    chk = gaussian_moment_ratio_check(first_increments)
+    z = np.asarray(samples, dtype=float)
+    n = z.size
+    if n < 2:
+        raise ValueError("need at least 2 samples for the moment ratio")
+    m2 = float(np.mean(z**2))
+    if m2 == 0.0:
+        raise ValueError("the moment ratio is undefined: the second moment is 0")
     return make_check(
         "gaussian-p4-p2-ratio",
-        computed=chk.ratio,
+        computed=float(np.mean(z**4)) / m2**2,
         reference=3.0,
-        standard_error=chk.se,
-        inputs={"equation": config.equation, "h": config.h, "n": len(first_increments)},
+        standard_error=math.sqrt(24.0 / n),
+        inputs={"equation": config.equation, "h": config.h, "n": n},
     )

@@ -18,6 +18,7 @@ __all__ = [
     "inputs_digest",
     "format_float",
     "render_json",
+    "csv_text",
     "render_csv",
     "render_svg",
     "emit_report",
@@ -137,21 +138,26 @@ def render_json(reports):
     return (body + "\n").encode()
 
 
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
+
+
+def csv_text(header, rows):
+    """CSV text of a header and rows of cells: floats by format_float,
+    bools as true/false, None as an empty cell, anything else by str."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def render_csv(reports):
-    lines = [",".join(_REPORT_FIELDS)]
-    for r in reports:
-        cells = []
-        for v in _report_items(r):
-            if v is None:
-                cells.append("")
-            elif isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, float):
-                cells.append(format_float(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return ("\n".join(lines) + "\n").encode()
+    return csv_text(_REPORT_FIELDS, map(_report_items, reports)).encode()
 
 
 @dataclass(frozen=True)

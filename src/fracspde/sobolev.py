@@ -19,6 +19,7 @@ import numpy as np
 
 from .constants import C_H, c_H
 from .quadrature import gauss_panels, geometric_edges
+from .report import VerificationReport, make_check
 
 __all__ = [
     "TestFunction",
@@ -303,15 +304,18 @@ def sobolev_side(g: TestFunction, h: float, z_min: float = 1e-8) -> float:
 
 @dataclass
 class IdentityRow:
-    """One (test function, h) comparison of the two seminorm routes."""
+    """One (test function, h) comparison of the two seminorm routes.
+
+    report holds the verdict: the Fourier side against the Sobolev side
+    within tol times the larger of the two.
+    """
 
     name: str
     h: float
     fourier: float
     sobolev: float
     rel_err: float
-    tol: float
-    passed: bool
+    report: VerificationReport
     error: Optional[str] = None
 
 
@@ -319,21 +323,27 @@ def identity_check(g: TestFunction, h_list, tol: Optional[float] = None) -> list
     """Evaluate both sides for each h and report relative discrepancies.
 
     Default tolerance: 1e-3 for smooth decaying test functions, 1e-2
-    otherwise.  Per-h numerical failures are captured in the row rather than
-    aborting the batch.
+    otherwise.  Per-h numerical failures are captured in the row, with
+    nan sides and a failed report, rather than aborting the batch.
     """
     if tol is None:
         tol = 1e-3 if g.smoothness_tag == "smooth_decaying" else 1e-2
     rows = []
     for h in h_list:
+        error = None
         try:
             lhs = fourier_side(g, h)
             rhs = sobolev_side(g, h)
-            scale = max(abs(lhs), abs(rhs), 1e-300)
-            rel = abs(lhs - rhs) / scale
-            rows.append(IdentityRow(g.name, h, lhs, rhs, rel, tol, rel <= tol))
         except (RuntimeError, ValueError) as exc:
-            rows.append(
-                IdentityRow(g.name, h, math.nan, math.nan, math.nan, tol, False, error=str(exc))
-            )
+            lhs = rhs = math.nan
+            error = str(exc)
+        scale = max(abs(lhs), abs(rhs), 1e-300)
+        report = make_check(
+            f"sobolev-fourier-{g.name}-h{h:g}",
+            computed=lhs,
+            reference=rhs,
+            tolerance=tol * scale,
+            inputs={"g": g.name, "h": h},
+        )
+        rows.append(IdentityRow(g.name, h, lhs, rhs, abs(lhs - rhs) / scale, report, error))
     return rows

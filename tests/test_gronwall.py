@@ -9,10 +9,12 @@ and only the conclusion is at stake).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fracspde import gronwall
 from fracspde.gronwall import (
     GronwallOverflowError,
     GronwallProblem,
@@ -191,6 +193,38 @@ class TestAnBound:
             float(fibonacci(1477))
         with pytest.raises(GronwallOverflowError, match="n = 1476"):
             a_n_sequence(unit, 1476)
+
+    def test_overflow_is_refused_before_the_sequence_is_allocated(self):
+        # an n_max of 10^6 would take 8 MB for the sequence alone; the range
+        # check must come first, leaving only the 4096 cell masses
+        prob = GronwallProblem(T=1.0, g="const", M0=1, M1=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GronwallOverflowError):
+                a_n_sequence(prob, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("g", ["const", "power:0.6", "power:-0.7"])
+    def test_sweep_hitting_probabilities_are_the_single_ones(self, g, monkeypatch):
+        # a_n_sequence reads P(S_k <= T) for every k <= n_max / 2 off one
+        # sweep; each is bitwise the value hitting_probability gives alone
+        sweeps = []
+        real_sweep = gronwall._hitting_sweep
+
+        def spy(p, k_max, n_cells):
+            sweeps.append(real_sweep(p, k_max, n_cells))
+            return sweeps[-1]
+
+        monkeypatch.setattr(gronwall, "_hitting_sweep", spy)
+        a_n_sequence(GronwallProblem(T=1.0, g=g, M0=1, M1=1), 13)
+        monkeypatch.undo()
+        (hit,) = sweeps
+        assert hit.size == 7
+        for k in range(1, 7):
+            assert hitting_probability(g, 1.0, k) == hit[k]
 
     def test_validation(self):
         with pytest.raises(ValueError):

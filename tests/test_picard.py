@@ -29,7 +29,6 @@ from fracspde.picard import (
     PicardDivergenceError,
     build_geometry,
     constant_initial,
-    holder_spot_check,
     homogeneous_term,
     noise_slabs,
     picard_step,
@@ -138,18 +137,6 @@ class TestInitialData:
         x = np.linspace(-3.0, 3.0, 61)
         np.testing.assert_allclose(init.u0(x + 2.0 * math.pi), init.u0(x), atol=1e-12)
         assert init.u0(2.0 * math.pi * 40.0) == pytest.approx(0.0, abs=1e-11)
-
-    def test_holder_spot_check_stable(self):
-        init = sampled_holder_initial(0.3, seed=2)
-        r1 = holder_spot_check(init.u0, 0.3, (-1.0, 1.0), seed=10)
-        r2 = holder_spot_check(init.u0, 0.3, (-1.0, 1.0), seed=11)
-        assert 0.0 < r1["constant"] < 1e3
-        # independent pair draws agree on the scale of the constant
-        assert 0.2 < r1["constant"] / r2["constant"] < 5.0
-
-    def test_spot_check_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            holder_spot_check(lambda x: x, 0.3, (1.0, -1.0))
 
 
 class TestConfigValidation:

@@ -32,7 +32,6 @@ from fracspde.regularity import (
     FirstIncrementCollector,
     IncrementCollector,
     fit_exponent,
-    gaussian_moment_ratio_check,
     gaussian_ratio_check,
     geometric_time_lags,
     holder_exponent_space,
@@ -45,6 +44,7 @@ from fracspde.regularity import (
     time_increment_moments,
     _sampler_geometry,
 )
+from fracspde.report import inputs_digest
 
 
 def band_space_moments(geom, kind, anchor, lags):
@@ -528,7 +528,7 @@ class TestMomentReport:
     def test_deterministic_field_moments_exact(self):
         ens = self._deterministic_ensemble()
         assert np.allclose(ens.values, 0.7, atol=1e-12)
-        reports = moment_report(ens, p_list=(2, 4))
+        reports, _ = moment_report(ens, p_list=(2, 4))
         for rep, p in zip(reports, (2, 4)):
             assert rep.passed
             assert rep.computed == pytest.approx(1.0, abs=1e-12)
@@ -538,7 +538,7 @@ class TestMomentReport:
     def test_ratio_at_least_one(self):
         ens = gather(sample_additive_solution, "wave", 0.3, 0.5, 1.0 / 64, 0.5,
                      [0.1, 0.3, 0.5], 400, seed=7)
-        reports = moment_report(ens, p_list=(2,))
+        reports, _ = moment_report(ens, p_list=(2,))
         assert reports[0].computed >= 1.0
 
     def test_p_validation(self):
@@ -566,7 +566,7 @@ class TestMomentReport:
         values = 1.0 + 0.1 * rng.standard_normal((50, 5, 6))
         values[:, 3, 2] += 0.5
         ens = self._with_datum_row(values, 100.0)
-        rep, = moment_report(ens, p_list=(2,))
+        (rep,), _ = moment_report(ens, p_list=(2,))
         # fine grid: stored times 1..4; coarse grid: stored times 2 and 4
         mean = np.mean(ens.values[:, 1:, :] ** 2, axis=0)
         assert rep.computed == pytest.approx(mean.max() / mean[1::2].max(), rel=1e-12)
@@ -578,6 +578,29 @@ class TestMomentReport:
         ens = self._with_datum_row(values, 1000.0)
         with pytest.raises(RuntimeError, match="heavy-tailed"):
             moment_report(ens, p_list=(2,))
+
+    def test_returned_sup_is_the_one_the_checks_read(self):
+        rng = np.random.Generator(np.random.Philox(8))
+        values = 1.0 + 0.2 * rng.standard_normal((40, 6, 5))
+        ens = self._with_datum_row(values, 0.5)
+        (rep,), (sup,) = moment_report(ens, p_list=(4,))
+        m4 = np.abs(ens.values[:, 1:, :]) ** 4
+        mean = m4.mean(axis=0)
+        it, ix = np.unravel_index(int(mean.argmax()), mean.shape)
+        assert sup.p == 4
+        assert sup.sup == mean[it, ix]
+        assert sup.stderr == pytest.approx(m4[:, it, ix].std(ddof=1) / math.sqrt(40), rel=1e-12)
+        np.testing.assert_array_equal(sup.sup_over_time, mean.max(axis=1))
+        # the grid-sup check digests the returned sup and standard error
+        inputs = {"kind": "heat", "h": 0.3, "n_realizations": 40, "n_times": 6,
+                  "p": 4, "sup": sup.sup, "se": sup.stderr}
+        assert rep.inputs_digest == inputs_digest(inputs)
+        assert rep.computed == sup.sup / mean[1::2].max()
+        # the heavy-tail guard compares the same two numbers with its cap
+        cap = sup.stderr / sup.sup
+        moment_report(ens, p_list=(4,), kurtosis_cap=cap * (1.0 + 1e-9))
+        with pytest.raises(RuntimeError, match="heavy-tailed"):
+            moment_report(ens, p_list=(4,), kurtosis_cap=cap * (1.0 - 1e-9))
 
     def test_kurtosis_guard_fires(self):
         values = np.full((8, 3, 4), 0.01)
@@ -623,35 +646,41 @@ class TestGaussianRatio:
         coll = FirstIncrementCollector()
         solve_ensemble(config, 300, n_iters=1, collectors=(coll,),
                        on_final=lambda r, fld: first.append(fld.values[-1, center] - w_end))
-        expected = gaussian_moment_ratio_check(first)
+        expected = gaussian_ratio_check(config, first)
         report = gaussian_ratio_check(config, coll.values)
-        assert report.computed == pytest.approx(expected.ratio, rel=1e-12)
+        assert report.computed == pytest.approx(expected.computed, rel=1e-12)
         assert report.standard_error == math.sqrt(24.0 / 300)
-        assert expected.se == math.sqrt(24.0 / 300)
+        assert expected.standard_error == math.sqrt(24.0 / 300)
 
 
 class TestGaussianMomentRatio:
+    # the check reads only sigma.a, the equation and h from the run
+    ADDITIVE = PicardConfig(
+        equation="heat", h=0.3, T=0.25, n_steps=8, dx=1.0 / 32, L=0.5,
+        sigma=AffineSigma(0.0, 1.0), init=constant_initial(0.0), seed=5,
+    )
+
     def test_heavy_tailed_sample_fails(self):
         # Laplace draws have ratio 6; the null error of 300 draws is 0.28
         rng = np.random.Generator(np.random.Philox(11))
-        chk = gaussian_moment_ratio_check(rng.laplace(size=300))
-        assert chk.se == math.sqrt(24.0 / 300)
+        chk = gaussian_ratio_check(self.ADDITIVE, rng.laplace(size=300))
+        assert chk.standard_error == math.sqrt(24.0 / 300)
         assert not chk.passed
-        assert chk.ratio > 3.0 + 3.0 * chk.se
+        assert chk.computed > 3.0 + 3.0 * chk.standard_error
 
     def test_light_tailed_sample_keeps_the_null_error(self):
         # uniform draws (ratio 1.8) do not shrink their own error
         rng = np.random.Generator(np.random.Philox(5))
-        chk = gaussian_moment_ratio_check(rng.uniform(-1.0, 1.0, size=60))
-        assert chk.se == math.sqrt(24.0 / 60)
+        chk = gaussian_ratio_check(self.ADDITIVE, rng.uniform(-1.0, 1.0, size=60))
+        assert chk.standard_error == math.sqrt(24.0 / 60)
 
     def test_zero_second_moment_rejected(self):
         with pytest.raises(ValueError, match="second moment is 0"):
-            gaussian_moment_ratio_check(np.zeros(20))
+            gaussian_ratio_check(self.ADDITIVE, np.zeros(20))
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="at least 2"):
-            gaussian_moment_ratio_check([1.0])
+            gaussian_ratio_check(self.ADDITIVE, [1.0])
 
 
 class TestFieldSampleCollector:

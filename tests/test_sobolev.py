@@ -42,7 +42,7 @@ class TestGaussian:
 
     def test_identity_check_passes(self):
         rows = identity_check(gaussian_bump(), H_GRID)
-        assert all(r.passed for r in rows)
+        assert all(r.report.passed for r in rows)
         assert all(r.rel_err <= 1e-3 for r in rows)
 
     def test_fft_fallback_close_to_analytic(self):
@@ -54,7 +54,7 @@ class TestGaussian:
 class TestTent:
     def test_identity(self):
         rows = identity_check(tent(), [0.3, 0.4])
-        assert all(r.passed for r in rows)
+        assert all(r.report.passed for r in rows)
         # both routes are accurate here, so agreement is much better than the tag tolerance
         assert all(r.rel_err <= 1e-6 for r in rows)
 
@@ -155,7 +155,7 @@ class TestErrorHandling:
         )
         rows = identity_check(bad, [0.3])
         assert len(rows) == 1
-        assert not rows[0].passed
+        assert not rows[0].report.passed
         assert rows[0].error is not None
 
     def test_invalid_smoothness_tag(self):
