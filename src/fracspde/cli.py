@@ -4,10 +4,11 @@ A command parses its flags, resolves its settings, calls the library and
 writes the artifacts.  Every check of a proof object is built in the
 library, in the module that owns its mathematics: the kernel suite
 (kernels.kernel_checks), the seminorm identities, the moment sups and the
-Gaussian ratio, and the Gronwall summability verdict.  A command builds a
-check itself only for a run-level tolerance that no library function owns:
-the noise audit's bias allowance, picard's run status, holder's slope band,
-peszat's monotone count and gronwall's Monte Carlo agreement.
+Gaussian ratio, holder's slope bands and sampler check
+(regularity.holder_checks), and the Gronwall summability verdict.  A
+command builds a check itself only for a run-level tolerance that no
+library function owns: the noise audit's bias allowance, picard's run
+status, peszat's monotone count and gronwall's Monte Carlo agreement.
 
 Exit codes: 0 when every check passed (or the run completed, for commands
 without checks), 2 when at least one check failed, 1 on usage or
@@ -55,16 +56,15 @@ from .picard import (
     solve_ensemble,
 )
 from .regularity import (
+    HOLDER_REALIZATIONS,
+    HOLDER_SLOPE_BAND,
+    HOLDER_Z_MAX,
+    MIN_HOLDER_REALIZATIONS,
     FieldSampleCollector,
     FirstIncrementCollector,
-    IncrementCollector,
     gaussian_ratio_check,
-    geometric_time_lags,
-    holder_exponent_space,
-    holder_exponent_time,
+    holder_checks,
     moment_report,
-    sample_additive_solution,
-    sample_noise_antiderivative,
 )
 from .report import (
     PlotSeries,
@@ -568,91 +568,46 @@ def _cmd_picard(args):
 # -------------------------------------------------------------------- holder
 
 
-def _holder_fits(target, h, n_realizations, seed):
-    """Sample the target field and fit its increment exponents.
-
-    Geometry is fixed per target; the lag windows were chosen so the
-    lattice, completion, and horizon constraints all hold with margin.
-    One sampling pass feeds every fit of the target.
-    """
-    if target == "noise":
-        increments = IncrementCollector(space_lags=2.0 ** -np.arange(3, 8))
-        sample_noise_antiderivative(
-            h, 0.5, 1.0 / 512, 2.0, n_realizations, seed=seed, collectors=(increments,)
-        )
-        return [("space", holder_exponent_space(increments), 2.0 * h)]
-    lags_s = np.array([25, 17, 12, 8, 5, 3]) / 1024.0
-    if target == "wave":
-        T, anchor, time_target = 0.5, 0.25, 2.0 * h
-        lags_t = np.array([24, 16, 11, 8, 5, 3]) / 1024.0
-        times = np.concatenate([[anchor], anchor + np.sort(lags_t), [T]])
-    else:
-        T, anchor, time_target = 0.25, 0.125, h
-        lags_t = geometric_time_lags(anchor, T, largest=1.0 / 64, n_lags=6, ratio=1.6)
-        times = np.concatenate([[anchor], anchor + np.sort(lags_t)])
-    increments = IncrementCollector(space_lags=lags_s, time_lags=lags_t)
-    sample_additive_solution(
-        target, h, T, 1.0 / 1024, 1.0, times, n_realizations, seed=seed,
-        collectors=(increments,),
-    )
-    return [
-        ("space", holder_exponent_space(increments), 2.0 * h),
-        ("time", holder_exponent_time(increments), time_target),
-    ]
-
-
 def _cmd_holder(args):
     settings = _settings(
         args,
         {
             "target": (("noise", "wave", "heat"), "wave"),
             "hurst": (float, SimulationConfig.hurst),
-            "ensemble": (int, None),
+            "ensemble": (int, HOLDER_REALIZATIONS),
             "seed": (int, SimulationConfig.seed),
             "out": (str, SimulationConfig.out),
         },
     )
     target, hurst, ensemble, seed, _ = settings.values()
-    if ensemble is None:
-        ensemble = settings["ensemble"] = 10000 if target == "noise" else 1000
     # the run record checks the ranges of the Hurst index, ensemble and seed
     from_mapping({key: value for key, value in settings.items() if key != "target"})
     out_dir = _echo(settings)
 
-    fits = _holder_fits(target, hurst, ensemble, seed)
+    reports, axes = holder_checks(target, hurst, ensemble, seed)
 
-    reports = []
     plots = []
     summary = {}
-    for axis, fit, fit_target in fits:
-        rows = [
-            (float(l), float(m), float(s))
-            for l, m, s in zip(fit.lags, fit.moments, fit.stderrs)
-        ]
+    for held in axes:
+        fit = held.fit
         _write_text(
-            os.path.join(out_dir, f"holder-{target}-{axis}.csv"),
-            csv_text(("lag", "moment", "stderr"), rows),
+            os.path.join(out_dir, f"holder-{target}-{held.axis}.csv"),
+            csv_text(
+                ("lag", "lattice_exact", "completion", "lattice_mc", "mc_stderr", "z"),
+                [tuple(map(float, row)) for row in zip(
+                    fit.lags, fit.lattice, fit.completion, held.mc, held.stderr, held.z)],
+            ),
         )
-        summary[axis] = {
+        summary[held.axis] = {
             "label": fit.label,
             "fitted_slope": _json_number(fit.fitted_slope),
             "stderr": _json_number(fit.stderr),
             "r_squared": _json_number(fit.r_squared),
             "status": fit.status,
-            "target_slope": _json_number(fit_target),
+            "target_slope": _json_number(held.target_slope),
             "holder_exponent": _json_number(fit.fitted_slope / 2.0),
+            "sampler_max_abs_z": _json_number(np.max(np.abs(held.z))),
         }
-        # slope tolerance 0.1 = 0.05 on the exponent itself (slope is the
-        # p = 2 moment rate, twice the exponent)
-        reports.append(
-            make_check(
-                f"holder-{target}-{axis}-slope",
-                computed=fit.fitted_slope,
-                reference=fit_target,
-                tolerance=0.1,
-                inputs={"target": target, "h": hurst, "axis": axis, "seed": seed},
-            )
-        )
         plots.append(
             PlotSeries(
                 name=fit.label,
@@ -661,7 +616,7 @@ def _cmd_holder(args):
                 axes="loglog",
                 slope=fit.fitted_slope,
                 intercept=_log10_intercept(fit),
-                annotation=f"target {format_float(fit_target)}",
+                annotation=f"target {format_float(held.target_slope)}",
             )
         )
     _write_json(os.path.join(out_dir, "holder.json"), summary)
@@ -914,9 +869,24 @@ def _build_parser():
     _add_threads(sub)
     sub.set_defaults(handler=_cmd_picard)
 
-    sub = subs.add_parser("holder", help="increment exponent fits")
+    sub = subs.add_parser(
+        "holder",
+        help="increment exponent fits",
+        description="Fit the Holder exponents of the target on its exact lattice "
+        "increment moments plus the spectral window completion: each slope must lie "
+        f"within {HOLDER_SLOPE_BAND:g} of its target, whatever the seed.  A Monte Carlo "
+        "ensemble of the exact-law sampler checks the sampler: at every lag its moment "
+        f"must lie within {HOLDER_Z_MAX:g} standard errors of the exact one.",
+    )
     sub.add_argument("--target", choices=("noise", "wave", "heat"), default=None)
-    _add_sim_flags(sub, ("hurst", "seed", "ensemble"))
+    _add_sim_flags(sub, ("hurst", "seed"))
+    sub.add_argument(
+        "--ensemble",
+        type=int,
+        default=None,
+        help=f"realizations of the sampler check (default {HOLDER_REALIZATIONS}, "
+        f"at least {MIN_HOLDER_REALIZATIONS})",
+    )
     _add_common(sub)
     sub.set_defaults(handler=_cmd_holder)
 

@@ -3,27 +3,32 @@
 Second-moment increments of the spatially antidifferentiated noise scale
 like t |h|^(2H); solution fields inherit the spatial exponent 2H and carry
 time exponents 2H (wave) and H (heat).  The estimators regress log
-increment moments on log lags over ensembles of fields; increments are
-averaged over spatial anchors (exact stationarity for the noise, and an
-approximation over the core window for solution fields, labelled as such).
+increment moments on log lags; increments are averaged over spatial
+anchors (exact stationarity for the noise, and an approximation over the
+core window for solution fields, labelled as such).
 
-Two samplers feed the fits.  ``FieldSampleCollector`` thins fields out of
-ensemble Picard runs, for arbitrary affine sigma.  For additive noise
-(a = 0) the solution is an explicit Gaussian stochastic convolution whose
-spectral bands evolve as exactly integrable processes: an
+Two kinds of sampler draw fields.  ``FieldSampleCollector`` thins fields
+out of ensemble Picard runs, for arbitrary affine sigma.  For additive
+noise (a = 0) the solution is an explicit Gaussian stochastic convolution
+whose spectral bands evolve as exactly integrable processes: an
 Ornstein-Uhlenbeck band for the heat kernel, a (position, velocity)
 oscillator pair for the wave kernel.  ``sample_additive_solution`` draws
 lattice fields from that law with no time-stepping error, which matters
 because the time-stepped kernel rule depresses small-lag increment
 variance by a relative O((dt/lag)^H) deficit that tilts fitted slopes.
 
-The exact-law samplers draw a few realizations at a time and hand each
-chunk, as a small ``FieldEnsemble``, to their collectors; no sampler
-keeps the whole ensemble.  ``IncrementCollector`` reduces every chunk at
-once to per-realization rows (for each lag, the anchor mean of the
-squared increment), and the fits use only those rows: their mean is the
-moment and their spread the standard error.  An eager ``FieldEnsemble``
-is reduced the same way, as a single chunk.
+The exact-law samplers draw independent Gaussian band coefficients, so
+their increment moments are exact band sums
+(``exact_increment_moments``), and the Holder fits use those: they are
+deterministic and do not depend on the seed.  Monte Carlo only checks the
+samplers against the same sums, lag by lag (``holder_checks``).  The
+samplers draw a few realizations at a time and hand each chunk, as a
+small ``FieldEnsemble``, to their collectors; no sampler keeps the whole
+ensemble.  ``IncrementCollector`` reduces every chunk at once to
+per-realization rows (for each lag, the anchor mean of the squared
+increment): their mean is the Monte Carlo moment and their spread its
+standard error.  An eager ``FieldEnsemble`` is reduced the same way, as a
+single chunk.
 
 The spectral synthesis carries no mass above xi_cut.  That missing tail
 contributes an almost lag-independent offset to every increment moment
@@ -55,11 +60,18 @@ __all__ = [
     "geometric_time_lags",
     "sample_noise_antiderivative",
     "sample_additive_solution",
+    "exact_increment_moments",
     "spectral_window_completion",
     "space_increment_moments",
     "time_increment_moments",
     "holder_exponent_space",
     "holder_exponent_time",
+    "HOLDER_REALIZATIONS",
+    "HOLDER_SLOPE_BAND",
+    "HOLDER_Z_MAX",
+    "MIN_HOLDER_REALIZATIONS",
+    "HolderAxis",
+    "holder_checks",
     "SupMoment",
     "moment_report",
     "gaussian_ratio_check",
@@ -70,59 +82,67 @@ __all__ = [
 class ExponentFit:
     """Log-log regression of increment moments on lags.
 
-    lags are strictly decreasing and geometric (up to lattice rounding);
-    status is "ok", "poor_fit" (r_squared below 0.9, reported rather than
-    fatal), or "degenerate" (vanishing or constant moments, slope nan).
+    The fitted moments are lattice + completion: the moments of the lattice
+    field, and the deterministic mass above its spectral cutoff (zeros when
+    none is added).  lags are strictly decreasing and geometric (up to
+    lattice rounding); status is "ok", "poor_fit" (r_squared below 0.9,
+    reported rather than fatal), or "degenerate" (vanishing or constant
+    moments, slope nan).
     """
 
     lags: np.ndarray
-    moments: np.ndarray
-    stderrs: np.ndarray
+    lattice: np.ndarray
+    completion: np.ndarray
     fitted_slope: float
     stderr: float
     r_squared: float
     status: str
     label: str = ""
 
+    @property
+    def moments(self):
+        """The fitted moments, lattice + completion."""
+        return self.lattice + self.completion
+
 
 R_SQUARED_FLOOR = 0.9
 
 
-def fit_exponent(lags, moments, stderrs=None, label=""):
-    """Ordinary least squares of log moments on log lags.
+def fit_exponent(lags, moments, completion=None, label=""):
+    """Ordinary least squares of log(moments + completion) on log lags.
 
     The slope standard error is the classical residual-based estimate; a
     degenerate status means the moments carry no usable signal (zeros,
     negatives, or no spread), and nan slope/stderr go with it.
     """
     lags = np.asarray(lags, dtype=float)
-    moments = np.asarray(moments, dtype=float)
-    if stderrs is None:
-        stderrs = np.full_like(moments, np.nan)
+    lattice = np.asarray(moments, dtype=float)
+    if completion is None:
+        completion = np.zeros_like(lattice)
     else:
-        stderrs = np.asarray(stderrs, dtype=float)
+        completion = np.asarray(completion, dtype=float)
     if lags.size < 3:
         raise ValueError("need at least 3 lags to fit an exponent")
-    if lags.shape != moments.shape:
+    if lags.shape != lattice.shape or completion.shape != lattice.shape:
         raise ValueError("lags and moments must have matching shapes")
     if not np.all(lags > 0.0) or not np.all(np.diff(lags) < 0.0):
         raise ValueError("lags must be positive and strictly decreasing")
+    moments = lattice + completion
 
-    def degenerate():
+    def result(slope, stderr, r_squared, status):
         return ExponentFit(
-            lags=lags, moments=moments, stderrs=stderrs,
-            fitted_slope=math.nan, stderr=math.nan, r_squared=0.0,
-            status="degenerate", label=label,
+            lags=lags, lattice=lattice, completion=completion, fitted_slope=slope,
+            stderr=stderr, r_squared=r_squared, status=status, label=label,
         )
 
     if not np.all(np.isfinite(moments)) or np.any(moments <= 0.0):
-        return degenerate()
+        return result(math.nan, math.nan, 0.0, "degenerate")
     x = np.log(lags)
     y = np.log(moments)
     sxx = float(np.sum((x - x.mean()) ** 2))
     syy = float(np.sum((y - y.mean()) ** 2))
     if syy == 0.0:
-        return degenerate()
+        return result(math.nan, math.nan, 0.0, "degenerate")
     slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
     resid = y - (y.mean() + slope * (x - x.mean()))
     ssr = float(np.sum(resid**2))
@@ -130,11 +150,7 @@ def fit_exponent(lags, moments, stderrs=None, label=""):
     stderr = math.sqrt(ssr / dof / sxx) if dof > 0 else math.nan
     r_squared = 1.0 - ssr / syy
     status = "ok" if r_squared >= R_SQUARED_FLOOR else "poor_fit"
-    return ExponentFit(
-        lags=lags, moments=moments, stderrs=stderrs,
-        fitted_slope=slope, stderr=stderr, r_squared=r_squared,
-        status=status, label=label,
-    )
+    return result(slope, stderr, r_squared, status)
 
 
 @dataclass(frozen=True)
@@ -386,56 +402,105 @@ _COMPLETION_POINTS = 120_000
 _COMPLETION_SPAN = 300.0
 
 
-def spectral_window_completion(kind, h, xi_cut, mode, anchor, lags):
-    """Deterministic increment-moment mass above the spectral cutoff.
-
-    Integrates the exact per-frequency variance law of the increment
-    (kind selects noise/wave/heat, mode space/time, anchor the field time
-    for space increments or the anchor time for time increments) against
-    the spectral density over (xi_cut, 300 xi_cut], then closes with the
-    analytic oscillation-averaged power tail.  Adding the result to
-    measured lattice moments removes the near-constant offset the cutoff
-    takes away, which otherwise tilts small-lag log-log slopes upward.
-    """
+def _check_law(kind, mode):
     if mode not in ("space", "time"):
         raise ValueError(f"mode must be space or time, got {mode!r}")
     if kind not in ("noise", "wave", "heat"):
         raise ValueError(f"kind must be noise, wave, or heat, got {kind!r}")
     if kind == "noise" and mode == "time":
-        raise ValueError("time completion is undefined for the noise antiderivative")
+        raise ValueError("time increments are undefined for the noise antiderivative")
+
+
+def _increment_law(kind, mode, anchor, lags, xi):
+    """Mean-square increment per unit spectral mass at frequencies xi > 0,
+    shape (lags, frequencies).
+
+    Space: E|Y_xi(anchor)|^2 |e^{i xi lag} - 1|^2, the field's band variance
+    at time anchor times the increment factor.  Time: E|Y_xi(anchor + lag) -
+    Y_xi(anchor)|^2, the transition's drift of the state at anchor plus the
+    innovation over the lag (for the wave, the oscillator's position).
+    """
+    lag = lags[:, None]
+    if mode == "space":
+        inc = 2.0 - 2.0 * np.cos(xi * lag)
+        if kind == "noise":
+            return anchor * inc / xi**2
+        if kind == "wave":
+            return (anchor / (2.0 * xi**2) - np.sin(2.0 * anchor * xi) / (4.0 * xi**3)) * inc
+        return -np.expm1(-anchor * xi**2) / xi**2 * inc
+    if kind == "wave":
+        a = xi * (anchor + 0.5 * lag)
+        intcos = anchor / 2.0 + (np.sin(2.0 * a) - np.sin(2.0 * (a - xi * anchor))) / (4.0 * xi)
+        return (4.0 * np.sin(0.5 * xi * lag) ** 2 / xi**2 * intcos
+                + lag / (2.0 * xi**2) - np.sin(2.0 * lag * xi) / (4.0 * xi**3))
+    return (np.expm1(-0.5 * lag * xi**2) ** 2 * (-np.expm1(-anchor * xi**2)) / xi**2
+            - np.expm1(-lag * xi**2) / xi**2)
+
+
+def _zero_band_law(kind, mode, anchor, lags):
+    """The xi -> 0 limit of _increment_law: the increment of the band-0
+    term, which the noise carries as a random linear ramp."""
+    if mode == "space":
+        return anchor * lags**2 if kind == "noise" else np.zeros_like(lags)
+    if kind == "wave":
+        return lags**2 * anchor + lags**3 / 3.0
+    return lags
+
+
+def exact_increment_moments(geom, kind, mode, anchor, lags):
+    """Exact mean-square increments of an exact-law sampler's lattice field.
+
+    The samplers draw independent circular Gaussian band coefficients, and
+    the field is 2 Re of their band sum, so every increment moment is the
+    band sum 2 sum_k m_k f(w_k) of the per-frequency increment law f over
+    the band masses of geom.  kind is "noise" (sample_noise_antiderivative
+    at time anchor, geom its geometry), "heat" or "wave"
+    (sample_additive_solution); mode "space" takes the increments over
+    lags at time anchor, mode "time" those from anchor to anchor + lag.
+    Band 0 enters through its xi -> 0 limit.  With anchor = 0 a time
+    increment is the field itself, so the marginal variance is the time
+    moment from 0.  No sampling is involved: these are the moments every
+    Monte Carlo estimate of the samplers converges to.
+    """
+    _check_law(kind, mode)
+    if anchor < 0.0:
+        raise ValueError("anchor must be non-negative")
+    lags = np.asarray(lags, dtype=float)
+    om = geom.omega_r[1 : geom.n_bands]
+    law = _increment_law(kind, mode, anchor, lags, om)
+    zero = _zero_band_law(kind, mode, anchor, lags)
+    return 2.0 * (law @ geom.band_masses[1:]) + 2.0 * geom.band_masses[0] * zero
+
+
+def spectral_window_completion(kind, h, xi_cut, mode, anchor, lags):
+    """Deterministic increment-moment mass above the spectral cutoff.
+
+    Integrates the exact per-frequency law of the increment (kind selects
+    noise/wave/heat, mode space/time, anchor the field time for space
+    increments or the anchor time for time increments; the law is the one
+    exact_increment_moments sums over the bands) against the spectral
+    density over (xi_cut, 300 xi_cut], then closes with the analytic
+    oscillation-averaged power tail.  Adding the result to lattice moments
+    restores the near-constant offset the cutoff takes away, which
+    otherwise tilts small-lag log-log slopes upward.  All lags are
+    evaluated in one (lags, points) array.
+    """
+    _check_law(kind, mode)
     if xi_cut <= 0.0 or anchor <= 0.0:
         raise ValueError("xi_cut and anchor must be positive")
     lags = np.asarray(lags, dtype=float)
     xi = xi_cut * np.exp(np.linspace(0.0, math.log(_COMPLETION_SPAN), _COMPLETION_POINTS))
     dens = 2.0 * c_H(h) * xi ** (1.0 - 2.0 * h)
-    out = np.empty(lags.shape)
-    for i, lag in enumerate(lags):
-        if mode == "space":
-            inc = 2.0 - 2.0 * np.cos(xi * lag)
-            if kind == "noise":
-                f = anchor * inc / xi**2
-                rem = 2.0 * anchor
-            elif kind == "wave":
-                f = (anchor / (2.0 * xi**2) - np.sin(2.0 * anchor * xi) / (4.0 * xi**3)) * inc
-                rem = anchor
-            else:
-                f = -np.expm1(-anchor * xi**2) / xi**2 * inc
-                rem = 2.0
-        else:
-            d = lag
-            if kind == "wave":
-                a = xi * (anchor + 0.5 * d)
-                intcos = anchor / 2.0 + (np.sin(2.0 * a) - np.sin(2.0 * (a - xi * anchor))) / (4.0 * xi)
-                f = (4.0 * np.sin(0.5 * xi * d) ** 2 / xi**2 * intcos
-                     + d / (2.0 * xi**2) - np.sin(2.0 * d * xi) / (4.0 * xi**3))
-                rem = anchor + d
-            else:
-                f = (np.expm1(-0.5 * d * xi**2) ** 2 * (-np.expm1(-anchor * xi**2)) / xi**2
-                     - np.expm1(-d * xi**2) / xi**2)
-                rem = 2.0
-        core = float(np.trapezoid(dens * f, xi))
-        out[i] = core + 2.0 * c_H(h) * rem * xi[-1] ** (-2.0 * h) / (2.0 * h)
-    return out
+    core = np.trapezoid(dens * _increment_law(kind, mode, anchor, lags, xi), xi, axis=-1)
+    if mode == "time":
+        rem = anchor + lags if kind == "wave" else 2.0
+    elif kind == "noise":
+        rem = 2.0 * anchor
+    elif kind == "wave":
+        rem = anchor
+    else:
+        rem = 2.0
+    return core + 2.0 * c_H(h) * rem * xi[-1] ** (-2.0 * h) / (2.0 * h)
 
 
 def _anchor_mean_square(d):
@@ -483,8 +548,7 @@ class IncrementCollector:
     observe_chunk as a single chunk.  Each chunk is reduced at once to one
     row per realization: for each lag, the anchor mean of the squared
     increment.  Space lags are taken at the stored time time_index; time
-    lags run from the first stored time.  The field layout (kind, h, t, x,
-    xi_cut) is read off the chunks, which share it.
+    lags run from the first stored time.
     """
 
     def __init__(self, space_lags=(), time_lags=(), time_index=-1):
@@ -498,13 +562,7 @@ class IncrementCollector:
     def observe_chunk(self, chunk):
         self._space.append(_space_rows(chunk, self.space_lags, self.time_index))
         self._time.append(_time_rows(chunk, self.time_lags))
-        self.kind, self.h, self.xi_cut = chunk.kind, chunk.h, chunk.xi_cut
-        self.t, self.x = chunk.t, chunk.x
         self.n_realizations += chunk.n_realizations
-
-    @property
-    def dx(self):
-        return float(self.x[1] - self.x[0])
 
     def rows(self, axis):
         """The (lags, realizations) rows of axis "space" or "time"."""
@@ -526,8 +584,8 @@ def _mean_square_stats(rows):
 
 
 def space_increment_moments(increments):
-    """Mean-square spatial increments averaged over anchors, with SE, at
-    the space lags of an IncrementCollector.
+    """Monte Carlo mean-square spatial increments averaged over anchors,
+    with SE, at the space lags of an IncrementCollector.
 
     The standard error is the between-realization spread of the
     per-realization anchor averages.
@@ -536,8 +594,8 @@ def space_increment_moments(increments):
 
 
 def time_increment_moments(increments):
-    """Mean-square time increments from the anchor time, with SE, at the
-    time lags of an IncrementCollector.
+    """Monte Carlo mean-square time increments from the anchor time, with
+    SE, at the time lags of an IncrementCollector.
 
     The anchor is the first stored time; averaging runs over all core
     columns and the standard error is between realizations.
@@ -545,56 +603,146 @@ def time_increment_moments(increments):
     return _mean_square_stats(increments.rows("time"))
 
 
-def _validate_ensemble_size(increments, min_realizations):
-    if increments.n_realizations < min_realizations:
-        raise ValueError(
-            f"ensemble has {increments.n_realizations} realizations; "
-            f"at least {min_realizations} required"
-        )
+def _exact_fit(geom, kind, mode, anchor, lags):
+    return fit_exponent(
+        lags,
+        exact_increment_moments(geom, kind, mode, anchor, lags),
+        completion=spectral_window_completion(kind, geom.h, geom.xi_cut, mode, anchor, lags),
+        label=f"{kind}-{mode}-h{geom.h:g}",
+    )
 
 
-def holder_exponent_space(increments, complete=True, min_realizations=1000):
-    """Fit the spatial increment exponent (target 2H) at the space lags of
-    an IncrementCollector.
+def holder_exponent_space(geom, kind, anchor, lags):
+    """Fit the spatial increment exponent (target 2H) of a sampler's field
+    at time anchor on sampler geometry geom.
 
-    Lags must be strictly decreasing, lattice-aligned and lie inside
-    (2 dx, half-window/10); with complete=True the deterministic spectral
-    window completion is added to the measured moments before the fit,
-    and the fitted moments are the completed ones.
+    The fitted moments are the exact lattice moments plus the spectral
+    window completion, so the fit is deterministic.  Lags must be strictly
+    decreasing and lie inside (2 dx, half-window/10).
     """
-    _validate_ensemble_size(increments, min_realizations)
-    lags = increments.space_lags
-    dx = increments.dx
-    half = 0.5 * (float(increments.x[-1] - increments.x[0]) + dx)
-    if np.any(lags <= 2.0 * dx) or np.any(lags >= half / 10.0 * (1.0 + 1e-12)):
+    lags = np.asarray(lags, dtype=float)
+    x_core = geom.x_grid[geom.core]
+    half = 0.5 * (float(x_core[-1] - x_core[0]) + geom.dx)
+    if np.any(lags <= 2.0 * geom.dx) or np.any(lags >= half / 10.0 * (1.0 + 1e-12)):
         raise ValueError("spatial lags must lie inside (2 dx, half-window/10)")
-    moments, stderrs = space_increment_moments(increments)
-    if complete:
-        anchor = float(increments.t[increments.time_index])
-        moments = moments + spectral_window_completion(
-            increments.kind, increments.h, increments.xi_cut, "space", anchor, lags)
-    return fit_exponent(lags, moments, stderrs,
-                        label=f"{increments.kind}-space-h{increments.h:g}")
+    return _exact_fit(geom, kind, "space", anchor, lags)
 
 
-def holder_exponent_time(increments, complete=True, min_realizations=1000):
-    """Fit the time increment exponent (target 2H wave, H heat) at the time
-    lags of an IncrementCollector.
-
-    The first stored time is the anchor; every anchor + lag must be a
-    stored time.  Completion as in the spatial fit.
+def holder_exponent_time(geom, kind, anchor, lags):
+    """Fit the time increment exponent (target 2H wave, H heat) from time
+    anchor, on exact lattice moments plus completion as in the spatial fit.
     """
-    _validate_ensemble_size(increments, min_realizations)
-    lags = increments.time_lags
-    if not np.all(np.diff(lags) < 0.0):
-        raise ValueError("lags must be strictly decreasing")
-    moments, stderrs = time_increment_moments(increments)
-    if complete:
-        anchor = float(increments.t[0])
-        moments = moments + spectral_window_completion(
-            increments.kind, increments.h, increments.xi_cut, "time", anchor, lags)
-    return fit_exponent(lags, moments, stderrs,
-                        label=f"{increments.kind}-time-h{increments.h:g}")
+    return _exact_fit(geom, kind, "time", anchor, np.asarray(lags, dtype=float))
+
+
+# The sampler check's rule, fixed before the ensemble size was chosen: every
+# lag's Monte Carlo moment lies within Z_MAX standard errors of the exact one.
+HOLDER_Z_MAX = 4.0
+# Below this many realizations the standard error, estimated from the
+# ensemble itself, is too rough for the rule: the Student-t tail beyond 4
+# is 2.7 times the Gaussian one at 64 realizations, and 5.8 times at 32.
+MIN_HOLDER_REALIZATIONS = 64
+# The default ensemble: the smallest power of two >= 128 at which, at seeds
+# 0-4 and on every target and axis, the true sampler passes and a copy whose
+# innovation variances are 5% high fails (its smallest max |z| is 4.6, on
+# the heat's time axis).
+HOLDER_REALIZATIONS = 128
+HOLDER_SLOPE_BAND = 0.1
+
+
+@dataclass(frozen=True)
+class HolderAxis:
+    """One axis of a holder target: the exact fit and, lag by lag, the
+    sampler's Monte Carlo moments with their standard errors."""
+
+    axis: str
+    target_slope: float
+    fit: ExponentFit
+    mc: np.ndarray
+    stderr: np.ndarray
+
+    @property
+    def z(self):
+        """(Monte Carlo - exact lattice moment) / SE, per lag."""
+        return (self.mc - self.fit.lattice) / self.stderr
+
+
+def holder_checks(target, h, n_realizations, seed):
+    """The Holder checks of target "noise", "heat" or "wave".
+
+    The geometry and lags are fixed per target, chosen so the lattice,
+    completion and horizon constraints all hold with margin.  Each axis
+    gets two checks:
+
+    - holder-<target>-<axis>-slope: the exact fit's slope lies within
+      HOLDER_SLOPE_BAND of its target (2H in space and for the wave in
+      time, H for the heat in time).  It does not depend on the seed.
+    - holder-<target>-<axis>-sampler: n_realizations draws of the exact-law
+      sampler, keyed by seed, give Monte Carlo moments within HOLDER_Z_MAX
+      standard errors of the exact lattice moments at every lag.
+
+    One sampling pass feeds both axes.  Returns the checks and the
+    HolderAxis of each axis.  Raises ValueError below
+    MIN_HOLDER_REALIZATIONS, before anything is drawn.
+    """
+    if n_realizations < MIN_HOLDER_REALIZATIONS:
+        raise ValueError(
+            f"ensemble = {n_realizations} is below the {MIN_HOLDER_REALIZATIONS} "
+            f"realizations the holder sampler check needs"
+        )
+    if target == "noise":
+        t, dx, half_width = 0.5, 1.0 / 512, 2.0
+        geom = _sampler_geometry("heat", h, t, dx, half_width, seed)
+        increments = IncrementCollector(space_lags=2.0 ** -np.arange(3, 8))
+        sample_noise_antiderivative(h, t, dx, half_width, n_realizations, seed=seed,
+                                    collectors=(increments,))
+        fits = [("space", holder_exponent_space(geom, "noise", t, increments.space_lags), 2.0 * h)]
+    else:
+        lags_s = np.array([25, 17, 12, 8, 5, 3]) / 1024.0
+        if target == "wave":
+            T, anchor, time_target = 0.5, 0.25, 2.0 * h
+            lags_t = np.array([24, 16, 11, 8, 5, 3]) / 1024.0
+            times = np.concatenate([[anchor], anchor + np.sort(lags_t), [T]])
+        else:
+            T, anchor, time_target = 0.25, 0.125, h
+            lags_t = geometric_time_lags(anchor, T, largest=1.0 / 64, n_lags=6, ratio=1.6)
+            times = np.concatenate([[anchor], anchor + np.sort(lags_t)])
+        geom = _sampler_geometry(target, h, T, 1.0 / 1024, 1.0, seed)
+        increments = IncrementCollector(space_lags=lags_s, time_lags=lags_t)
+        sample_additive_solution(target, h, T, 1.0 / 1024, 1.0, times, n_realizations,
+                                 seed=seed, collectors=(increments,))
+        fits = [
+            ("space", holder_exponent_space(geom, target, times[-1], lags_s), 2.0 * h),
+            ("time", holder_exponent_time(geom, target, anchor, lags_t), time_target),
+        ]
+    checks = []
+    axes = []
+    for axis, fit, target_slope in fits:
+        if axis == "space":
+            mc, stderr = space_increment_moments(increments)
+        else:
+            mc, stderr = time_increment_moments(increments)
+        held = HolderAxis(axis, target_slope, fit, mc, stderr)
+        inputs = {"target": target, "h": h, "axis": axis}
+        # the slope is the p = 2 moment rate, twice the exponent: the band
+        # 0.1 is 0.05 on the exponent itself
+        checks.append(make_check(
+            f"holder-{target}-{axis}-slope",
+            computed=fit.fitted_slope,
+            reference=target_slope,
+            tolerance=HOLDER_SLOPE_BAND,
+            inputs=inputs,
+        ))
+        # a nan z (no spread in the ensemble) fails the check
+        checks.append(make_check(
+            f"holder-{target}-{axis}-sampler",
+            computed=float(np.max(np.abs(held.z))),
+            reference=0.0,
+            tolerance=HOLDER_Z_MAX,
+            inputs={**inputs, "seed": seed, "n_realizations": n_realizations},
+        ))
+        axes.append(held)
+    return checks, axes
 
 
 @dataclass(frozen=True)

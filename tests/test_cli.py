@@ -25,6 +25,7 @@ from fracspde.config import (
     to_picard_config,
 )
 import fracspde.picard
+import fracspde.regularity
 from fracspde.picard import build_geometry
 from fracspde.report import inputs_digest
 
@@ -476,19 +477,46 @@ class TestFitCommands:
         )
         assert code == 0
         lines = read(out / "holder-noise-space.csv").splitlines()
-        assert lines[0] == "lag,moment,stderr"
+        assert lines[0] == "lag,lattice_exact,completion,lattice_mc,mc_stderr,z"
         assert len(lines) == 6
+        for line in lines[1:]:
+            lag, exact, completion, mc, stderr, z = map(float, line.split(","))
+            assert exact > 0.0 and completion > 0.0 and stderr > 0.0
+            assert abs(z) <= 4.0
         summary = json.loads(read(out / "holder.json"))
         assert summary["space"]["status"] == "ok"
         assert abs(summary["space"]["fitted_slope"] - 0.6) < 0.1
+        assert summary["space"]["sampler_max_abs_z"] <= 4.0
         assert (out / "report.svg").exists()
+        names = [r["check_name"] for r in json.loads(read(out / "report.json"))]
+        assert names == ["holder-noise-space-slope", "holder-noise-space-sampler"]
+
+    def test_holder_default_ensemble_is_echoed(self, tmp_path):
+        assert main(["holder", "--target", "noise", "--out", str(tmp_path)]) == 0
+        echo = parse_config_text(read(tmp_path / "effective-config.txt"))
+        assert echo["ensemble"] == 128
+
+    def test_holder_sampler_fault_exits_two(self, tmp_path, monkeypatch, capsys):
+        # every band variance 5% high: the slope cannot see a scale factor,
+        # the sampler check does
+        true_increments = fracspde.regularity.spectral_increments
+        monkeypatch.setattr(
+            fracspde.regularity, "spectral_increments",
+            lambda masses, dt, n, rng: true_increments(1.05 * masses, dt, n, rng),
+        )
+        assert main(["holder", "--target", "noise", "--out", str(tmp_path)]) == 2
+        out = capsys.readouterr().out
+        assert "PASS holder-noise-space-slope" in out
+        assert "FAIL holder-noise-space-sampler" in out
 
     def test_holder_rejects_small_ensembles(self, tmp_path, capsys):
         code = main(
             ["holder", "--target", "noise", "--ensemble", "50", "--out", str(tmp_path)]
         )
         assert code == 1
-        assert "realizations" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "realizations" in err
+        assert "ensemble = 50" in err
 
     def test_moments_thread_invariance(self, tmp_path):
         argv = ["moments", "--equation", "heat", "--T", "0.125", "--dt", "0.0078125",

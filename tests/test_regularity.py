@@ -2,10 +2,11 @@
 
 The deterministic oracle here is the band sum: every sampler draws
 Gaussian band coefficients with known variances, so increment moments
-have closed forms on the lattice, and the completed log-log slopes can
-be pinned without Monte Carlo.  MC tests then check the samplers against
-the same band formulas and the end-to-end fits against the exponent
-targets.
+have closed forms on the lattice (regularity.exact_increment_moments),
+and the completed log-log slopes are pinned without Monte Carlo.  MC
+tests then check the samplers against the same band sums, and the
+sampler check of holder_checks against a sampler whose innovation
+variances are 5% high.
 """
 
 import math
@@ -26,14 +27,17 @@ from fracspde.picard import (
     solve_ensemble,
 )
 from fracspde.regularity import (
-    ExponentFit,
+    HOLDER_REALIZATIONS,
+    MIN_HOLDER_REALIZATIONS,
     FieldEnsemble,
     FieldSampleCollector,
     FirstIncrementCollector,
     IncrementCollector,
+    exact_increment_moments,
     fit_exponent,
     gaussian_ratio_check,
     geometric_time_lags,
+    holder_checks,
     holder_exponent_space,
     holder_exponent_time,
     moment_report,
@@ -47,46 +51,16 @@ from fracspde.regularity import (
 from fracspde.report import inputs_digest
 
 
-def band_space_moments(geom, kind, anchor, lags):
-    """Exact lattice increment moments at one time from band variances."""
-    om = geom.omega_r[: geom.n_bands]
-    s = np.empty_like(om)
-    if kind == "wave":
-        s[1:] = anchor / (2.0 * om[1:] ** 2) - np.sin(2.0 * anchor * om[1:]) / (4.0 * om[1:] ** 3)
-        s[0] = anchor**3 / 3.0
-    elif kind == "heat":
-        s[1:] = -np.expm1(-anchor * om[1:] ** 2) / om[1:] ** 2
-        s[0] = anchor
-    else:
-        s[1:] = anchor / om[1:] ** 2
-        s[0] = 0.0  # the DC ramp term is added below
-    out = []
-    for h in lags:
-        tot = float(np.sum(2.0 * geom.band_masses * s * 2.0 * (1.0 - np.cos(om * h))))
-        if kind == "noise":
-            tot += float(2.0 * anchor * geom.band_masses[0] * h * h)
-        out.append(tot)
-    return np.array(out)
+def faulty_innovations(monkeypatch):
+    """Make every exact-law sampler draw with its innovation variances 5%
+    high: each band law, the noise's and the heat and wave transitions',
+    goes through spectral_increments."""
+    true_increments = regularity.spectral_increments
 
+    def draw(masses, dt, n_steps, rng):
+        return true_increments(1.05 * np.asarray(masses, dtype=float), dt, n_steps, rng)
 
-def band_time_moments(geom, anchor, lags):
-    """Exact lattice time-increment moments from band variances."""
-    om = geom.omega_r[1: geom.n_bands]
-    out = []
-    for d in lags:
-        if geom.equation == "wave":
-            a = om * (anchor + 0.5 * d)
-            intcos = anchor / 2.0 + (np.sin(2.0 * a) - np.sin(2.0 * (a - om * anchor))) / (4.0 * om)
-            p1 = 4.0 * np.sin(0.5 * om * d) ** 2 / om**2 * intcos
-            p2 = d / (2.0 * om**2) - np.sin(2.0 * d * om) / (4.0 * om**3)
-            dc = d * d * anchor + d**3 / 3.0
-        else:
-            p1 = np.expm1(-0.5 * d * om**2) ** 2 * (-np.expm1(-anchor * om**2)) / om**2
-            p2 = -np.expm1(-d * om**2) / om**2
-            dc = d
-        out.append(float(2.0 * geom.band_masses[0] * dc
-                         + np.sum(2.0 * geom.band_masses[1:] * (p1 + p2))))
-    return np.array(out)
+    monkeypatch.setattr(regularity, "spectral_increments", draw)
 
 
 class TestFitExponent:
@@ -173,12 +147,59 @@ class TestCompletion:
         assert mid[0] / lo[0] == pytest.approx(2.0 ** (-0.7), rel=0.05)
 
 
+class TestExactMoments:
+    """The exact lattice moments and the window completion, pinned.
+
+    The lattice moments are pinned to the band-sum oracles the tests wrote
+    before the sums moved into the library (to 1e-14 relative); the
+    completion to its values before it evaluated all lags in one array,
+    bitwise.  One case per kind and mode, at the holder targets' geometry.
+    """
+
+    CASES = [
+        ("noise", "space", ("heat", 0.3, 0.5, 1 / 512, 2.0), 0.5, (2.0**-3, 2.0**-5, 2.0**-7),
+         (0.13902082095624954, 0.05793192106642497, 0.022661153097749697),
+         (0.004569791412678708, 0.004568166501399926, 0.004543573327241043)),
+        ("heat", "space", ("heat", 0.3, 0.25, 1 / 1024, 1.0), 0.140625,
+         (25 / 1024, 8 / 1024, 3 / 1024),
+         (0.10140455687073528, 0.04835213850428879, 0.02410942219677213),
+         (0.006032720062423495, 0.006020999466602284, 0.006091469735783014)),
+        ("heat", "time", ("heat", 0.3, 0.25, 1 / 1024, 1.0), 0.125, (1 / 64, 1 / 256, 1 / 1024),
+         (0.22603572599079047, 0.147176246481214, 0.09505326266997625),
+         (0.006030901876068636, 0.006030901876068636, 0.006030901876068636)),
+        ("wave", "space", ("wave", 0.35, 0.5, 1 / 1024, 1.0), 0.5,
+         (25 / 1024, 8 / 1024, 3 / 1024),
+         (0.017891898324432814, 0.007723691529830779, 0.0035600192842277934),
+         (0.0006456709459468855, 0.0006441300334999547, 0.0006534195274854654)),
+        ("wave", "time", ("wave", 0.35, 0.5, 1 / 1024, 1.0), 0.25,
+         (24 / 1024, 8 / 1024, 3 / 1024),
+         (0.0090033439849585, 0.0039045667488799016, 0.001786675130858333),
+         (0.0003380002703635205, 0.00032719502641173886, 0.0003286490146757507)),
+    ]
+
+    @pytest.mark.parametrize("kind,mode,geometry,anchor,lags,oracle,completion", CASES,
+                             ids=[f"{case[0]}-{case[1]}" for case in CASES])
+    def test_pinned(self, kind, mode, geometry, anchor, lags, oracle, completion):
+        geom = _sampler_geometry(*geometry, 0)
+        exact = exact_increment_moments(geom, kind, mode, anchor, lags)
+        np.testing.assert_allclose(exact, oracle, rtol=1e-14, atol=0.0)
+        tail = spectral_window_completion(kind, geom.h, geom.xi_cut, mode, anchor, lags)
+        assert tail.tolist() == list(completion)
+
+    def test_noise_has_no_time_increments(self):
+        geom = _sampler_geometry("heat", 0.3, 0.5, 1 / 64, 0.5, 0)
+        with pytest.raises(ValueError, match="undefined"):
+            exact_increment_moments(geom, "noise", "time", 0.5, [0.1])
+        with pytest.raises(ValueError, match="non-negative"):
+            exact_increment_moments(geom, "heat", "space", -0.5, [0.1])
+
+
 class TestBandOracleSlopes:
     """Deterministic pins: completed lattice moments fit the exponent targets.
 
-    These are the same moments the samplers realise in Monte Carlo, so
-    they pin the estimator pipeline (band model + completion + regression)
-    with no sampling noise.  The raw-slope comparison documents that the
+    These are the moments the samplers realise in Monte Carlo, so they pin
+    the estimator pipeline (band model + completion + regression) with no
+    sampling noise.  The raw-slope comparison documents that the
     completion does real work: without it the truncated spectral tail
     tilts every small-lag fit visibly upward.
     """
@@ -188,10 +209,9 @@ class TestBandOracleSlopes:
     def test_solution_space_slope(self, equation, T, hurst):
         geom = _sampler_geometry(equation, hurst, T, 1.0 / 1024, 1.0, 0)
         lags = np.array([25, 17, 12, 8, 5, 3]) / 1024.0
-        raw = band_space_moments(geom, equation, T, lags)
-        tail = spectral_window_completion(equation, hurst, geom.xi_cut, "space", T, lags)
-        slope_raw = fit_exponent(lags, raw).fitted_slope
-        slope = fit_exponent(lags, raw + tail).fitted_slope
+        fit = holder_exponent_space(geom, equation, T, lags)
+        slope_raw = fit_exponent(lags, fit.lattice).fitted_slope
+        slope = fit.fitted_slope
         assert abs(slope - 2.0 * hurst) < 0.02
         assert abs(slope - 2.0 * hurst) < abs(slope_raw - 2.0 * hurst)
         assert slope_raw - 2.0 * hurst > 0.03
@@ -200,28 +220,23 @@ class TestBandOracleSlopes:
     def test_wave_time_slope(self, hurst):
         geom = _sampler_geometry("wave", hurst, 0.5, 1.0 / 1024, 1.0, 0)
         lags = np.array([24, 16, 11, 8, 5, 3]) / 1024.0
-        raw = band_time_moments(geom, 0.25, lags)
-        tail = spectral_window_completion("wave", hurst, geom.xi_cut, "time", 0.25, lags)
-        slope = fit_exponent(lags, raw + tail).fitted_slope
+        slope = holder_exponent_time(geom, "wave", 0.25, lags).fitted_slope
         assert abs(slope - 2.0 * hurst) < 0.03
 
     @pytest.mark.parametrize("hurst", [0.3, 0.4])
     def test_heat_time_slope(self, hurst):
         geom = _sampler_geometry("heat", hurst, 0.25, 1.0 / 1024, 1.0, 0)
         lags = geometric_time_lags(0.125, 0.25, largest=1.0 / 64, n_lags=6, ratio=1.6)
-        raw = band_time_moments(geom, 0.125, lags)
-        tail = spectral_window_completion("heat", hurst, geom.xi_cut, "time", 0.125, lags)
-        slope = fit_exponent(lags, raw + tail).fitted_slope
+        slope = holder_exponent_time(geom, "heat", 0.125, lags).fitted_slope
         assert abs(slope - hurst) < 0.02
 
     @pytest.mark.parametrize("hurst", [0.3, 0.4])
     def test_noise_space_slope(self, hurst):
         geom = _sampler_geometry("heat", hurst, 0.5, 1.0 / 512, 2.0, 0)
         lags = 2.0 ** -np.arange(3, 8)
-        raw = band_space_moments(geom, "noise", 0.5, lags)
-        tail = spectral_window_completion("noise", hurst, geom.xi_cut, "space", 0.5, lags)
-        slope_raw = fit_exponent(lags, raw).fitted_slope
-        slope = fit_exponent(lags, raw + tail).fitted_slope
+        fit = holder_exponent_space(geom, "noise", 0.5, lags)
+        slope_raw = fit_exponent(lags, fit.lattice).fitted_slope
+        slope = fit.fitted_slope
         assert abs(slope - 2.0 * hurst) < 0.02
         assert abs(slope - 2.0 * hurst) < abs(slope_raw - 2.0 * hurst)
 
@@ -241,7 +256,7 @@ class TestNoiseSampler:
                                     collectors=(increments,))
         geom = _sampler_geometry("heat", 0.35, 0.4, 1.0 / 128, 1.0, 17)
         mom, se = space_increment_moments(increments)
-        oracle = band_space_moments(geom, "noise", 0.4, lags)
+        oracle = exact_increment_moments(geom, "noise", "space", 0.4, lags)
         for i in range(lags.size):
             assert abs(mom[i] - oracle[i]) < 4.0 * se[i]
 
@@ -281,16 +296,8 @@ class TestAdditiveSampler:
         v = ens.values[:, -1, center]
         mc = float((v * v).mean())
         se = float((v * v).std(ddof=1) / math.sqrt(v.size))
-        om = geom.omega_r[: geom.n_bands]
-        if equation == "wave":
-            s = np.empty_like(om)
-            s[1:] = times[-1] / (2 * om[1:] ** 2) - np.sin(2 * times[-1] * om[1:]) / (4 * om[1:] ** 3)
-            s[0] = times[-1] ** 3 / 3.0
-        else:
-            s = np.empty_like(om)
-            s[1:] = -np.expm1(-times[-1] * om[1:] ** 2) / om[1:] ** 2
-            s[0] = times[-1]
-        oracle = float(np.sum(2.0 * geom.band_masses * s))
+        # zero initial data: the field at t is its time increment from 0
+        oracle = float(exact_increment_moments(geom, equation, "time", 0.0, times[-1:])[0])
         assert abs(mc - oracle) < 4.0 * se
 
     def test_wave_time_increments_match_band_sum(self):
@@ -302,7 +309,7 @@ class TestAdditiveSampler:
                                  collectors=(increments,))
         geom = _sampler_geometry("wave", 0.3, T, 1.0 / 256, 1.0, 19)
         mom, se = time_increment_moments(increments)
-        oracle = band_time_moments(geom, anchor, lags)
+        oracle = exact_increment_moments(geom, "wave", "time", anchor, lags)
         for i in range(lags.size):
             assert abs(mom[i] - oracle[i]) < 4.0 * se[i]
 
@@ -358,33 +365,27 @@ class TestRealizationKeying:
 
 
 class TestHolderFits:
+    """The fits read exact lattice moments: deterministic, no sampling."""
+
     def test_noise_slope_on_target(self):
-        increments = IncrementCollector(space_lags=2.0 ** -np.arange(3, 8))
-        sample_noise_antiderivative(0.3, 0.5, 1.0 / 512, 2.0, 1000, seed=23,
-                                    collectors=(increments,))
-        fit = holder_exponent_space(increments)
+        geom = _sampler_geometry("heat", 0.3, 0.5, 1.0 / 512, 2.0, 23)
+        fit = holder_exponent_space(geom, "noise", 0.5, 2.0 ** -np.arange(3, 8))
         assert fit.status == "ok"
         assert abs(fit.fitted_slope - 0.6) < 0.05
 
     def test_wave_solution_slopes_on_target(self):
         lags_s = np.array([25, 17, 12, 8, 5, 3]) / 1024.0
         lags_t = np.array([24, 16, 11, 8, 5, 3]) / 1024.0
-        times = np.concatenate([[0.25], 0.25 + np.sort(lags_t), [0.5]])
-        increments = IncrementCollector(space_lags=lags_s, time_lags=lags_t)
-        sample_additive_solution("wave", 0.35, 0.5, 1.0 / 1024, 1.0, times, 1000, seed=29,
-                                 collectors=(increments,))
-        fs = holder_exponent_space(increments)
-        ft = holder_exponent_time(increments)
+        geom = _sampler_geometry("wave", 0.35, 0.5, 1.0 / 1024, 1.0, 29)
+        fs = holder_exponent_space(geom, "wave", 0.5, lags_s)
+        ft = holder_exponent_time(geom, "wave", 0.25, lags_t)
         assert fs.status == "ok" and abs(fs.fitted_slope - 0.70) < 0.05
         assert ft.status == "ok" and abs(ft.fitted_slope - 0.70) < 0.05
 
     def test_heat_time_slope_on_target(self):
         lags = geometric_time_lags(0.125, 0.25, largest=1.0 / 64, n_lags=6, ratio=1.6)
-        times = np.concatenate([[0.125], 0.125 + np.sort(lags)])
-        increments = IncrementCollector(time_lags=lags)
-        sample_additive_solution("heat", 0.35, 0.25, 1.0 / 1024, 1.0, times, 1000, seed=37,
-                                 collectors=(increments,))
-        ft = holder_exponent_time(increments)
+        geom = _sampler_geometry("heat", 0.35, 0.25, 1.0 / 1024, 1.0, 37)
+        ft = holder_exponent_time(geom, "heat", 0.125, lags)
         assert ft.status == "ok"
         assert abs(ft.fitted_slope - 0.35) < 0.05
 
@@ -392,41 +393,39 @@ class TestHolderFits:
         ens = gather(sample_noise_antiderivative, 0.3, 0.5, 1.0 / 256, 1.0, 1000, seed=41)
         # quantising the field and shifting by a power of two keeps every
         # subtraction exact, so invariance must hold bitwise, proving the
-        # fit consumes increments only
+        # Monte Carlo moments consume increments only
         quantised = np.round(ens.values * 2.0**20) / 2.0**20
         base = FieldEnsemble(kind=ens.kind, h=ens.h, t=ens.t, x=ens.x,
                              values=quantised, xi_cut=ens.xi_cut)
         shifted = FieldEnsemble(kind=ens.kind, h=ens.h, t=ens.t, x=ens.x,
                                 values=quantised + 8.0, xi_cut=ens.xi_cut)
         lags = np.array([25, 15, 9, 5, 3]) / 256.0
-        fits = []
+        moments = []
         for eager in (base, shifted):
             increments = IncrementCollector(space_lags=lags)
             increments.observe_chunk(eager)
-            fits.append(holder_exponent_space(increments))
-        a, b = fits
-        assert np.array_equal(a.moments, b.moments)
-        assert a.fitted_slope == b.fitted_slope
+            moments.append(space_increment_moments(increments))
+        (ma, sa), (mb, sb) = moments
+        assert np.array_equal(ma, mb)
+        assert np.array_equal(sa, sb)
 
-    def test_small_ensemble_rejected(self):
-        increments = IncrementCollector(space_lags=np.array([25, 16, 11, 7, 5, 3]) / 256.0)
-        sample_noise_antiderivative(0.3, 0.5, 1.0 / 256, 1.0, 50, seed=3,
-                                    collectors=(increments,))
-        with pytest.raises(ValueError, match="realizations"):
-            holder_exponent_space(increments)
+    def test_small_ensemble_rejected(self, monkeypatch):
+        # holder_checks refuses an ensemble too small for its sampler check,
+        # an ensemble of one included, before it draws anything
+        def no_draw(*args):
+            raise AssertionError("drew before refusing the ensemble")
+
+        monkeypatch.setattr(regularity, "spectral_increments", no_draw)
+        for n_realizations in (1, MIN_HOLDER_REALIZATIONS - 1):
+            with pytest.raises(ValueError, match=f"below the {MIN_HOLDER_REALIZATIONS} realizations"):
+                holder_checks("noise", 0.3, n_realizations, 0)
 
     def test_lag_window_enforced(self):
-        # one pass of the sampler feeds both collectors; the lags are lattice
-        # multiples, since a collector rejects any other lag as it samples
-        too_far = IncrementCollector(space_lags=np.array([64, 48, 32]) / 256.0)
-        too_near = IncrementCollector(space_lags=np.array([12, 3, 1]) / 256.0)
-        sample_noise_antiderivative(0.3, 0.5, 1.0 / 256, 1.0, 1000, seed=3,
-                                    collectors=(too_far, too_near))
-        assert too_far.n_realizations == too_near.n_realizations == 1000
+        geom = _sampler_geometry("heat", 0.3, 0.5, 1.0 / 256, 1.0, 3)
         with pytest.raises(ValueError, match="inside"):
-            holder_exponent_space(too_far)
+            holder_exponent_space(geom, "noise", 0.5, np.array([64, 48, 32]) / 256.0)
         with pytest.raises(ValueError, match="inside"):
-            holder_exponent_space(too_near)
+            holder_exponent_space(geom, "noise", 0.5, np.array([12, 3, 1]) / 256.0)
 
     def test_non_lattice_lag_rejected(self):
         increments = IncrementCollector(space_lags=np.array([0.0151]))
@@ -443,6 +442,53 @@ class TestHolderFits:
     def test_empty_collector_rejected(self):
         with pytest.raises(ValueError, match="no realizations"):
             space_increment_moments(IncrementCollector(space_lags=[0.1, 0.05, 0.025]))
+
+
+class TestHolderChecks:
+    """holder_checks: the slope bands on the exact fits, and the sampler's
+    Monte Carlo moments within 4 standard errors of the exact ones."""
+
+    @staticmethod
+    def _by_name(checks):
+        return {check.check_name: check for check in checks}
+
+    @pytest.mark.parametrize("target", ["noise", "heat", "wave"])
+    def test_exact_fit_does_not_depend_on_the_seed(self, target):
+        (checks0, axes0), (checks1, axes1) = (
+            holder_checks(target, 0.3, MIN_HOLDER_REALIZATIONS, seed) for seed in (0, 1)
+        )
+        for a, b in zip(axes0, axes1):
+            assert a.fit.fitted_slope == b.fit.fitted_slope
+            assert np.array_equal(a.fit.moments, b.fit.moments)
+            assert not np.array_equal(a.mc, b.mc)
+        slopes0 = [c.computed for c in checks0 if c.check_name.endswith("-slope")]
+        slopes1 = [c.computed for c in checks1 if c.check_name.endswith("-slope")]
+        assert slopes0 == slopes1
+
+    @pytest.mark.parametrize("target", ["noise", "heat", "wave"])
+    def test_sampler_check_catches_five_percent_innovations(self, target, monkeypatch):
+        # a scale factor leaves every log-log slope where it was: only the
+        # sampler check can see it
+        true_checks, _ = holder_checks(target, 0.3, HOLDER_REALIZATIONS, 0)
+        assert all(check.passed for check in true_checks)
+        faulty_innovations(monkeypatch)
+        faulty_checks, _ = holder_checks(target, 0.3, HOLDER_REALIZATIONS, 0)
+        true_by_name = self._by_name(true_checks)
+        for name, check in self._by_name(faulty_checks).items():
+            if name.endswith("-sampler"):
+                assert not check.passed, name
+                assert check.computed > 4.0
+            else:
+                assert check.passed and check.computed == true_by_name[name].computed
+
+    def test_z_is_the_exact_gap_in_standard_errors(self):
+        checks, (held,) = holder_checks("noise", 0.3, MIN_HOLDER_REALIZATIONS, 5)
+        geom = _sampler_geometry("heat", 0.3, 0.5, 1.0 / 512, 2.0, 5)
+        exact = exact_increment_moments(geom, "noise", "space", 0.5, held.fit.lags)
+        np.testing.assert_array_equal(held.z, (held.mc - exact) / held.stderr)
+        sampler = self._by_name(checks)["holder-noise-space-sampler"]
+        assert sampler.computed == float(np.max(np.abs(held.z)))
+        assert sampler.tolerance == 4.0
 
 
 class TestStreamedIncrements:
