@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
 
 from .constants import c_alpha, validate_hurst
 from .quadrature import (
@@ -512,8 +511,12 @@ def peszat_probe(h: float, eta: float, cutoff: float = 1e4) -> float:
 
     For h < 1/2 the integrand grows with the shift eta at every xi, so the
     probe increases without bound in eta: the uniform-in-eta finiteness that
-    holds for h >= 1/2 genuinely fails below it.  As h -> 1/2 the probe at
-    eta = 0 approaches arctan(cutoff) -> pi/2.
+    holds for h >= 1/2 genuinely fails below it.  At h = 1/2 the probe is
+    arctan(cutoff) for every eta.
+
+    The rule is Gauss panels on edges graded geometrically from 1e-12 cutoff
+    up to cutoff, plus one panel from 0: 40 panels per decade resolve both
+    scales of the integrand, xi ~ 1 and xi ~ eta, wherever they fall.
     """
     h = float(h)
     if not 0.0 < h <= 0.5:
@@ -528,7 +531,5 @@ def peszat_probe(h: float, eta: float, cutoff: float = 1e4) -> float:
     def f(xi):
         return (xi + eta) ** (1.0 - 2.0 * h) / (1.0 + xi * xi)
 
-    pts = [p for p in (1.0, eta) if 0.0 < p < cutoff]
-    val, _ = _scipy_integrate.quad(f, 0.0, cutoff, limit=400, points=pts or None)
-    return float(val)
-
+    edges = np.concatenate([[0.0], geometric_edges(1e-12 * cutoff, cutoff)])
+    return gauss_panels(f, edges)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .constants import validate_hurst
 from .noise import band_mass, keyed_rng, spectral_increments
@@ -362,6 +361,11 @@ def _eval_on(f, x):
     return out.reshape(np.shape(x))
 
 
+def _trapezoid_antiderivative(v, x):
+    """Cumulative trapezoid int_x[0]^x[i] v, starting from 0 at x[0]."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (v[1:] + v[:-1]) / 2.0)])
+
+
 def _homogeneous_values(geom, init):
     """Noise-free mild solution w on the full lattice.
 
@@ -388,9 +392,7 @@ def _homogeneous_values(geom, init):
             hi = geom.x_grid[-1] + T + 2.0 * step
             n_fine = int(math.ceil((hi - lo) / step)) + 1
             fine = np.linspace(lo, hi, n_fine)
-            v_anti = np.concatenate(
-                [[0.0], cumulative_trapezoid(_eval_on(init.v0, fine), fine)]
-            )
+            v_anti = _trapezoid_antiderivative(_eval_on(init.v0, fine), fine)
             w += 0.5 * (np.interp(xp, fine, v_anti) - np.interp(xm, fine, v_anti))
         return w
 

@@ -1,11 +1,14 @@
 """Panel quadrature helpers for power-law singularities and slow cosine tails.
 
-scipy's adaptive routines handle most one-off integrals in this package, but
-the kernel checks need to integrate the same singular-weight integrand at many
-parameter values, vectorised.  Fixed-order Gauss-Legendre panels on graded
-edges do that predictably: grade the edges geometrically toward the
+The package integrates with numpy alone, and these helpers serve its
+quadratures: the kernel checks, which integrate the same singular-weight
+integrand at many parameter values, the Sobolev identities, the Peszat probe
+and the spectral truncation tail.  Fixed-order Gauss-Legendre panels on
+graded edges do that predictably: grade the edges geometrically toward the
 singularity so each panel sees a smooth integrand, then apply one dense rule
-per panel.
+per panel.  Oscillatory integrands get uniform panels a fraction of a
+wavelength wide, and an infinite cosine or sine tail gets the asymptotic form
+of oscillatory_power_tail.
 """
 
 from __future__ import annotations

@@ -402,9 +402,20 @@ class TestPeszatProbe:
         ratio = peszat_probe(h, eta, cutoff=1e6) / eta ** (1.0 - 2.0 * h)
         assert ratio == pytest.approx(math.pi / 2.0, rel=0.1)
 
-    def test_half_limit_is_arctan(self):
-        val = peszat_probe(0.5, 123.0, cutoff=1e4)
-        assert val == pytest.approx(math.atan(1e4), rel=1e-6)
+    @pytest.mark.parametrize("eta, cutoff", [(123.0, 1e4), (0.0, 1e6), (1.0, 1e6), (1000.0, 1e6)])
+    def test_half_limit_is_arctan(self, eta, cutoff):
+        # at h = 1/2 the shift drops out: the probe is arctan(cutoff) for every eta
+        assert peszat_probe(0.5, eta, cutoff) == pytest.approx(math.atan(cutoff), rel=1e-9)
+
+    @pytest.mark.parametrize("eta", [1.0, 10.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("h", [0.3, 0.45])
+    def test_against_adaptive_quad(self, h, eta):
+        # the peszat command's default grid, at the default cutoff 1e4
+        oracle, _ = quad(
+            lambda xi: (xi + eta) ** (1.0 - 2.0 * h) / (1.0 + xi * xi),
+            0.0, 1e4, limit=400, points=[1.0, eta],
+        )
+        assert peszat_probe(h, eta) == pytest.approx(oracle, rel=1e-8)
 
     def test_domain(self):
         with pytest.raises(ValueError):

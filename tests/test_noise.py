@@ -1,7 +1,7 @@
 """Tests for spectral noise synthesis on the solver's lattice bands.
 
 Oracles: closed-form antiderivatives of the spectral density for band masses,
-brute-force quadrature plus asymptotic tails for the truncation integral,
+scipy's cosine-weighted QUADPACK routine for the truncation integral,
 explicit complex band sums for the lattice field and its covariance, the
 band increments themselves for the slab fields the solver integrates
 against, and fixed-seed Monte Carlo (deterministic given the counter-based
@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from fracspde.config import SimulationConfig, to_picard_config
 from fracspde.constants import c_H
 from fracspde.noise import (
     band_mass,
@@ -31,7 +33,7 @@ from fracspde.picard import (
     noise_slabs,
     sampled_holder_initial,
 )
-from fracspde.quadrature import gauss_panels, graded_oscillation_edges, oscillatory_power_tail
+from fracspde.quadrature import gauss_panels
 
 
 def lattice(equation="wave", h=0.3, T=0.25, dx=1.0 / 64, L=1.0, pad=None):
@@ -142,18 +144,19 @@ class TestBandLaw:
 
 
 class TestTruncationTail:
-    def test_against_panel_quadrature(self):
-        # body by graded oscillation panels on [X, 40X], remainder by the
-        # two-term asymptotic tail of the cosine piece plus the exact power
-        h, x, cutoff = 0.3, 1.0, 50.0
-        hi = 40.0 * cutoff
-        edges = graded_oscillation_edges(cutoff, hi, 2.0 * math.pi / x)
-        body = gauss_panels(
-            lambda xi: (1.0 - np.cos(x * xi)) * xi ** (-1.0 - 2.0 * h), edges, order=8
+    # simulate audits the tail at x = L/4, L/2 and L, cut at the lattice's xi_cut
+    SIMULATE_XI_CUT = build_geometry(to_picard_config(SimulationConfig())).xi_cut
+
+    @pytest.mark.parametrize("xi_max", [1.0, 50.0, SIMULATE_XI_CUT])
+    @pytest.mark.parametrize("x", [0.25, 0.5, 1.0, 30.0])
+    @pytest.mark.parametrize("h", [0.26, 0.3, 0.45])
+    def test_against_cosine_weighted_quad(self, h, x, xi_max):
+        # QUADPACK's Fourier-integral routine (QAWF) for the cosine part
+        cos_part, _ = quad(
+            lambda xi: xi ** (-1.0 - 2.0 * h), xi_max, np.inf, weight="cos", wvar=x, limit=400
         )
-        rest = hi ** (-2.0 * h) / (2.0 * h) - oscillatory_power_tail("cos", x, -1.0 - 2.0 * h, hi)
-        oracle = 4.0 * c_H(h) * (body + rest)
-        assert truncation_tail(h, x, cutoff) == pytest.approx(oracle, rel=1e-8)
+        oracle = 4.0 * c_H(h) * (xi_max ** (-2.0 * h) / (2.0 * h) - cos_part)
+        assert truncation_tail(h, x, xi_max) == pytest.approx(oracle, rel=1e-8)
 
     def test_zero_width_indicator(self):
         assert truncation_tail(0.3, 0.0, 100.0) == 0.0

@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from fracspde.constants import c_H
 from fracspde.kernels import A_T
@@ -27,6 +28,7 @@ from fracspde.picard import (
     PicardConfig,
     PicardConvergenceError,
     PicardDivergenceError,
+    _trapezoid_antiderivative,
     build_geometry,
     constant_initial,
     homogeneous_term,
@@ -215,6 +217,14 @@ class TestHomogeneous:
         w = homogeneous_term(cfg)
         t = w.t_grid[:, None]
         np.testing.assert_allclose(w.core_values, np.broadcast_to(t, w.core_values.shape), atol=1e-10)
+
+    def test_velocity_antiderivative_is_scipys_cumulative_trapezoid(self):
+        # the v0 antiderivative is the same expression as scipy's, bit for bit
+        x = np.linspace(-2.0, 3.0, 2001)
+        x[1::3] += 1e-4
+        v = np.sin(3.0 * x) + x * x
+        expected = np.concatenate([[0.0], cumulative_trapezoid(v, x)])
+        assert np.array_equal(_trapezoid_antiderivative(v, x), expected)
 
     def test_wave_quadratic_datum(self):
         # u0 = x^2 gives u = x^2 + t^2 (d'Alembert average of quadratics)
