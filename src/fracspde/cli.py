@@ -1,8 +1,18 @@
 """Command-line front end: verification suites, the lattice noise audit, solver runs.
 
-A command parses its flags, resolves its settings, calls the library and
-writes the artifacts.  Every check of a proof object is built in the
-library, in the module that owns its mathematics: the kernel suite
+Each command is one row of _COMMANDS: its help and its settings, each a
+key with a kind and a default.  The parser adds one flag per setting, and
+_settings resolves every setting by one rule, default < config file < set
+flag.  A flag's text is read by the config file's value rule
+(config.parse_scalar), so a value means the same on the command line and in
+a file: a string that reads as a number or a bool is quoted in both.  The
+kind is checked once, by _checked, or by from_mapping for the
+SimulationConfig fields.  --format, verify-identities --tol and moments
+--p default to None, so they are echoed only when given.
+
+A command resolves its settings, calls the library and only then writes
+its artifacts.  Every check of a proof object is built in the library, in
+the module that owns its mathematics: the kernel suite
 (kernels.kernel_checks), the seminorm identities, the moment sups and the
 Gaussian ratio, holder's slope bands and sampler check
 (regularity.holder_checks), and the Gronwall summability verdict.  A
@@ -13,22 +23,26 @@ status, peszat's monotone count and gronwall's Monte Carlo agreement.
 Exit codes: 0 when every check passed (or the run completed, for commands
 without checks), 2 when at least one check failed, 1 on usage or
 configuration errors, 3 when a Picard iteration diverges (a delta that is
-not finite).  Every command reads an optional flat key = value
-config file, applies flag overrides on top, writes its artifacts into the
-output directory, and echoes the effective configuration beside them as
+not finite).  A finished run writes its artifacts into the output
+directory and echoes its effective settings beside them as
 effective-config.txt; rerunning a command on its own echo reproduces the
-outputs byte for byte.  picard --ensemble and moments split their
-realizations over a worker pool bounded by --threads (default from
-FRACSPDE_THREADS, else 1); results do not depend on the pool size.
+outputs byte for byte.  A refused run writes nothing, not even the output
+directory.  Two flags stay outside the settings and the echo: --threads,
+because the pool size changes no output (picard --ensemble and moments
+split their realizations over a worker pool bounded by --threads, default
+from FRACSPDE_THREADS, else 1), and simulate --save-noise, because
+simulate's echo must stay a valid picard config.
 """
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +50,11 @@ from .config import (
     SimulationConfig,
     from_mapping,
     parse_config_file,
+    parse_scalar,
     serialize_mapping,
     to_picard_config,
 )
+from .constants import validate_hurst
 from .diagnostics import pathwise_x2_seminorm
 from .gronwall import (
     GronwallProblem,
@@ -78,11 +94,8 @@ from .report import (
 from .sobolev import gaussian_bump, identity_check, indicator, tent
 
 _MAX_THREADS = 64
-_H_GRID = (0.26, 0.3, 0.35, 0.4, 0.45)
-_GRID = "grid"
 _KIND_NAMES = {float: "a number", int: "an integer", str: "a string"}
-# the SimulationConfig keys pass through unchecked: from_mapping checks them
-_SIM_OPTIONS = {key: (None, None) for key in SimulationConfig.__dataclass_fields__}
+_SIM_KEYS = tuple(SimulationConfig.__dataclass_fields__)
 
 
 class _CliError(Exception):
@@ -123,22 +136,16 @@ def _run_parallel(tasks, threads):
 def _checked(key, kind, value):
     if kind is None:
         return value
+    if isinstance(kind, list):
+        if isinstance(value, str):
+            value = [parse_scalar(token.strip()) for token in value.split(",")]
+        elif not isinstance(value, list):
+            value = [value]
+        return tuple(_checked(key, kind[0], item) for item in value)
     if isinstance(kind, tuple):
         if value not in kind:
-            raise _CliError(f"{key} must be {', '.join(kind[:-1])}, or {kind[-1]}, got {value!r}")
+            raise _CliError(f"{key} must be one of {', '.join(kind)}, got {value!r}")
         return value
-    if kind == _GRID:
-        if isinstance(value, list):
-            grid = tuple(value)
-        else:
-            try:
-                # str() of a float round-trips; a bool's "True" is no number
-                grid = tuple(float(tok) for tok in str(value).split(","))
-            except ValueError:
-                raise _CliError(f"{key} must be a comma-separated list of numbers, got {value!r}")
-        if not all(map(math.isfinite, grid)):
-            raise _CliError(f"{key} must list finite numbers, got {value!r}")
-        return grid
     if kind is str and isinstance(value, str):
         return value
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
@@ -154,45 +161,57 @@ def _checked(key, kind, value):
     raise _CliError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _settings(args, options):
-    """Resolve a command's settings: default < config file < set flag.
+def _settings(args):
+    """Resolve the settings of args.command: default < config file < set flag.
 
-    options maps each setting key, which is also its flag's dest, to
-    (kind, default); a config key outside options is an error.  A value
-    from the file or a flag must be of its key's kind: float takes an int
-    or a float (never a bool) and yields a finite float; int takes an int
-    and str a string, neither a bool; _GRID takes a repeatable flag, one
-    number or a comma-separated string of numbers and yields a tuple of
-    finite floats; a tuple kind lists the allowed values; None passes the
-    value through for from_mapping to check.  Any other value exits with
-    code 1.
+    The command's row in _COMMANDS maps each setting key, which is also its
+    flag's dest, to its kind and default; a config key outside them is an
+    error.  Flag text is read by parse_scalar, the rule of a config file's
+    values, item by item for a list flag.  A value from the file or a flag
+    must be of its key's kind: float takes an int or a float (never a
+    bool) and yields a finite float; int takes an int and str a string,
+    neither a bool; [float] and [int] take a repeatable flag, one value or
+    a comma-separated string of values and yield a tuple of that kind; a
+    tuple kind lists the allowed values; None passes the value through for
+    from_mapping to check.  Any other value exits with code 1.  An unset
+    setting takes its default, and a default of None stays unset.
     """
+    options = _COMMANDS[args.command].settings
     mapping = parse_config_file(args.config) if args.config else {}
     unknown = [key for key in mapping if key not in options]
     if unknown:
         raise _CliError(f"unknown config key {unknown[0]!r} for this command")
     settings = {}
-    for key, (kind, default) in options.items():
-        value = getattr(args, key, None)
-        if value is None:
+    for key, (kind, default, *_) in options.items():
+        flag = getattr(args, key, None)
+        if flag is None:
             value = mapping.get(key)
+        elif isinstance(flag, list):
+            value = [parse_scalar(text) for text in flag]
+        else:
+            value = parse_scalar(flag)
         settings[key] = default if value is None else _checked(key, kind, value)
     return settings
 
 
-def _sim_config(args):
-    """The validated run record of a SimulationConfig command."""
-    settings = _settings(args, _SIM_OPTIONS)
-    return from_mapping({key: value for key, value in settings.items() if value is not None})
+def _sim_config(settings):
+    """The validated run record of a SimulationConfig command, and its echo:
+    the record's fields, then the command's other settings."""
+    cfg = from_mapping({key: settings[key] for key in _SIM_KEYS if settings[key] is not None})
+    echo = asdict(cfg)
+    echo.update((key, value) for key, value in settings.items() if key not in echo)
+    return cfg, echo
 
 
 def _grid_text(values):
     return ",".join(format_float(v) for v in values)
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write(path, data):
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _json_number(value):
@@ -200,19 +219,8 @@ def _json_number(value):
     return value if math.isfinite(value) else format_float(value)
 
 
-def _write_json(path, obj):
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _echo(settings):
-    """Create the output directory settings["out"] and write the settings
-    into it as effective-config.txt, grids comma-joined and unset (None)
-    settings left out.  Returns the output directory."""
-    out_dir = settings["out"]
-    os.makedirs(out_dir, exist_ok=True)
-    echo = {k: _grid_text(v) if isinstance(v, tuple) else v for k, v in settings.items()}
-    _write_text(os.path.join(out_dir, "effective-config.txt"), serialize_mapping(echo))
-    return out_dir
+def _json_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _print_reports(reports):
@@ -224,10 +232,23 @@ def _print_reports(reports):
         )
 
 
-def _finish(reports, out_dir, fmt, plots=None):
-    """Emit the report file, print per-check lines, and map to an exit code."""
-    path = os.path.join(out_dir, f"report.{'csv' if fmt == 'csv' else 'json'}")
-    emit_report(reports, fmt, path)
+def _finish(echo, reports, files, plots=None):
+    """Write a computed run, print per-check lines, and map to an exit code.
+
+    Creates the output directory echo["out"] and writes into it the echo
+    as effective-config.txt (grids comma-joined, unset settings left out),
+    files (name -> text or bytes; an absolute name is kept), and the report
+    file in echo["format"], json when unset, with report.svg when plots
+    are given.  Commands write nothing before this.
+    """
+    out_dir = echo["out"]
+    os.makedirs(out_dir, exist_ok=True)
+    text = {k: _grid_text(v) if isinstance(v, tuple) else v for k, v in echo.items()}
+    _write(os.path.join(out_dir, "effective-config.txt"), serialize_mapping(text))
+    for name, data in files.items():
+        _write(os.path.join(out_dir, name), data)
+    fmt = echo["format"] or "json"
+    emit_report(reports, fmt, os.path.join(out_dir, f"report.{fmt}"))
     if plots:
         emit_report(reports, "svg-plot", os.path.join(out_dir, "report.svg"), plots=plots)
     _print_reports(reports)
@@ -255,25 +276,20 @@ def _log10_intercept(fit):
 
 
 def _cmd_verify_identities(args):
-    settings = _settings(
-        args, {"hurst_grid": (_GRID, _H_GRID), "tol": (float, None), "out": (str, ".")}
-    )
-    out_dir = _echo(settings)
-
+    settings = _settings(args)
+    for h in settings["hurst_grid"]:
+        validate_hurst(h, lo=0.0)
     rows = [
         row
         for g in (gaussian_bump(), tent(), indicator())
         for row in identity_check(g, settings["hurst_grid"], tol=settings["tol"])
     ]
-    if args.format == "csv":
+    if settings["format"] == "csv":
         cells = [
             (row.name, row.h, row.fourier, row.sobolev, row.rel_err, row.report.passed)
             for row in rows
         ]
-        _write_text(
-            os.path.join(out_dir, "identities.csv"),
-            csv_text(("g", "h", "lhs", "rhs", "rel_err", "pass"), cells),
-        )
+        files = {"identities.csv": csv_text(("g", "h", "lhs", "rhs", "rel_err", "pass"), cells)}
     else:
         records = [
             {
@@ -286,51 +302,34 @@ def _cmd_verify_identities(args):
             }
             for row in rows
         ]
-        _write_json(os.path.join(out_dir, "identities.json"), records)
-    return _finish([row.report for row in rows], out_dir, args.format)
+        files = {"identities.json": _json_text(records)}
+    return _finish(settings, [row.report for row in rows], files)
 
 
 # ------------------------------------------------------------------- kernels
 
 
 def _cmd_verify_kernels(args):
-    settings = _settings(
-        args,
-        {
-            "equation": (("wave", "heat", "both"), "both"),
-            "T": (float, 1.0),
-            "alpha_grid": (_GRID, (0.0, 0.2, 0.4)),
-            "out": (str, "."),
-        },
-    )
+    settings = _settings(args)
     equation, T, alphas = settings["equation"], settings["T"], settings["alpha_grid"]
     if not T > 0.0:
         raise _CliError(f"T must be positive, got {T!r}")
     for alpha in alphas:
         if not -1.0 < alpha < 1.0:
             raise _CliError(f"alpha must lie in (-1, 1), got {alpha!r}")
-    out_dir = _echo(settings)
     equations = EQUATIONS if equation == "both" else (equation,)
     reports = [rep for eq in equations for rep in kernel_checks(eq, T, alphas)]
-    return _finish(reports, out_dir, args.format)
+    return _finish(settings, reports, {})
 
 
 # -------------------------------------------------------------------- peszat
 
 
 def _cmd_peszat(args):
-    settings = _settings(
-        args,
-        {
-            "hurst_grid": (_GRID, (0.3, 0.45)),
-            "eta_grid": (_GRID, (1.0, 10.0, 100.0, 1000.0)),
-            "out": (str, "."),
-        },
-    )
+    settings = _settings(args)
     etas = settings["eta_grid"]
     if len(etas) < 2:
         raise _CliError("eta grid needs at least two points to test monotonicity")
-    out_dir = _echo(settings)
 
     rows = []
     reports = []
@@ -348,28 +347,23 @@ def _cmd_peszat(args):
                 inputs={"h": h, "etas": _grid_text(etas)},
             )
         )
-    _write_text(os.path.join(out_dir, "probes.csv"), csv_text(("h", "eta", "value"), rows))
-    return _finish(reports, out_dir, args.format)
+    return _finish(settings, reports, {"probes.csv": csv_text(("h", "eta", "value"), rows)})
 
 
 # ------------------------------------------------------------------ simulate
 
 
 def _cmd_simulate(args):
-    cfg = _sim_config(args)
-    out_dir = _echo(asdict(cfg))
+    cfg, echo = _sim_config(_settings(args))
     # the lattice and noise bands that picard builds at the same settings
     geom = build_geometry(to_picard_config(cfg))
+    files = {}
     if args.save_noise:
-        path = args.save_noise
-        if not os.path.isabs(path):
-            path = os.path.join(out_dir, path)
         # the stream of realization 0, which noise_slabs draws for picard
         z = spectral_increments(geom.band_masses, geom.dt, geom.n_steps, keyed_rng(cfg.seed, 0))
-        # a file handle keeps np.save from appending .npy to the path
-        with open(path, "wb") as fh:
-            np.save(fh, z)
-        print(f"wrote noise increments {path}")
+        npy = io.BytesIO()
+        np.save(npy, z)
+        files[args.save_noise] = npy.getvalue()
 
     # check points inside the reported window [-L, L]: the lattice period
     # n_fft * dx is at least 2L, so none of them meets its periodic image
@@ -392,7 +386,10 @@ def _cmd_simulate(args):
                 },
             )
         )
-    return _finish(reports, out_dir, args.format)
+    code = _finish(echo, reports, files)
+    if args.save_noise:
+        print(f"wrote noise increments {os.path.join(cfg.out, args.save_noise)}")
+    return code
 
 
 # -------------------------------------------------------------------- picard
@@ -436,7 +433,7 @@ def _solve_ensemble_blocks(picard_cfg, n_realizations, n_iters, threads, thin=No
     return deltas, ensemble, [v for first in firsts for v in first.values]
 
 
-def _picard_single(cfg, out_dir, fmt):
+def _picard_single(cfg, echo):
     picard_cfg = to_picard_config(cfg)
     result = solve(picard_cfg)
     field = result.field
@@ -452,7 +449,6 @@ def _picard_single(cfg, out_dir, fmt):
         t_text = format_float(field.t_grid[i])
         for j, x in zip(x_idx, x_text):
             rows.append((t_text, x, float(values[i, j])))
-    _write_text(os.path.join(out_dir, "field.csv"), csv_text(("t", "x", "value"), rows))
 
     seminorm = pathwise_x2_seminorm(field.values - result.homogeneous, result.geometry)
     diagnostics = {
@@ -473,7 +469,10 @@ def _picard_single(cfg, out_dir, fmt):
         "deltas": [_json_number(d) for d in result.deltas],
         "pathwise_x2_seminorm": _json_number(seminorm),
     }
-    _write_json(os.path.join(out_dir, "diagnostics.json"), diagnostics)
+    files = {
+        "field.csv": csv_text(("t", "x", "value"), rows),
+        "diagnostics.json": _json_text(diagnostics),
+    }
 
     reports = [
         make_check(
@@ -500,19 +499,15 @@ def _picard_single(cfg, out_dir, fmt):
             annotation=f"converged in {result.n_iters} iterations",
         )
     ]
-    return _finish(reports, out_dir, fmt, plots=plots)
+    return _finish(echo, reports, files, plots=plots)
 
 
-def _picard_ensemble(cfg, out_dir, fmt, threads):
+def _picard_ensemble(cfg, echo, threads):
     picard_cfg = to_picard_config(cfg)
     deltas, _, _ = _solve_ensemble_blocks(picard_cfg, cfg.ensemble, cfg.max_iters, threads)
     mean = deltas.mean(axis=0)
     peak = deltas.max(axis=0)
     rows = [(n + 1, float(mean[n]), float(peak[n])) for n in range(mean.size)]
-    _write_text(
-        os.path.join(out_dir, "deltas.csv"),
-        csv_text(("iteration", "mean_delta", "max_delta"), rows),
-    )
     diagnostics = {
         "equation": cfg.equation,
         "hurst": cfg.hurst,
@@ -522,7 +517,10 @@ def _picard_ensemble(cfg, out_dir, fmt, threads):
         "max_deltas": [_json_number(v) for v in peak],
         "seed": cfg.seed,
     }
-    _write_json(os.path.join(out_dir, "diagnostics.json"), diagnostics)
+    files = {
+        "deltas.csv": csv_text(("iteration", "mean_delta", "max_delta"), rows),
+        "diagnostics.json": _json_text(diagnostics),
+    }
 
     reports = [
         make_check(
@@ -553,50 +551,36 @@ def _picard_ensemble(cfg, out_dir, fmt, threads):
             annotation=f"{cfg.ensemble} realizations",
         )
     ]
-    return _finish(reports, out_dir, fmt, plots=plots)
+    return _finish(echo, reports, files, plots=plots)
 
 
 def _cmd_picard(args):
     threads = _resolve_threads(args.threads)
-    cfg = _sim_config(args)
-    out_dir = _echo(asdict(cfg))
+    cfg, echo = _sim_config(_settings(args))
     if cfg.ensemble == 1:
-        return _picard_single(cfg, out_dir, args.format)
-    return _picard_ensemble(cfg, out_dir, args.format, threads)
+        return _picard_single(cfg, echo)
+    return _picard_ensemble(cfg, echo, threads)
 
 
 # -------------------------------------------------------------------- holder
 
 
 def _cmd_holder(args):
-    settings = _settings(
-        args,
-        {
-            "target": (("noise", "wave", "heat"), "wave"),
-            "hurst": (float, SimulationConfig.hurst),
-            "ensemble": (int, HOLDER_REALIZATIONS),
-            "seed": (int, SimulationConfig.seed),
-            "out": (str, SimulationConfig.out),
-        },
-    )
-    target, hurst, ensemble, seed, _ = settings.values()
+    settings = _settings(args)
+    target = settings["target"]
     # the run record checks the ranges of the Hurst index, ensemble and seed
-    from_mapping({key: value for key, value in settings.items() if key != "target"})
-    out_dir = _echo(settings)
+    from_mapping({key: settings[key] for key in ("hurst", "ensemble", "seed", "out")})
+    reports, axes = holder_checks(target, settings["hurst"], settings["ensemble"], settings["seed"])
 
-    reports, axes = holder_checks(target, hurst, ensemble, seed)
-
+    files = {}
     plots = []
     summary = {}
     for held in axes:
         fit = held.fit
-        _write_text(
-            os.path.join(out_dir, f"holder-{target}-{held.axis}.csv"),
-            csv_text(
-                ("lag", "lattice_exact", "completion", "lattice_mc", "mc_stderr", "z"),
-                [tuple(map(float, row)) for row in zip(
-                    fit.lags, fit.lattice, fit.completion, held.mc, held.stderr, held.z)],
-            ),
+        files[f"holder-{target}-{held.axis}.csv"] = csv_text(
+            ("lag", "lattice_exact", "completion", "lattice_mc", "mc_stderr", "z"),
+            [tuple(map(float, row)) for row in zip(
+                fit.lags, fit.lattice, fit.completion, held.mc, held.stderr, held.z)],
         )
         summary[held.axis] = {
             "label": fit.label,
@@ -619,8 +603,8 @@ def _cmd_holder(args):
                 annotation=f"target {format_float(held.target_slope)}",
             )
         )
-    _write_json(os.path.join(out_dir, "holder.json"), summary)
-    return _finish(reports, out_dir, args.format, plots=plots)
+    files["holder.json"] = _json_text(summary)
+    return _finish(settings, reports, files, plots=plots)
 
 
 # ------------------------------------------------------------------- moments
@@ -628,9 +612,9 @@ def _cmd_holder(args):
 
 def _cmd_moments(args):
     threads = _resolve_threads(args.threads)
-    cfg = _sim_config(args)
-    out_dir = _echo(asdict(cfg))
-    p_list = tuple(args.p) if args.p else (2, 4)
+    settings = _settings(args)
+    cfg, echo = _sim_config(settings)
+    p_list = settings["p"] or (2, 4)
     for p in p_list:
         if p < 2:
             raise _CliError(f"p must be at least 2, got {p}")
@@ -644,10 +628,7 @@ def _cmd_moments(args):
         picard_cfg, cfg.ensemble, cfg.max_iters, threads, thin=(16, 128)
     )
     reports, sups = moment_report(ensemble, p_list=p_list)
-    _write_text(
-        os.path.join(out_dir, "moments.csv"),
-        csv_text(("p", "sup_moment", "stderr"), [(s.p, s.sup, s.stderr) for s in sups]),
-    )
+    rows = [(s.p, s.sup, s.stderr) for s in sups]
 
     if cfg.sigma_a == 0.0:
         reports.append(gaussian_ratio_check(picard_cfg, first))
@@ -662,38 +643,26 @@ def _cmd_moments(args):
         )
         for s in sups
     ]
-    return _finish(reports, out_dir, args.format, plots=plots)
+    files = {"moments.csv": csv_text(("p", "sup_moment", "stderr"), rows)}
+    return _finish(echo, reports, files, plots=plots)
 
 
 # ------------------------------------------------------------------ gronwall
 
 
 def _cmd_gronwall(args):
-    settings = _settings(
-        args,
-        {
-            "g": (str, "const"),
-            "T": (float, 1.0),
-            "m0": (float, 1.0),
-            "m1": (float, 1.0),
-            "n_max": (int, 80),
-            "k": (int, 3),
-            "mc_samples": (int, 200_000),
-            "seed": (int, 0),
-            "out": (str, "."),
-        },
+    settings = _settings(args)
+    g_spec, T, n_max, k, mc_samples, seed = (
+        settings[key] for key in ("g", "T", "n_max", "k", "mc_samples", "seed")
     )
-    g_spec, T, m0, m1, n_max, k, mc_samples, seed, _ = settings.values()
     if n_max < 2:
         raise _CliError(f"n_max must be at least 2, got {n_max}")
     if mc_samples < 1000:
         raise _CliError(f"mc_samples must be at least 1000, got {mc_samples}")
-    out_dir = _echo(settings)
 
-    problem = GronwallProblem(T=T, g=g_spec, M0=m0, M1=m1)
+    problem = GronwallProblem(T=T, g=g_spec, M0=settings["m0"], M1=settings["m1"])
     seq = a_n_sequence(problem, n_max)
     rows = [(n, float(seq[n])) for n in range(seq.size)]
-    _write_text(os.path.join(out_dir, "a_n.csv"), csv_text(("n", "a_n"), rows))
 
     conv = hitting_probability(g_spec, T, k)
     mc = hitting_probability(g_spec, T, k, method="mc", n_samples=mc_samples, seed=seed)
@@ -730,7 +699,7 @@ def _cmd_gronwall(args):
             annotation=f"g = {g_spec}",
         )
     ]
-    return _finish(reports, out_dir, args.format, plots=plots)
+    return _finish(settings, reports, {"a_n.csv": csv_text(("n", "a_n"), rows)}, plots=plots)
 
 
 # -------------------------------------------------------------------- report
@@ -779,144 +748,147 @@ def _cmd_report(args):
     return 0 if all_passed(reports) else 2
 
 
-# -------------------------------------------------------------------- parser
+# ------------------------------------------------------------------ commands
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report file format"
-    )
+class _Command(NamedTuple):
+    """One row of the command table.
+
+    settings maps each setting key to (kind, default) or (kind, default,
+    help); every key but those in file_only gets a flag, --key with
+    underscores as dashes and a _grid suffix dropped.  flags are plain
+    (flag, add_argument keywords) pairs: no config key, never echoed.
+    """
+
+    help: str
+    settings: dict
+    flags: tuple = ()
+    file_only: tuple = ()
+    description: str = None
 
 
-def _add_threads(sub):
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker pool bound (default FRACSPDE_THREADS or 1)",
-    )
-
-
-_SIM_FLAG_SPECS = {
-    "equation": dict(choices=("wave", "heat")),
-    "hurst": dict(type=float),
-    "T": dict(type=float),
-    "dt": dict(type=float),
-    "dx": dict(type=float),
-    "L": dict(type=float),
-    "sigma_a": dict(type=float),
-    "sigma_b": dict(type=float),
-    "u0": dict(help="const:<value> or holder-sample"),
-    "v0": dict(type=float),
-    "seed": dict(type=int),
-    "ensemble": dict(type=int),
-    "max_iters": dict(type=int),
-    "tol": dict(type=float),
+_COMMON = {
+    "out": (str, ".", "output directory"),
+    "format": (("json", "csv"), None, "report file format (default json)"),
 }
+# the SimulationConfig fields pass through unchecked: from_mapping checks them
+_SIM_SETTINGS = {key: (None, None) for key in _SIM_KEYS if key != "out"}
+_SIM_SETTINGS["u0"] = (None, None, "const:<value> or holder-sample")
+_THREADS = ("--threads", dict(type=int, help="worker pool bound (default FRACSPDE_THREADS or 1)"))
 
-
-def _add_sim_flags(sub, keys):
-    for key in keys:
-        sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, **_SIM_FLAG_SPECS[key])
-
-
-def _build_parser():
-    parser = _Parser(prog="fracspde", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sub = subs.add_parser(
-        "verify-identities", help="seminorm route identities per test function"
-    )
-    sub.add_argument("--hurst", dest="hurst_grid", type=float, nargs="+", default=None)
-    sub.add_argument("--tol", type=float, default=None)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_verify_identities)
-
-    sub = subs.add_parser("verify-kernels", help="kernel integral closed forms vs quadrature")
-    sub.add_argument("--equation", choices=("wave", "heat", "both"), default=None)
-    sub.add_argument("--T", dest="T", type=float, default=None)
-    sub.add_argument("--alpha", dest="alpha_grid", type=float, nargs="+", default=None)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_verify_kernels)
-
-    sub = subs.add_parser("peszat", help="spectral smoothing probe monotonicity")
-    sub.add_argument("--hurst", dest="hurst_grid", type=float, nargs="+", default=None)
-    sub.add_argument("--eta", dest="eta_grid", type=float, nargs="+", default=None)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_peszat)
-
-    sub = subs.add_parser(
-        "simulate",
-        help="variance bias of the noise that picard draws at these settings, "
+_COMMANDS = {
+    "verify-identities": _Command(
+        "seminorm route identities per test function",
+        {"hurst_grid": ([float], (0.26, 0.3, 0.35, 0.4, 0.45)), "tol": (float, None), **_COMMON},
+    ),
+    "verify-kernels": _Command(
+        "kernel integral closed forms vs quadrature",
+        {
+            "equation": (("wave", "heat", "both"), "both"),
+            "T": (float, 1.0),
+            "alpha_grid": ([float], (0.0, 0.2, 0.4)),
+            **_COMMON,
+        },
+    ),
+    "peszat": _Command(
+        "spectral smoothing probe monotonicity",
+        {
+            "hurst_grid": ([float], (0.3, 0.45)),
+            "eta_grid": ([float], (1.0, 10.0, 100.0, 1000.0)),
+            **_COMMON,
+        },
+    ),
+    "simulate": _Command(
+        "variance bias of the noise that picard draws at these settings, "
         "at x = L/4, L/2 and L",
-    )
-    _add_sim_flags(sub, ("equation", "hurst", "T", "dt", "dx", "L", "seed"))
-    sub.add_argument(
-        "--save-noise",
-        dest="save_noise",
-        default=None,
-        help="write the (n_steps, n_bands) complex band increments here as .npy "
-        "(a relative path is taken inside the output directory)",
-    )
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_simulate)
-
-    sub = subs.add_parser("picard", help="mild-solution Picard iteration")
-    _add_sim_flags(sub, _SIM_FLAG_SPECS)
-    _add_common(sub)
-    _add_threads(sub)
-    sub.set_defaults(handler=_cmd_picard)
-
-    sub = subs.add_parser(
-        "holder",
-        help="increment exponent fits",
+        {**_SIM_SETTINGS, **_COMMON},
+        flags=(
+            (
+                "--save-noise",
+                dict(
+                    help="write the (n_steps, n_bands) complex band increments here as .npy "
+                    "(a relative path is taken inside the output directory)"
+                ),
+            ),
+        ),
+        # read so that picard's echo runs simulate; they change none of its outputs
+        file_only=("sigma_a", "sigma_b", "u0", "v0", "ensemble", "max_iters", "tol"),
+    ),
+    "picard": _Command(
+        "mild-solution Picard iteration", {**_SIM_SETTINGS, **_COMMON}, flags=(_THREADS,)
+    ),
+    "holder": _Command(
+        "increment exponent fits",
+        {
+            "target": (("noise", "wave", "heat"), "wave"),
+            "hurst": (float, SimulationConfig.hurst),
+            "ensemble": (
+                int,
+                HOLDER_REALIZATIONS,
+                f"realizations of the sampler check (default {HOLDER_REALIZATIONS}, "
+                f"at least {MIN_HOLDER_REALIZATIONS})",
+            ),
+            "seed": (int, SimulationConfig.seed),
+            **_COMMON,
+        },
         description="Fit the Holder exponents of the target on its exact lattice "
         "increment moments plus the spectral window completion: each slope must lie "
         f"within {HOLDER_SLOPE_BAND:g} of its target, whatever the seed.  A Monte Carlo "
         "ensemble of the exact-law sampler checks the sampler: at every lag its moment "
         f"must lie within {HOLDER_Z_MAX:g} standard errors of the exact one.",
-    )
-    sub.add_argument("--target", choices=("noise", "wave", "heat"), default=None)
-    _add_sim_flags(sub, ("hurst", "seed"))
-    sub.add_argument(
-        "--ensemble",
-        type=int,
-        default=None,
-        help=f"realizations of the sampler check (default {HOLDER_REALIZATIONS}, "
-        f"at least {MIN_HOLDER_REALIZATIONS})",
-    )
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_holder)
+    ),
+    "moments": _Command(
+        "ensemble moment bounds",
+        {**_SIM_SETTINGS, "p": ([int], None, "moment orders (default 2 4)"), **_COMMON},
+        flags=(_THREADS,),
+    ),
+    "gronwall": _Command(
+        "iterated-bound sequence and hitting probabilities",
+        {
+            "g": (str, "const", "const, const:<v>, power:<e>, or table:<csv>"),
+            "T": (float, 1.0),
+            "m0": (float, 1.0),
+            "m1": (float, 1.0),
+            "n_max": (int, 80),
+            "k": (int, 3),
+            "mc_samples": (int, 200_000),
+            "seed": (int, 0),
+            **_COMMON,
+        },
+    ),
+    "report": _Command(
+        "re-render a saved report file",
+        {},
+        flags=(
+            ("--input", dict(required=True, help="report JSON written by another command")),
+            ("--format", dict(choices=("json", "csv"), default="csv")),
+            ("--output", dict(required=True, help="destination file")),
+        ),
+    ),
+}
 
-    sub = subs.add_parser("moments", help="ensemble moment bounds")
-    _add_sim_flags(sub, _SIM_FLAG_SPECS)
-    sub.add_argument("--p", type=int, nargs="+", default=None)
-    _add_common(sub)
-    _add_threads(sub)
-    sub.set_defaults(handler=_cmd_moments)
 
-    sub = subs.add_parser(
-        "gronwall", help="iterated-bound sequence and hitting probabilities"
-    )
-    sub.add_argument("--g", default=None, help="const, const:<v>, power:<e>, or table:<csv>")
-    sub.add_argument("--T", dest="T", type=float, default=None)
-    sub.add_argument("--m0", type=float, default=None)
-    sub.add_argument("--m1", type=float, default=None)
-    sub.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_gronwall)
-
-    sub = subs.add_parser("report", help="re-render a saved report file")
-    sub.add_argument("--input", required=True, help="report JSON written by another command")
-    sub.add_argument("--format", choices=("json", "csv"), default="csv")
-    sub.add_argument("--output", required=True, help="destination file")
-    sub.set_defaults(handler=_cmd_report)
-
+def _build_parser():
+    parser = _Parser(prog="fracspde", description=__doc__.splitlines()[0])
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help, description=command.description)
+        if command.settings:
+            sub.add_argument("--config", help="flat key = value config file")
+        for key, (kind, _, *text) in command.settings.items():
+            if key not in command.file_only:
+                sub.add_argument(
+                    "--" + key.removesuffix("_grid").replace("_", "-"),
+                    dest=key,
+                    nargs="+" if isinstance(kind, list) else None,
+                    metavar="{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None,
+                    help=text[0] if text else None,
+                )
+        for flag, keywords in command.flags:
+            sub.add_argument(flag, **keywords)
+        # the handler is found by name each time the parser is built, so a
+        # wrapper bound over the module attribute (perfbench's tracer) runs
+        sub.set_defaults(handler=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 

@@ -29,7 +29,12 @@ _KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 
 
-def _parse_scalar(token):
+def parse_scalar(token):
+    """One value of the file format: a quoted string (quotes removed), a
+    bool, an integer, a float, or else the bare string.  The CLI reads
+    every setting flag by this rule too."""
+    if len(token) >= 2 and token[0] == token[-1] == '"':
+        return token[1:-1].replace('\\"', '"').replace("\\\\", "\\")
     if token == "true":
         return True
     if token == "false":
@@ -80,12 +85,9 @@ def parse_config_text(text):
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         if not value:
             raise ValueError(f"config line {lineno}: missing value for {key!r}")
-        if value.startswith('"'):
-            if not (len(value) >= 2 and value.endswith('"')):
-                raise ValueError(f"config line {lineno}: unterminated string for {key!r}")
-            mapping[key] = value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-        else:
-            mapping[key] = _parse_scalar(value)
+        if value.startswith('"') and not (len(value) >= 2 and value.endswith('"')):
+            raise ValueError(f"config line {lineno}: unterminated string for {key!r}")
+        mapping[key] = parse_scalar(value)
     return mapping
 
 

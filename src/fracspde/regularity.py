@@ -158,9 +158,7 @@ class FieldEnsemble:
     """Monte Carlo fields on a common lattice window.
 
     values has shape (n_realizations, n_times, n_x); kind is "wave",
-    "heat", or "noise" (the spatially antidifferentiated noise process)
-    and selects the per-frequency variance law used for the spectral
-    window completion, together with h and xi_cut.
+    "heat", or "noise" (the spatially antidifferentiated noise process).
     """
 
     kind: str
@@ -168,7 +166,6 @@ class FieldEnsemble:
     t: np.ndarray
     x: np.ndarray
     values: np.ndarray
-    xi_cut: float
 
     @property
     def n_realizations(self):
@@ -197,10 +194,11 @@ def geometric_time_lags(anchor, horizon, largest, n_lags=6, ratio=1.6):
     return largest / ratio ** np.arange(n_lags, dtype=float)
 
 
-def _sampler_geometry(equation, h, T, dx, half_width, seed):
+def _sampler_geometry(equation, h, T, dx, half_width):
+    # build_geometry reads no seed: each sampler keys its own draws
     config = PicardConfig(
         equation=equation, h=h, T=T, n_steps=1, dx=dx, L=half_width,
-        sigma=AffineSigma(0.0, 1.0), init=constant_initial(0.0), seed=seed,
+        sigma=AffineSigma(0.0, 1.0), init=constant_initial(0.0), seed=0,
         pad=16.0 * dx,
     )
     return build_geometry(config)
@@ -230,7 +228,7 @@ def sample_noise_antiderivative(h, t, dx, half_width, n_realizations, seed=0,
         raise ValueError("n_realizations must be at least 1")
     if t <= 0.0:
         raise ValueError("t must be positive")
-    geom = _sampler_geometry("heat", h, t, dx, half_width, seed)
+    geom = _sampler_geometry("heat", h, t, dx, half_width)
     om = geom.omega_r[: geom.n_bands]
     x_core = geom.x_grid[geom.core]
     for start in range(0, n_realizations, _SAMPLER_CHUNK):
@@ -244,8 +242,7 @@ def sample_noise_antiderivative(h, t, dx, half_width, n_realizations, seed=0,
         fields = _band_field(geom, z)
         fields += np.outer(ramp, geom.x_grid)
         chunk = FieldEnsemble(
-            kind="noise", h=h, t=np.array([t]), x=x_core,
-            values=fields[:, None, geom.core], xi_cut=geom.xi_cut,
+            kind="noise", h=h, t=np.array([t]), x=x_core, values=fields[:, None, geom.core]
         )
         for collector in collectors:
             collector.observe_chunk(chunk)
@@ -307,7 +304,7 @@ def sample_additive_solution(equation, h, T, dx, half_width, times,
     if n_realizations < 1:
         raise ValueError("n_realizations must be at least 1")
 
-    geom = _sampler_geometry(equation, h, T, dx, half_width, seed)
+    geom = _sampler_geometry(equation, h, T, dx, half_width)
     om = geom.omega_r[: geom.n_bands]
     masses = geom.band_masses
     x_core = geom.x_grid[geom.core]
@@ -349,9 +346,7 @@ def sample_additive_solution(equation, h, T, dx, half_width, times,
                 xi_y += gain * xi_v
                 y, v = cosd * y + sindc * v + xi_y, msin * y + cosd * v + xi_v
             values[:, j, :] = _band_field(geom, y)[:, geom.core]
-        chunk = FieldEnsemble(
-            kind=equation, h=h, t=times, x=x_core, values=values, xi_cut=geom.xi_cut,
-        )
+        chunk = FieldEnsemble(kind=equation, h=h, t=times, x=x_core, values=values)
         for collector in collectors:
             collector.observe_chunk(chunk)
         # free this chunk before the next one is drawn
@@ -394,7 +389,7 @@ class FieldSampleCollector:
             kind=geom.equation, h=geom.h,
             t=geom.dt * self._t_idx.astype(float),
             x=geom.x_grid[self._x_idx],
-            values=np.stack(self._rows), xi_cut=geom.xi_cut,
+            values=np.stack(self._rows),
         )
 
 
@@ -692,7 +687,7 @@ def holder_checks(target, h, n_realizations, seed):
         )
     if target == "noise":
         t, dx, half_width = 0.5, 1.0 / 512, 2.0
-        geom = _sampler_geometry("heat", h, t, dx, half_width, seed)
+        geom = _sampler_geometry("heat", h, t, dx, half_width)
         increments = IncrementCollector(space_lags=2.0 ** -np.arange(3, 8))
         sample_noise_antiderivative(h, t, dx, half_width, n_realizations, seed=seed,
                                     collectors=(increments,))
@@ -707,7 +702,7 @@ def holder_checks(target, h, n_realizations, seed):
             T, anchor, time_target = 0.25, 0.125, h
             lags_t = geometric_time_lags(anchor, T, largest=1.0 / 64, n_lags=6, ratio=1.6)
             times = np.concatenate([[anchor], anchor + np.sort(lags_t)])
-        geom = _sampler_geometry(target, h, T, 1.0 / 1024, 1.0, seed)
+        geom = _sampler_geometry(target, h, T, 1.0 / 1024, 1.0)
         increments = IncrementCollector(space_lags=lags_s, time_lags=lags_t)
         sample_additive_solution(target, h, T, 1.0 / 1024, 1.0, times, n_realizations,
                                  seed=seed, collectors=(increments,))

@@ -37,9 +37,10 @@ SMOOTHNESS_TAGS = ("smooth_decaying", "lipschitz_compact", "custom")
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A test function with optional closed-form Fourier transform.
+    """A test function with its closed-form Fourier transform.
 
-    evaluator and fourier_evaluator must accept ndarray arguments.
+    evaluator and fourier_evaluator must accept ndarray arguments; the
+    Fourier side reads only the magnitude |Fg|.
     support_hint brackets where |g| is numerically nonzero; for unbounded
     smooth functions it marks the |g| < 1e-16 region.  smoothness_tag picks
     the physical-space quadrature strategy.
@@ -51,7 +52,7 @@ class TestFunction:
     evaluator: Callable[[np.ndarray], np.ndarray]
     support_hint: tuple[float, float]
     smoothness_tag: str
-    fourier_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    fourier_evaluator: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.smoothness_tag not in SMOOTHNESS_TAGS:
@@ -131,89 +132,37 @@ def _one_minus_cos(x):
 # ---------------------------------------------------------------------------
 
 
-def _fourier_magnitude_fft(g: TestFunction, n_samples: int = 1 << 17):
-    """Sampled |Fg| on the nonnegative rfft frequency lattice.
-
-    Samples g on a lattice covering [-L, L] with heavy zero padding (finer
-    frequency spacing); |Fg(xi_k)| = dx |rfft(samples)[k]| regardless of the
-    lattice origin.
-    """
-    lo, hi = g.support_hint
-    half_width = max(abs(lo), abs(hi)) * 4.0 + 1.0
-    dx = 2.0 * half_width / n_samples
-    x = -half_width + dx * np.arange(n_samples)
-    mags = dx * np.abs(np.fft.rfft(g.evaluator(x)))
-    freqs = 2.0 * math.pi * np.fft.rfftfreq(n_samples, d=dx)
-    return freqs, mags
-
-
-def _weighted_lattice_integral(freqs: np.ndarray, values: np.ndarray, power: float) -> float:
-    """int values(xi) xi^power d xi with values linearly interpolated between
-    lattice points and the power weight integrated exactly per bin.
-
-    Plain trapezoid misses badly near xi = 0 where xi^power has unbounded
-    derivative; carrying the weight analytically removes that error.
-    """
-    lo, hi = freqs[:-1], freqs[1:]
-    p1 = (hi ** (power + 1.0) - lo ** (power + 1.0)) / (power + 1.0)
-    p2 = (hi ** (power + 2.0) - lo ** (power + 2.0)) / (power + 2.0)
-    slope = (values[1:] - values[:-1]) / (hi - lo)
-    return float(np.sum(values[:-1] * p1 + slope * (p2 - lo * p1)))
-
-
-def fourier_side(g: TestFunction, h: float, n_samples: int = 1 << 17) -> float:
+def fourier_side(g: TestFunction, h: float) -> float:
     """c_H int_R |Fg(xi)|^2 |xi|^(1-2h) dxi.
 
-    With a closed-form transform: geometric Gauss panels in growing octave
-    blocks, stopping once the geometric extrapolation of the remaining blocks
-    is below 1e-9 of the total.  Without: exact-weight integration of the
-    interpolated rfft magnitudes plus the same geometric tail extrapolation;
-    raises RuntimeError when the tail does not converge.
+    Geometric Gauss panels on the closed-form transform, in growing octave
+    blocks, stopping once the geometric extrapolation of the remaining
+    blocks is below 1e-9 of the total; raises RuntimeError when the blocks
+    do not decay.
     """
     if not 0.0 < h < 0.5:
         raise ValueError(f"hurst index must lie in (0, 1/2), got {h!r}")
     weight_pow = 1.0 - 2.0 * h
-    if g.fourier_evaluator is not None:
-        f = g.fourier_evaluator
+    f = g.fourier_evaluator
 
-        def integrand(xi):
-            return np.abs(f(xi)) ** 2 * xi**weight_pow
+    def integrand(xi):
+        return np.abs(f(xi)) ** 2 * xi**weight_pow
 
-        total = gauss_panels(integrand, geometric_edges(1e-8, 1.0), order=12)
-        lo, prev_block = 1.0, None
-        for _ in range(64):
-            block = gauss_panels(integrand, geometric_edges(lo, 2.0 * lo), order=12)
-            total += block
-            if block <= 1e-300:
-                return 2.0 * c_H(h) * total
-            if prev_block is not None and block < prev_block:
-                r = block / prev_block
-                tail_est = block * r / (1.0 - r)
-                if tail_est < 1e-9 * total:
-                    return 2.0 * c_H(h) * (total + tail_est)
-            prev_block = block
-            lo *= 2.0
-        raise RuntimeError(f"weighted Fourier integral did not converge for {g.name!r}")
-
-    freqs, mags = _fourier_magnitude_fft(g, n_samples)
-    body = _weighted_lattice_integral(freqs, mags**2, weight_pow)
-    # geometric tail estimate from the decay of per-octave integrals
-    nyquist = freqs[-1]
-    dxi = freqs[1] - freqs[0]
-    weighted = mags**2 * np.where(freqs > 0.0, freqs, 1.0) ** weight_pow
-    s_hi = float(np.sum(weighted[freqs > nyquist / 2.0])) * dxi
-    s_lo = float(np.sum(weighted[(freqs > nyquist / 4.0) & (freqs <= nyquist / 2.0)])) * dxi
-    if s_lo <= 0.0 or s_hi < 1e-12 * body:
-        # tail is below roundoff: nothing to extrapolate
-        tail = 0.0
-    else:
-        r = s_hi / s_lo
-        if r >= 0.95:
-            raise RuntimeError(
-                f"Fourier tail of {g.name!r} decays too slowly to extrapolate (octave ratio {r:.3f})"
-            )
-        tail = s_hi * r / (1.0 - r)
-    return 2.0 * c_H(h) * (body + tail)
+    total = gauss_panels(integrand, geometric_edges(1e-8, 1.0), order=12)
+    lo, prev_block = 1.0, None
+    for _ in range(64):
+        block = gauss_panels(integrand, geometric_edges(lo, 2.0 * lo), order=12)
+        total += block
+        if block <= 1e-300:
+            return 2.0 * c_H(h) * total
+        if prev_block is not None and block < prev_block:
+            r = block / prev_block
+            tail_est = block * r / (1.0 - r)
+            if tail_est < 1e-9 * total:
+                return 2.0 * c_H(h) * (total + tail_est)
+        prev_block = block
+        lo *= 2.0
+    raise RuntimeError(f"weighted Fourier integral did not converge for {g.name!r}")
 
 
 # ---------------------------------------------------------------------------

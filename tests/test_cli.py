@@ -264,6 +264,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gronwall", "--T", "0"], "T must be positive"),
+            (["gronwall", "--m0", "-1"], "M0 and M1 must be nonnegative"),
+            (["gronwall", "--g", "power:-1"], "power exponent must exceed -1"),
+            (["gronwall", "--k", "0"], "k must be at least 1"),
+            (["holder", "--ensemble", "10"], "ensemble = 10 is below"),
+            (["moments", "--p", "1"], "p must be at least 2, got 1"),
+            (["peszat", "--hurst", "0.7"], "got 0.7"),
+            (["verify-identities", "--hurst", "0.7"], "hurst must lie in the open interval"),
+        ],
+        ids=["gronwall-T", "gronwall-m0", "gronwall-g", "gronwall-k", "holder-ensemble",
+             "moments-p", "peszat-hurst", "verify-identities-hurst"],
+    )
+    def test_refused_run_writes_nothing(self, tmp_path, capsys, argv, message):
+        # settings and computation are checked before the output directory
+        # is made, so not even the config echo is left behind
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifySuites:
     def test_identities_rows_and_report(self, tmp_path):
@@ -448,6 +471,13 @@ class TestEchoReproducesEveryCommand:
             ["holder", "--target", "noise", "--ensemble", "1000", "--seed", "4"],
             ["simulate", "--hurst", "0.4", "--T", "0.25", "--dt", "0.015625",
              "--seed", "2"],
+            # --format and --p are settings: the echo carries them when given
+            pytest.param(["verify-identities", "--hurst", "0.3", "--format", "csv"],
+                         id="verify-identities-csv"),
+            pytest.param(["moments", "--equation", "heat", "--T", "0.125", "--dt", "0.0078125",
+                          "--dx", "0.03125", "--L", "0.5", "--u0", "const:0.7", "--sigma-a", "0",
+                          "--p", "2", "--ensemble", "40", "--max-iters", "3", "--seed", "7"],
+                         id="moments-p2"),
         ],
         ids=lambda argv: argv[0],
     )

@@ -180,14 +180,14 @@ class TestExactMoments:
     @pytest.mark.parametrize("kind,mode,geometry,anchor,lags,oracle,completion", CASES,
                              ids=[f"{case[0]}-{case[1]}" for case in CASES])
     def test_pinned(self, kind, mode, geometry, anchor, lags, oracle, completion):
-        geom = _sampler_geometry(*geometry, 0)
+        geom = _sampler_geometry(*geometry)
         exact = exact_increment_moments(geom, kind, mode, anchor, lags)
         np.testing.assert_allclose(exact, oracle, rtol=1e-14, atol=0.0)
         tail = spectral_window_completion(kind, geom.h, geom.xi_cut, mode, anchor, lags)
         assert tail.tolist() == list(completion)
 
     def test_noise_has_no_time_increments(self):
-        geom = _sampler_geometry("heat", 0.3, 0.5, 1 / 64, 0.5, 0)
+        geom = _sampler_geometry("heat", 0.3, 0.5, 1 / 64, 0.5)
         with pytest.raises(ValueError, match="undefined"):
             exact_increment_moments(geom, "noise", "time", 0.5, [0.1])
         with pytest.raises(ValueError, match="non-negative"):
@@ -207,7 +207,7 @@ class TestBandOracleSlopes:
     @pytest.mark.parametrize("hurst", [0.3, 0.4])
     @pytest.mark.parametrize("equation,T", [("wave", 0.5), ("heat", 0.25)])
     def test_solution_space_slope(self, equation, T, hurst):
-        geom = _sampler_geometry(equation, hurst, T, 1.0 / 1024, 1.0, 0)
+        geom = _sampler_geometry(equation, hurst, T, 1.0 / 1024, 1.0)
         lags = np.array([25, 17, 12, 8, 5, 3]) / 1024.0
         fit = holder_exponent_space(geom, equation, T, lags)
         slope_raw = fit_exponent(lags, fit.lattice).fitted_slope
@@ -218,21 +218,21 @@ class TestBandOracleSlopes:
 
     @pytest.mark.parametrize("hurst", [0.3, 0.4])
     def test_wave_time_slope(self, hurst):
-        geom = _sampler_geometry("wave", hurst, 0.5, 1.0 / 1024, 1.0, 0)
+        geom = _sampler_geometry("wave", hurst, 0.5, 1.0 / 1024, 1.0)
         lags = np.array([24, 16, 11, 8, 5, 3]) / 1024.0
         slope = holder_exponent_time(geom, "wave", 0.25, lags).fitted_slope
         assert abs(slope - 2.0 * hurst) < 0.03
 
     @pytest.mark.parametrize("hurst", [0.3, 0.4])
     def test_heat_time_slope(self, hurst):
-        geom = _sampler_geometry("heat", hurst, 0.25, 1.0 / 1024, 1.0, 0)
+        geom = _sampler_geometry("heat", hurst, 0.25, 1.0 / 1024, 1.0)
         lags = geometric_time_lags(0.125, 0.25, largest=1.0 / 64, n_lags=6, ratio=1.6)
         slope = holder_exponent_time(geom, "heat", 0.125, lags).fitted_slope
         assert abs(slope - hurst) < 0.02
 
     @pytest.mark.parametrize("hurst", [0.3, 0.4])
     def test_noise_space_slope(self, hurst):
-        geom = _sampler_geometry("heat", hurst, 0.5, 1.0 / 512, 2.0, 0)
+        geom = _sampler_geometry("heat", hurst, 0.5, 1.0 / 512, 2.0)
         lags = 2.0 ** -np.arange(3, 8)
         fit = holder_exponent_space(geom, "noise", 0.5, lags)
         slope_raw = fit_exponent(lags, fit.lattice).fitted_slope
@@ -254,7 +254,7 @@ class TestNoiseSampler:
         increments = IncrementCollector(space_lags=lags)
         sample_noise_antiderivative(0.35, 0.4, 1.0 / 128, 1.0, 1500, seed=17,
                                     collectors=(increments,))
-        geom = _sampler_geometry("heat", 0.35, 0.4, 1.0 / 128, 1.0, 17)
+        geom = _sampler_geometry("heat", 0.35, 0.4, 1.0 / 128, 1.0)
         mom, se = space_increment_moments(increments)
         oracle = exact_increment_moments(geom, "noise", "space", 0.4, lags)
         for i in range(lags.size):
@@ -291,7 +291,7 @@ class TestAdditiveSampler:
         times = np.array([0.4, 0.7, 1.0]) * T
         ens = gather(sample_additive_solution, equation, 0.35, T, 1.0 / 128, 1.0, times, 1500,
                      seed=13)
-        geom = _sampler_geometry(equation, 0.35, T, 1.0 / 128, 1.0, 13)
+        geom = _sampler_geometry(equation, 0.35, T, 1.0 / 128, 1.0)
         center = ens.values.shape[2] // 2
         v = ens.values[:, -1, center]
         mc = float((v * v).mean())
@@ -307,7 +307,7 @@ class TestAdditiveSampler:
         increments = IncrementCollector(time_lags=lags)
         sample_additive_solution("wave", 0.3, T, 1.0 / 256, 1.0, times, 1200, seed=19,
                                  collectors=(increments,))
-        geom = _sampler_geometry("wave", 0.3, T, 1.0 / 256, 1.0, 19)
+        geom = _sampler_geometry("wave", 0.3, T, 1.0 / 256, 1.0)
         mom, se = time_increment_moments(increments)
         oracle = exact_increment_moments(geom, "wave", "time", anchor, lags)
         for i in range(lags.size):
@@ -353,7 +353,7 @@ class TestRealizationKeying:
         # one slab of length t, drawn from the stream keyed by (seed, r)
         h, t, dx, half_width, seed = 0.3, 0.5, 1.0 / 64, 0.5, 4
         values = gather(sample_noise_antiderivative, h, t, dx, half_width, 600, seed=seed).values
-        geom = _sampler_geometry("heat", h, t, dx, half_width, seed)
+        geom = _sampler_geometry("heat", h, t, dx, half_width)
         om = geom.omega_r[1 : geom.n_bands]
         x = geom.x_grid[geom.core]
         transfer = np.exp(-1j * np.outer(x, om)) / (-1j * om)
@@ -368,7 +368,7 @@ class TestHolderFits:
     """The fits read exact lattice moments: deterministic, no sampling."""
 
     def test_noise_slope_on_target(self):
-        geom = _sampler_geometry("heat", 0.3, 0.5, 1.0 / 512, 2.0, 23)
+        geom = _sampler_geometry("heat", 0.3, 0.5, 1.0 / 512, 2.0)
         fit = holder_exponent_space(geom, "noise", 0.5, 2.0 ** -np.arange(3, 8))
         assert fit.status == "ok"
         assert abs(fit.fitted_slope - 0.6) < 0.05
@@ -376,7 +376,7 @@ class TestHolderFits:
     def test_wave_solution_slopes_on_target(self):
         lags_s = np.array([25, 17, 12, 8, 5, 3]) / 1024.0
         lags_t = np.array([24, 16, 11, 8, 5, 3]) / 1024.0
-        geom = _sampler_geometry("wave", 0.35, 0.5, 1.0 / 1024, 1.0, 29)
+        geom = _sampler_geometry("wave", 0.35, 0.5, 1.0 / 1024, 1.0)
         fs = holder_exponent_space(geom, "wave", 0.5, lags_s)
         ft = holder_exponent_time(geom, "wave", 0.25, lags_t)
         assert fs.status == "ok" and abs(fs.fitted_slope - 0.70) < 0.05
@@ -384,7 +384,7 @@ class TestHolderFits:
 
     def test_heat_time_slope_on_target(self):
         lags = geometric_time_lags(0.125, 0.25, largest=1.0 / 64, n_lags=6, ratio=1.6)
-        geom = _sampler_geometry("heat", 0.35, 0.25, 1.0 / 1024, 1.0, 37)
+        geom = _sampler_geometry("heat", 0.35, 0.25, 1.0 / 1024, 1.0)
         ft = holder_exponent_time(geom, "heat", 0.125, lags)
         assert ft.status == "ok"
         assert abs(ft.fitted_slope - 0.35) < 0.05
@@ -395,10 +395,8 @@ class TestHolderFits:
         # subtraction exact, so invariance must hold bitwise, proving the
         # Monte Carlo moments consume increments only
         quantised = np.round(ens.values * 2.0**20) / 2.0**20
-        base = FieldEnsemble(kind=ens.kind, h=ens.h, t=ens.t, x=ens.x,
-                             values=quantised, xi_cut=ens.xi_cut)
-        shifted = FieldEnsemble(kind=ens.kind, h=ens.h, t=ens.t, x=ens.x,
-                                values=quantised + 8.0, xi_cut=ens.xi_cut)
+        base = FieldEnsemble(kind=ens.kind, h=ens.h, t=ens.t, x=ens.x, values=quantised)
+        shifted = FieldEnsemble(kind=ens.kind, h=ens.h, t=ens.t, x=ens.x, values=quantised + 8.0)
         lags = np.array([25, 15, 9, 5, 3]) / 256.0
         moments = []
         for eager in (base, shifted):
@@ -421,7 +419,7 @@ class TestHolderFits:
                 holder_checks("noise", 0.3, n_realizations, 0)
 
     def test_lag_window_enforced(self):
-        geom = _sampler_geometry("heat", 0.3, 0.5, 1.0 / 256, 1.0, 3)
+        geom = _sampler_geometry("heat", 0.3, 0.5, 1.0 / 256, 1.0)
         with pytest.raises(ValueError, match="inside"):
             holder_exponent_space(geom, "noise", 0.5, np.array([64, 48, 32]) / 256.0)
         with pytest.raises(ValueError, match="inside"):
@@ -483,7 +481,7 @@ class TestHolderChecks:
 
     def test_z_is_the_exact_gap_in_standard_errors(self):
         checks, (held,) = holder_checks("noise", 0.3, MIN_HOLDER_REALIZATIONS, 5)
-        geom = _sampler_geometry("heat", 0.3, 0.5, 1.0 / 512, 2.0, 5)
+        geom = _sampler_geometry("heat", 0.3, 0.5, 1.0 / 512, 2.0)
         exact = exact_increment_moments(geom, "noise", "space", 0.5, held.fit.lags)
         np.testing.assert_array_equal(held.z, (held.mc - exact) / held.stderr)
         sampler = self._by_name(checks)["holder-noise-space-sampler"]
@@ -605,7 +603,7 @@ class TestMomentReport:
         values[:, 0, :] = datum
         t = 0.1 * np.arange(values.shape[1])
         return FieldEnsemble(kind="heat", h=0.3, t=t, x=np.linspace(0.0, 1.0, values.shape[2]),
-                             values=values, xi_cut=100.0)
+                             values=values)
 
     def test_sup_leaves_out_the_datum_row(self):
         rng = np.random.Generator(np.random.Philox(3))
@@ -652,7 +650,7 @@ class TestMomentReport:
         values = np.full((8, 3, 4), 0.01)
         values[0] = 100.0
         ens = FieldEnsemble(kind="heat", h=0.3, t=np.array([0.1, 0.2, 0.3]),
-                            x=np.linspace(0.0, 1.0, 4), values=values, xi_cut=100.0)
+                            x=np.linspace(0.0, 1.0, 4), values=values)
         with pytest.raises(RuntimeError, match="heavy-tailed"):
             moment_report(ens, p_list=(2,))
 

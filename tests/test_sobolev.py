@@ -1,7 +1,6 @@
 """Weighted-Fourier vs increment-seminorm identity on a catalog of test
 functions, anchored to the analytic Gaussian value."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from fracspde.sobolev import (
     sobolev_side,
     tent,
 )
-from fracspde.sobolev import _fourier_magnitude_fft
 
 H_GRID = [0.26, 0.3, 0.35, 0.4, 0.45]
 
@@ -45,11 +43,6 @@ class TestGaussian:
         assert all(r.report.passed for r in rows)
         assert all(r.rel_err <= 1e-3 for r in rows)
 
-    def test_fft_fallback_close_to_analytic(self):
-        g = dataclasses.replace(gaussian_bump(), fourier_evaluator=None)
-        for h in (0.26, 0.45):
-            assert fourier_side(g, h) == pytest.approx(gaussian_analytic(h), rel=1e-3)
-
 
 class TestTent:
     def test_identity(self):
@@ -65,12 +58,11 @@ class TestTent:
             evaluator=lambda x: np.maximum(0.0, 1.0 - np.abs(np.asarray(x, dtype=float) - 5.0)),
             support_hint=(4.0, 6.0),
             smoothness_tag="lipschitz_compact",
+            # a shift changes only the phase of the transform
+            fourier_evaluator=base.fourier_evaluator,
         )
         h = 0.35
         assert sobolev_side(shifted, h) == pytest.approx(sobolev_side(base, h), rel=1e-9)
-        # the shifted copy has no closed-form transform, so its Fourier side
-        # runs through the FFT lattice; agreement is at that path's accuracy
-        assert fourier_side(shifted, h) == pytest.approx(fourier_side(base, h), rel=5e-3)
 
 
 class TestIndicator:
@@ -132,7 +124,25 @@ class TestZeroFunction:
         assert sobolev_side(zero, 0.3) == 0.0
 
 
+def _fourier_magnitude_fft(g, n_samples=1 << 17):
+    """Sampled |Fg| on the nonnegative rfft frequency lattice.
+
+    Samples g on a lattice covering [-L, L] with heavy zero padding (finer
+    frequency spacing); |Fg(xi_k)| = dx |rfft(samples)[k]| regardless of the
+    lattice origin.
+    """
+    lo, hi = g.support_hint
+    half_width = max(abs(lo), abs(hi)) * 4.0 + 1.0
+    dx = 2.0 * half_width / n_samples
+    x = -half_width + dx * np.arange(n_samples)
+    mags = dx * np.abs(np.fft.rfft(g.evaluator(x)))
+    freqs = 2.0 * math.pi * np.fft.rfftfreq(n_samples, d=dx)
+    return freqs, mags
+
+
 class TestFourierConsistency:
+    """A sampled FFT of g is the oracle of each closed-form transform."""
+
     @pytest.mark.parametrize("factory", [gaussian_bump, tent])
     def test_fft_matches_closed_form_on_resolved_band(self, factory):
         g = factory()
@@ -165,6 +175,7 @@ class TestErrorHandling:
                 evaluator=lambda x: x,
                 support_hint=(-1.0, 1.0),
                 smoothness_tag="polynomial",
+                fourier_evaluator=lambda xi: xi,
             )
 
     def test_invalid_support(self):
@@ -174,6 +185,7 @@ class TestErrorHandling:
                 evaluator=lambda x: x,
                 support_hint=(1.0, -1.0),
                 smoothness_tag="custom",
+                fourier_evaluator=lambda xi: xi,
             )
 
     def test_hurst_domain(self):
