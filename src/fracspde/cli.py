@@ -17,21 +17,23 @@ the module that owns its mathematics: the kernel suite
 Gaussian ratio, holder's slope bands and sampler check
 (regularity.holder_checks), and the Gronwall summability verdict.  A
 command builds a check itself only for a run-level tolerance that no
-library function owns: the noise audit's bias allowance, picard's run
-status, peszat's monotone count and gronwall's Monte Carlo agreement.
+library function owns: the noise audit's bias allowance, picard's
+fixed-point residual, peszat's monotone count and gronwall's Monte Carlo
+agreement.
 
 Exit codes: 0 when every check passed (or the run completed, for commands
 without checks), 2 when at least one check failed, 1 on usage or
-configuration errors, 3 when a Picard iteration diverges (a delta that is
-not finite).  A finished run writes its artifacts into the output
-directory and echoes its effective settings beside them as
-effective-config.txt; rerunning a command on its own echo reproduces the
-outputs byte for byte.  A refused run writes nothing, not even the output
-directory.  Two flags stay outside the settings and the echo: --threads,
-because the pool size changes no output (picard --ensemble and moments
-split their realizations over a worker pool bounded by --threads, default
-from FRACSPDE_THREADS, else 1), and simulate --save-noise, because
-simulate's echo must stay a valid picard config.
+configuration errors, 3 when a solve or a Picard iteration diverges (a
+residual or a delta that is not finite).  A finished run writes its
+artifacts into the output directory, making the directory of each, and
+echoes its effective settings beside them as effective-config.txt;
+rerunning a command on its own echo reproduces the outputs byte for byte.
+A refused run writes nothing, not even the output directory.  Two flags
+stay outside the settings and the echo: --threads, because the pool size
+changes no output (picard --ensemble and moments split their realizations
+over a worker pool bounded by --threads, default from FRACSPDE_THREADS,
+else 1), and simulate --save-noise, because simulate's echo must stay a
+valid picard config.
 """
 
 import argparse
@@ -237,16 +239,19 @@ def _finish(echo, reports, files, plots=None):
 
     Creates the output directory echo["out"] and writes into it the echo
     as effective-config.txt (grids comma-joined, unset settings left out),
-    files (name -> text or bytes; an absolute name is kept), and the report
-    file in echo["format"], json when unset, with report.svg when plots
-    are given.  Commands write nothing before this.
+    files (name -> text or bytes; an absolute name is kept, and the parent
+    directory of each file is made), and the report file in echo["format"],
+    json when unset, with report.svg when plots are given.  Commands write
+    nothing before this.
     """
     out_dir = echo["out"]
     os.makedirs(out_dir, exist_ok=True)
     text = {k: _grid_text(v) if isinstance(v, tuple) else v for k, v in echo.items()}
     _write(os.path.join(out_dir, "effective-config.txt"), serialize_mapping(text))
     for name, data in files.items():
-        _write(os.path.join(out_dir, name), data)
+        path = os.path.join(out_dir, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        _write(path, data)
     fmt = echo["format"] or "json"
     emit_report(reports, fmt, os.path.join(out_dir, f"report.{fmt}"))
     if plots:
@@ -463,10 +468,8 @@ def _picard_single(cfg, echo):
         "u0": cfg.u0,
         "v0": cfg.v0,
         "seed": cfg.seed,
-        "n_iters": int(result.n_iters),
-        "converged": bool(result.converged),
+        "fixed_point_residual": _json_number(result.residual),
         "stopping_threshold": _json_number(result.stopping_threshold),
-        "deltas": [_json_number(d) for d in result.deltas],
         "pathwise_x2_seminorm": _json_number(seminorm),
     }
     files = {
@@ -476,30 +479,14 @@ def _picard_single(cfg, echo):
 
     reports = [
         make_check(
-            "picard-converged",
-            computed=1.0 if result.converged else 0.0,
-            reference=1.0,
-            tolerance=0.0,
-            inputs={"equation": cfg.equation, "h": cfg.hurst, "seed": cfg.seed},
-        ),
-        make_check(
-            "picard-final-delta-below-threshold",
-            computed=float(result.deltas[-1]),
+            "picard-fixed-point-residual",
+            computed=float(result.residual),
             reference=0.0,
             tolerance=float(result.stopping_threshold),
             inputs={"equation": cfg.equation, "h": cfg.hurst, "seed": cfg.seed},
-        ),
-    ]
-    plots = [
-        PlotSeries(
-            name="picard-deltas",
-            x=tuple(range(1, len(result.deltas) + 1)),
-            y=tuple(float(d) for d in result.deltas),
-            axes="semilogy",
-            annotation=f"converged in {result.n_iters} iterations",
         )
     ]
-    return _finish(echo, reports, files, plots=plots)
+    return _finish(echo, reports, files)
 
 
 def _picard_ensemble(cfg, echo, threads):
@@ -815,7 +802,8 @@ _COMMANDS = {
         file_only=("sigma_a", "sigma_b", "u0", "v0", "ensemble", "max_iters", "tol"),
     ),
     "picard": _Command(
-        "mild-solution Picard iteration", {**_SIM_SETTINGS, **_COMMON}, flags=(_THREADS,)
+        "mild solution by one causal sweep, or Picard iterates over an ensemble",
+        {**_SIM_SETTINGS, **_COMMON}, flags=(_THREADS,)
     ),
     "holder": _Command(
         "increment exponent fits",

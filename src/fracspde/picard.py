@@ -1,17 +1,27 @@
-"""Picard iteration for the mild wave and heat equations with affine noise
-coefficient.
+"""The mild wave and heat equations with affine noise coefficient: the
+fixed point by one causal sweep, and Picard iteration where the iterates are
+the object.
 
-The mild solution is built as the fixed point of
+The mild solution is the fixed point of the Picard map
 
-    u^{n+1}(t, x) = w(t, x) + int_0^t int_R G_{t-s}(x - y) sigma(u^n(s, y)) X(ds, dy)
+    Phi(u)(t, x) = w(t, x) + int_0^t int_R G_{t-s}(x - y) sigma(u(s, y)) X(ds, dy),
 
-with u^0 = w, where w is the homogeneous (noise-free) solution, G is the wave
-or heat kernel, and sigma(u) = a u + b.  Space is discretised on a periodic
+where w is the homogeneous (noise-free) solution, G is the wave or heat
+kernel, and sigma(u) = a u + b; the paper builds it as the limit of the
+iterates u^{n+1} = Phi(u^n), u^0 = w.  Space is discretised on a periodic
 lattice of n_fft points; the driving noise is synthesised on frequency bands
 centred at the nonzero rfft lattice frequencies, with exact spectral mass per
 band, so every kernel application is a pair of FFTs with closed-form symbols.
 Time uses the left-endpoint (Ito) rule: the integrand slice at step i is
-sigma(u^n(t_i, .)) against the increment of slab [t_i, t_{i+1}).
+sigma(u(t_i, .)) against the increment of slab [t_i, t_{i+1}).  Under that
+rule row j + 1 of Phi(u) reads only rows 0..j of u, so the lattice fixed
+point is reached exactly by one forward pass over the rows (``solve``);
+the sweep and ``picard_step`` form the same spectral sums (``_slab_sums``).
+The heat slab weight is the exact-variance (accelerated exponential Euler)
+weight, so with sigma = b each heat band follows its exact Ornstein-Uhlenbeck
+law at grid times.  The iterates themselves, whose successive differences
+are objects of the paper's proof, come from ``solve_ensemble`` and
+``uniqueness_probe``.
 
 All randomness flows through noise.keyed_rng: the noise of realization r is
 the stream keyed by (seed, r); iterates of the same solve share one noise
@@ -163,12 +173,14 @@ def sampled_holder_initial(h, seed):
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Inputs for one Picard solve.
+    """Inputs for one solve or Picard iteration.
 
     dt is derived as T / n_steps.  L is the half-width of the core window on
     which results are reported; the lattice extends beyond it by at least
     ``pad`` on each side (kernel-dependent default) and is rounded up to a
-    power-of-two point count.
+    power-of-two point count.  max_iters and tol drive the Picard iteration
+    (solve_ensemble's default count, uniqueness_probe's stopping rule);
+    solve uses tol only to scale its stopping_threshold.
     """
 
     equation: str
@@ -447,15 +459,67 @@ def noise_slabs(geom, seed, realization=0):
     return _band_field(geom, z)
 
 
+def _slab_sums(geom):
+    """The per-slab update of the stochastic term, in rfft space.
+
+    Returns add(j, p_hat_j), which folds the transformed integrand
+    rfft(sigma(u(t_j)) * eta_j) of slab j into running sums and returns the
+    spectrum of the stochastic term at t_{j+1}.  Slabs must come in the
+    order j = 0, 1, ....  The sweep uses it for both equations and
+    picard_step for heat; picard_step forms the wave sums over all slabs at
+    once, bit for bit the same.
+
+    The wave symbol sin(tau w)/w splits over the geometry's trig tables
+    into running cos/sin sums, with the two moments sum p and sum t_i p in
+    the w = 0 slot, where the symbol is tau itself.  The heat sum decays by
+    exp(-dt w^2 / 2) per slab, and slab j enters it with the weight
+    c = sqrt((1 - exp(-dt w^2)) / (dt w^2)) (c = 1 at w = 0), which gives
+    each slab its exact variance int_0^dt exp(-s w^2) ds instead of the far
+    end's dt exp(-dt w^2).
+    """
+    omega = geom.omega_r
+    if geom.equation == "heat":
+        x = geom.dt * omega**2
+        decay = np.exp(-0.5 * x)
+        weight = np.ones_like(x)
+        weight[1:] = np.sqrt(-np.expm1(-x[1:]) / x[1:])
+        running = np.zeros(omega.size, dtype=complex)
+
+        def add(j, p_hat):
+            nonlocal running
+            running = decay * running + weight * p_hat
+            return running
+
+        return add
+
+    cos_t, sin_t = geom.trig_tables
+    t_grid = geom.t_grid
+    a_run = np.zeros(omega.size, dtype=complex)
+    b_run = np.zeros(omega.size, dtype=complex)
+    s0 = s1 = 0j
+
+    def add(j, p_hat):
+        nonlocal a_run, b_run, s0, s1
+        a_run += cos_t[j] * p_hat
+        b_run += sin_t[j] * p_hat
+        sym = sin_t[j + 1] * a_run - cos_t[j + 1] * b_run
+        sym[1:] /= omega[1:]
+        s0 += p_hat[0]
+        s1 += t_grid[j] * p_hat[0]
+        sym[0] = t_grid[j + 1] * s0 - s1
+        return sym
+
+    return add
+
+
 def picard_step(geom, sigma, u_prev, eta, w):
     """One Picard update: u_next = w + int G sigma(u_prev) dX.
 
-    The stochastic term at t_j sums, over source steps i < j, the kernel
-    G_{t_j - t_i} convolved with sigma(u_prev(t_i, .)) * eta_i.  Convolution
-    is spectral with the closed-form symbols; the wave symbol
-    sin(tau w)/w is accumulated with running cos/sin sums over the
-    geometry's trig tables and the heat symbol exp(-tau w^2 / 2) with a
-    one-step recursion, so the whole update costs O(n_steps) FFTs.
+    The stochastic term at t_j sums, over source steps i < j, the slab
+    kernel convolved with sigma(u_prev(t_i, .)) * eta_i: G_{t_j - t_i} for
+    wave, and for heat G_{t_j - t_{i+1}} times the exact-variance slab
+    weight.  Convolution is spectral with the closed-form symbols, summed
+    as ``_slab_sums`` sums them, so the whole update costs O(n_steps) FFTs.
     """
     n_steps, n_fft = geom.n_steps, geom.n_fft
     if u_prev.shape != (n_steps + 1, n_fft):
@@ -463,43 +527,61 @@ def picard_step(geom, sigma, u_prev, eta, w):
     if eta.shape != (n_steps, n_fft):
         raise ValueError(f"eta must have shape {(n_steps, n_fft)}, got {eta.shape}")
 
-    q = sigma(u_prev[:n_steps]) * eta
-    p_hat = np.fft.rfft(q, axis=1)
-    omega = geom.omega_r
-    t_grid = geom.t_grid
-
+    p_hat = np.fft.rfft(sigma(u_prev[:n_steps]) * eta, axis=1)
     if geom.equation == "wave":
+        # _slab_sums' wave update over all slabs at once: the same sums in
+        # the same order, in whole-array operations that release the
+        # interpreter lock to the ensemble's other workers
         cos_t, sin_t = geom.trig_tables
+        omega, t_grid = geom.omega_r, geom.t_grid
         a_run = np.cumsum(cos_t[:n_steps] * p_hat, axis=0)
         b_run = np.cumsum(sin_t[:n_steps] * p_hat, axis=0)
         sym = sin_t[1:] * a_run - cos_t[1:] * b_run
         sym[:, 1:] /= omega[1:]
-        # w = 0 slot: the symbol limit is tau itself
         s0 = np.cumsum(p_hat[:, 0])
         s1 = np.cumsum(t_grid[:n_steps] * p_hat[:, 0])
         sym[:, 0] = t_grid[1:] * s0 - s1
     else:
-        decay = np.exp(-0.5 * geom.dt * omega**2)
-        sym = np.empty((n_steps, omega.size), dtype=complex)
-        running = np.zeros(omega.size, dtype=complex)
+        add = _slab_sums(geom)
+        sym = np.empty_like(p_hat)
         for j in range(n_steps):
-            running = decay * (running + p_hat[j])
-            sym[j] = running
-
+            sym[j] = add(j, p_hat[j])
     u_next = w.copy()
     u_next[1:] += np.fft.irfft(sym, n=n_fft, axis=1)
     return u_next
 
 
+def _sweep(geom, sigma, w, eta):
+    """The fixed point of picard_step by one causal forward pass.
+
+    Row j + 1 of picard_step(u) depends on rows 0..j of u only, so the
+    rows u_{j+1} = w_{j+1} + irfft(add(j, rfft(sigma(u_j) * eta_j))) are
+    built in order, with the same per-slab update and the same floating
+    point operations as picard_step: picard_step(_sweep(...)) reproduces
+    the sweep exactly.  Overflow is left to the caller's finiteness check.
+    """
+    n_fft = geom.n_fft
+    u = w.copy()
+    add = _slab_sums(geom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(geom.n_steps):
+            p_hat = np.fft.rfft(sigma(u[j]) * eta[j])
+            u[j + 1] += np.fft.irfft(add(j, p_hat), n=n_fft)
+    return u
+
+
 @dataclass(frozen=True)
 class PicardResult:
-    """A converged solve: the final iterate, the successive deltas, and the
-    homogeneous term ``homogeneous`` (= u^0 = w) it was built on."""
+    """A solve: the fixed point ``field``, its residual, and the
+    homogeneous term ``homogeneous`` (= w) it was built on.
+
+    ``residual`` is sup over the core of |Phi(u*) - u*| for one more Picard
+    step from the sweep's field u*; ``stopping_threshold`` is tol times
+    sup over the core of |u* - w|, the bound that residual must meet.
+    """
 
     field: SpaceTimeField
-    deltas: list
-    converged: bool
-    n_iters: int
+    residual: float
     stopping_threshold: float
     geometry: SolverGeometry
     config: PicardConfig
@@ -532,29 +614,29 @@ def _iterate(geom, sigma, w, eta, max_iters, tol=None, observer=None, start=None
 
 
 def solve(config):
-    """Run the Picard iteration to the relative tolerance in config.
+    """The fixed point by one causal sweep, checked by one Picard step.
 
-    Stops once the sup-norm over the core window of u^{n+1} - u^n falls
-    below tol times the first delta (tol = inf therefore returns u^1).
-    Raises PicardConvergenceError, carrying the delta history, if max_iters
-    is exhausted first, and PicardDivergenceError once a delta is not finite.
+    The sweep builds the lattice fixed point u* of the Picard map row by
+    row; one more picard_step gives the residual sup_core |Phi(u*) - u*|,
+    which is 0 up to rounding.  A non-finite residual (overflow or NaN in
+    the sweep) raises PicardDivergenceError.  Picard iteration, where the
+    iterates are the object, is solve_ensemble and uniqueness_probe;
+    config.max_iters plays no part here, and config.tol only scales the
+    reported stopping_threshold.
     """
     geom = build_geometry(config)
     w = _homogeneous_values(geom, config.init)
     eta = noise_slabs(geom, config.seed, config.realization)
-    u, deltas, converged = _iterate(geom, config.sigma, w, eta, config.max_iters, config.tol)
-    threshold = config.tol * deltas[0]
-    if not converged:
-        raise PicardConvergenceError(
-            f"no convergence after {config.max_iters} iterations; "
-            f"last delta {deltas[-1]:.3e} vs threshold {threshold:.3e}",
-            deltas,
-        )
+    u = _sweep(geom, config.sigma, w, eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = picard_step(geom, config.sigma, u, eta, w) - u
+    residual = _core_delta(diff, geom, 1, [])
+    spread = float(np.max(np.abs((u - w)[:, geom.core])))
+    # spread == 0 (no noise term) avoids inf * 0 when tol is infinite
+    threshold = config.tol * spread if spread > 0.0 else 0.0
     return PicardResult(
         field=_field_from(geom, u),
-        deltas=deltas,
-        converged=True,
-        n_iters=len(deltas),
+        residual=residual,
         stopping_threshold=threshold,
         geometry=geom,
         config=config,
@@ -577,10 +659,10 @@ def solve_ensemble(config, n_realizations, n_iters=None, collectors=(), on_final
     """Run a fixed number of Picard iterations over an ensemble of draws.
 
     Every realization r uses the independent stream (seed, realization0 + r)
-    and runs the same iteration as ``solve`` for exactly n_iters updates
-    (default max_iters), past an exact zero delta too: ensemble statistics
-    need aligned iteration counts, so the pathwise stopping rule is not
-    applied here.  Collectors see each successive difference as it is
+    and runs the Picard iteration u^{n+1} = picard_step(u^n) from u^0 = w
+    for exactly n_iters updates (default max_iters), past an exact zero
+    delta too: ensemble statistics need aligned iteration counts, so no
+    stopping rule is applied here.  Collectors see each successive difference as it is
     produced via collector.observe(n, diff, geom); on_final(r, field) sees
     each final iterate.  Memory stays O(one realization).  A non-finite
     delta raises PicardDivergenceError.

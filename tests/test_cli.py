@@ -346,6 +346,13 @@ class TestSimulate:
         assert z.dtype == np.complex128
         assert z.shape == (16, geom.n_bands)
 
+    def test_save_noise_makes_its_directory(self, tmp_path):
+        top = tmp_path / "top"
+        nested = tmp_path / "nested"
+        assert main(self.ARGS + ["--save-noise", "n.npy", "--out", str(top)]) == 0
+        assert main(self.ARGS + ["--save-noise", "sub/n.npy", "--out", str(nested)]) == 0
+        assert read_bytes(nested / "sub" / "n.npy") == read_bytes(top / "n.npy")
+
     def test_saved_noise_is_what_picard_draws(self, tmp_path, monkeypatch):
         first = tmp_path / "sim"
         assert main(self.ARGS + ["--save-noise", "noise.npy", "--out", str(first)]) == 0
@@ -423,10 +430,37 @@ class TestPicardCommand:
         t, x, v = lines[1].split(",")
         assert float(t) == 0.0 and float(x) == -1.0 and float(v) == 0.0
         diag = json.loads(read(out / "diagnostics.json"))
-        assert diag["converged"] is True
-        assert diag["deltas"] == sorted(diag["deltas"], reverse=True)
+        assert not {"n_iters", "converged", "deltas"} & set(diag)
+        assert 0.0 <= diag["fixed_point_residual"] <= diag["stopping_threshold"]
         assert diag["pathwise_x2_seminorm"] > 0.0
-        assert (out / "report.svg").exists()
+        report = json.loads(read(out / "report.json"))
+        assert [r["check_name"] for r in report] == ["picard-fixed-point-residual"]
+        assert report[0]["computed"] == diag["fixed_point_residual"]
+        assert not (out / "report.svg").exists()
+
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    @pytest.mark.parametrize("fault", ["weight", "slab"])
+    def test_residual_check_catches_a_faulty_sweep(
+        self, tmp_path, monkeypatch, capsys, equation, fault
+    ):
+        # a sweep whose slab weight is 1% high, or whose stochastic term
+        # lags one slab, is no fixed point of picard_step
+        sweep = fracspde.picard._sweep
+
+        def faulty(geom, sigma, w, eta):
+            noise = sweep(geom, sigma, w, eta) - w
+            if fault == "weight":
+                return w + 1.01 * noise
+            lagged = np.zeros_like(noise)
+            lagged[1:] = noise[:-1]
+            return w + lagged
+
+        monkeypatch.setattr(fracspde.picard, "_sweep", faulty)
+        out = tmp_path / "single"
+        assert main(self.run_args(out, ["--equation", equation])) == 2
+        assert "FAIL picard-fixed-point-residual" in capsys.readouterr().out
+        report = json.loads(read(out / "report.json"))
+        assert [r["pass"] for r in report] == [False]
 
     def test_ensemble_thread_invariance(self, tmp_path):
         serial = tmp_path / "t1"

@@ -89,7 +89,11 @@ def banded_symbol_sq(geom, t):
         sym[:, 1:] = np.sin(np.outer(tau, om[1:])) / om[1:]
         sym[:, 0] = tau
     else:
-        sym = np.exp(-0.5 * np.outer(tau, om**2))
+        # the exact-variance slab weight: c^2 = (1 - e^{-dt w^2}) / (dt w^2)
+        x = geom.dt * om**2
+        c2 = np.ones_like(x)
+        c2[1:] = -np.expm1(-x[1:]) / x[1:]
+        return c2 * np.exp(-np.outer(tau - geom.dt, om**2))
     return sym**2
 
 

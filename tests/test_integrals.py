@@ -10,8 +10,9 @@ int ||S(t)||_H^2 dt, with the band energy of the lattice in place of the
 continuum seminorm.
 
 Oracles: the analytic Gaussian seminorm and sobolev.sobolev_side for the
-band energy, explicit complex band sums for the integral, the Green-kernel
-integral for the solver's stochastic term, and fixed-seed Monte Carlo
+band energy, explicit complex band sums for the integral, the slab kernel
+of the solver's stochastic term as an explicit cosine series over the bands,
+and fixed-seed Monte Carlo
 (deterministic given the counter-based RNG) for the moments.
 """
 
@@ -210,22 +211,29 @@ class TestIntegrate:
 
     def test_matches_ensemble_sample(self):
         # with sigma = 1 and u0 = 0 the solver's first iterate is the mild
-        # solution sum_(i<n) int G_(t_n - t_i)(x - y) eta_i(y) dy: at every
-        # grid time it must equal the integral of the (periodized) heat
-        # kernel against the same realization's slabs
+        # solution sum_(i<n) int K_(n,i)(x - y) eta_i(y) dy: at every grid
+        # time it must equal the integral, against the same realization's
+        # slabs, of the periodic kernel K_(n,i) written as an explicit
+        # cosine series over the bands, with the heat symbol of slab i at
+        # t_n: c(w) exp(-(t_n - t_(i+1)) w^2 / 2), where the exact-variance
+        # weight c(w)^2 = (1 - exp(-dt w^2)) / (dt w^2) and c(0) = 1
         cfg = lattice_config(dx=1.0 / 32, L=1.0, pad=2.0, seed=91)
         geom = build_geometry(cfg)
         period = geom.n_fft * geom.dx
+        om = geom.omega_r[: geom.n_bands]
+        weight = np.ones_like(om)
+        weight[1:] = np.sqrt((1.0 - np.exp(-geom.dt * om[1:] ** 2)) / (geom.dt * om[1:] ** 2))
         finals = []
         solve_ensemble(cfg, 3, n_iters=1, on_final=lambda r, f: finals.append(f.values))
         for r, values in enumerate(finals):
             scale = np.max(np.abs(values))
             for n in (1, 4, geom.n_steps):
-                tau = geom.dt * (n - np.arange(n))
+                lag = geom.dt * (n - 1 - np.arange(n))
+                symbol = weight * np.exp(-0.5 * lag[:, None] * om**2)
+                symbol[:, 1:] *= 2.0
                 for x in geom.x_grid[geom.core][::16]:
-                    d = (x - geom.x_grid + 0.5 * period) % period - 0.5 * period
-                    kern = np.exp(-(d[None, :] ** 2) / (2.0 * tau[:, None]))
-                    kern /= np.sqrt(2.0 * math.pi * tau[:, None])
+                    d = x - geom.x_grid
+                    kern = symbol @ np.cos(np.outer(om, d)) / period
                     s = np.zeros((geom.n_steps, geom.n_fft))
                     s[:n] = kern
                     expected = per_slab_integral(geom, s, cfg.seed, r).sum()

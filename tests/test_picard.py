@@ -1,12 +1,14 @@
-"""Tests for the Picard solver.
+"""Tests for the solver: the causal sweep and the Picard iteration.
 
 Oracles: exact noise-free solutions (d'Alembert, spectral heat flow) on
 polynomial and lattice-trigonometric data, an O(n^2) per-pair spectral
 convolution reimplementation for the stochastic term, bitwise structural
 identities of the affine iteration (zero noise, a = 0 stationarity,
-scaling, additive shift), and the closed-form variance of the first
-stochastic increment, checked both as an exact lattice sum and by Monte
-Carlo over the ensemble driver.
+scaling, additive shift), the sweep as the exact fixed point of a Picard
+step, the exact Ornstein-Uhlenbeck law of each heat band under additive
+noise, and the closed-form variance of the first stochastic increment,
+checked both as an exact lattice sum and by Monte Carlo over
+solve_ensemble.
 """
 
 import math
@@ -20,7 +22,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from fracspde.constants import c_H
 from fracspde.kernels import A_T
-from fracspde.config import SimulationConfig, to_picard_config
+from fracspde.config import SimulationConfig, from_mapping, to_picard_config
 from fracspde.noise import band_mass, keyed_rng, spectral_increments
 from fracspde.picard import (
     AffineSigma,
@@ -28,6 +30,11 @@ from fracspde.picard import (
     PicardConfig,
     PicardConvergenceError,
     PicardDivergenceError,
+    _band_field,
+    _homogeneous_values,
+    _iterate,
+    _slab_sums,
+    _sweep,
     _trapezoid_antiderivative,
     build_geometry,
     constant_initial,
@@ -39,6 +46,7 @@ from fracspde.picard import (
     solve_ensemble,
     uniqueness_probe,
 )
+from fracspde.regularity import _heat_innovation_var
 
 
 def small_config(equation="wave", **overrides):
@@ -277,10 +285,22 @@ class TestNoiseSlabs:
         assert abs(var - target) <= 4.0 * se
 
 
+def heat_slab_weight(geom):
+    """c_k = sqrt((1 - exp(-dt w_k^2)) / (dt w_k^2)), c_0 = 1, on every rfft
+    frequency: slab i reaches t_j with weight c exp(-(t_j - t_{i+1}) w^2 / 2),
+    whose square times dt is the exact slab variance int exp(-s w^2) ds."""
+    x = geom.dt * geom.omega_r**2
+    c = np.ones_like(x)
+    c[1:] = np.sqrt((1.0 - np.exp(-x[1:])) / x[1:])
+    return c
+
+
 def direct_stochastic_term(geom, q):
-    """O(n^2) reference: sum_i irfft(symbol(t_j - t_i) rfft(q_i))."""
+    """O(n^2) reference: sum_i irfft(symbol(t_j - t_i) rfft(q_i)), the heat
+    symbol with the exact-variance slab weight."""
     p_hat = np.fft.rfft(q, axis=1)
     om = geom.omega_r
+    c = heat_slab_weight(geom)
     out = np.zeros((geom.n_steps, geom.n_fft))
     for j in range(1, geom.n_steps + 1):
         acc = np.zeros(om.size, dtype=complex)
@@ -291,7 +311,7 @@ def direct_stochastic_term(geom, q):
                 sym[1:] = np.sin(tau * om[1:]) / om[1:]
                 sym[0] = tau
             else:
-                sym = np.exp(-0.5 * tau * om**2)
+                sym = c * np.exp(-0.5 * (tau - geom.dt) * om**2)
             acc += sym * p_hat[i]
         out[j - 1] = np.fft.irfft(acc, n=geom.n_fft)
     return out
@@ -329,6 +349,20 @@ class TestPicardStep:
         expected[1:] += direct_stochastic_term(geom, q)
         np.testing.assert_allclose(u, expected, rtol=1e-11, atol=1e-13)
 
+    def test_wave_sums_equal_the_slab_update(self):
+        # picard_step's whole-array wave sums are the sweep's slab-by-slab
+        # update, bit for bit
+        cfg = small_config()
+        geom = build_geometry(cfg)
+        w = homogeneous_term(cfg).values
+        eta = noise_slabs(geom, seed=4)
+        p_hat = np.fft.rfft(cfg.sigma(w[:-1]) * eta, axis=1)
+        add = _slab_sums(geom)
+        sym = np.array([add(j, p_hat[j]) for j in range(geom.n_steps)])
+        expected = w.copy()
+        expected[1:] += np.fft.irfft(sym, n=geom.n_fft, axis=1)
+        np.testing.assert_array_equal(picard_step(geom, cfg.sigma, w, eta, w), expected)
+
     def test_adapted_to_past_slabs(self):
         # zeroing slabs i >= j leaves rows <= j untouched
         cfg = small_config()
@@ -354,11 +388,41 @@ class TestPicardStep:
             picard_step(geom, cfg.sigma, w, eta[:, :-1], w)
 
 
+def draw(cfg):
+    """The lattice, the homogeneous term and the noise of one solve."""
+    geom = build_geometry(cfg)
+    return geom, _homogeneous_values(geom, cfg.init), noise_slabs(geom, cfg.seed, cfg.realization)
+
+
+def default_config(equation, **settings):
+    return to_picard_config(from_mapping({"equation": equation, **settings}))
+
+
 class TestSolve:
-    def test_zero_a_converges_in_two_steps(self):
-        res = solve(small_config(sigma=AffineSigma(0.0, 1.0)))
-        assert res.converged and res.n_iters == 2
-        assert res.deltas[1] == 0.0
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_is_the_fixed_point_at_the_defaults(self, equation, seed):
+        res = solve(default_config(equation, seed=seed))
+        spread = float(np.max(np.abs((res.field.values - res.homogeneous)[:, res.geometry.core])))
+        assert spread > 0.0
+        assert res.residual <= 1e-12 * spread
+        assert res.stopping_threshold == res.config.tol * spread
+
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    def test_picard_iterate_agrees_with_the_sweep_on_its_first_rows(self, equation):
+        # row j + 1 of a Picard step reads rows 0..j, so u^n is exact on rows 0..n
+        cfg = small_config(equation)
+        geom, w, eta = draw(cfg)
+        fixed = _sweep(geom, cfg.sigma, w, eta)
+        scale = float(np.max(np.abs(fixed)))
+        u = w
+        for n in range(1, 6):
+            u = picard_step(geom, cfg.sigma, u, eta, w)
+            np.testing.assert_allclose(u[: n + 1], fixed[: n + 1], rtol=0.0, atol=1e-12 * scale)
+        u, deltas, _ = _iterate(geom, cfg.sigma, w, eta, cfg.max_iters)
+        assert len(deltas) == cfg.max_iters
+        gap = float(np.max(np.abs((u - fixed)[:, geom.core])))
+        assert gap <= cfg.tol * float(np.max(np.abs((fixed - w)[:, geom.core])))
 
     def test_reproducible(self):
         a = solve(small_config())
@@ -368,38 +432,22 @@ class TestSolve:
             a.field.values, solve(small_config(realization=3)).field.values
         )
 
-    def test_tol_inf_stops_after_one_step(self):
-        cfg = small_config(tol=math.inf)
-        res = solve(cfg)
-        assert res.n_iters == 1
-        geom = build_geometry(cfg)
-        w = homogeneous_term(cfg).values
-        eta = noise_slabs(geom, cfg.seed)
-        np.testing.assert_array_equal(
-            res.field.values, picard_step(geom, cfg.sigma, w, eta, w)
-        )
+    def test_zero_noise_is_homogeneous(self):
+        # no stochastic term: residual and threshold are both 0, also at tol = inf
+        res = solve(small_config(sigma=AffineSigma(0.0, 0.0), tol=math.inf))
+        np.testing.assert_array_equal(res.field.values, res.homogeneous)
+        assert res.residual == 0.0 and res.stopping_threshold == 0.0
 
     def test_overflow_is_divergence(self):
-        # a huge a overflows sigma(u^1) in the second step; the iteration
-        # stops there with the non-finite delta last and no numpy warning
+        # a huge a overflows sigma(u) in the sweep; the residual step reports
+        # it as a non-finite delta, with no numpy warning
         cfg = small_config(sigma=AffineSigma(1e308, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(PicardDivergenceError) as exc:
+            with pytest.raises(PicardDivergenceError, match="non-finite delta") as exc:
                 solve(cfg)
-            with pytest.raises(PicardDivergenceError):
-                solve_ensemble(cfg, 2, n_iters=3)
         assert isinstance(exc.value, PicardConvergenceError)
-        assert len(exc.value.deltas) == 2
-        assert math.isfinite(exc.value.deltas[0])
         assert not math.isfinite(exc.value.deltas[-1])
-
-    def test_nonconvergence_carries_history(self):
-        cfg = small_config(max_iters=2, tol=1e-14)
-        with pytest.raises(PicardConvergenceError) as exc:
-            solve(cfg)
-        assert len(exc.value.deltas) == 2
-        assert exc.value.deltas[1] < exc.value.deltas[0]
 
     @pytest.mark.parametrize("equation", ["wave", "heat"])
     def test_result_carries_homogeneous_term(self, equation):
@@ -408,7 +456,8 @@ class TestSolve:
         np.testing.assert_array_equal(res.homogeneous, homogeneous_term(cfg).values)
 
     def test_scaling_covariance(self):
-        # doubling (u0, b) doubles every float of the iteration exactly
+        # doubling (u0, b) doubles every float of the iteration and of the
+        # sweep exactly
         cfg1 = small_config(
             init=constant_initial(1.0), sigma=AffineSigma(0.5, 1.0), max_iters=3
         )
@@ -423,6 +472,7 @@ class TestSolve:
             u1 = picard_step(g1, cfg1.sigma, u1, eta, w1)
             u2 = picard_step(g2, cfg2.sigma, u2, eta, w2)
         np.testing.assert_array_equal(u2, 2.0 * u1)
+        np.testing.assert_array_equal(solve(cfg2).field.values, 2.0 * solve(cfg1).field.values)
 
     def test_additive_shift_covariance(self):
         # with sigma(u) = u, shifting u0 by c shifts every iterate by c
@@ -443,11 +493,6 @@ class TestSolve:
             u2 = picard_step(g, cfg2.sigma, u2, eta, w2)
         np.testing.assert_array_equal(u1, u2 + c)
 
-    def test_deltas_decay_geometrically(self):
-        res = solve(small_config(max_iters=8, tol=1e-8))
-        d = np.array(res.deltas[: res.n_iters - 1])
-        assert np.all(d[1:] < 0.5 * d[:-1])
-
     def test_uniqueness_probe(self):
         out = uniqueness_probe(small_config(tol=1e-8, max_iters=14), 0.5)
         assert out["passed"]
@@ -458,6 +503,48 @@ class TestSolve:
             lambda x: np.exp(-(x**2)),
         )
         assert out["passed"]
+
+
+class TestIterate:
+    """Picard iteration, where the iterates are the object: the stopping
+    rule of _iterate, the probe that raises on it, and solve_ensemble."""
+
+    def test_zero_a_converges_in_two_steps(self):
+        cfg = small_config(sigma=AffineSigma(0.0, 1.0))
+        geom, w, eta = draw(cfg)
+        _, deltas, converged = _iterate(geom, cfg.sigma, w, eta, cfg.max_iters, cfg.tol)
+        assert converged and len(deltas) == 2
+        assert deltas[1] == 0.0
+
+    def test_tol_inf_stops_after_one_step(self):
+        cfg = small_config()
+        geom, w, eta = draw(cfg)
+        u, deltas, converged = _iterate(geom, cfg.sigma, w, eta, cfg.max_iters, math.inf)
+        assert converged and len(deltas) == 1
+        np.testing.assert_array_equal(u, picard_step(geom, cfg.sigma, w, eta, w))
+
+    def test_nonconvergence_carries_history(self):
+        cfg = small_config(max_iters=2, tol=1e-14)
+        with pytest.raises(PicardConvergenceError) as exc:
+            uniqueness_probe(cfg, 0.5)
+        assert len(exc.value.deltas) == 2
+        assert exc.value.deltas[1] < exc.value.deltas[0]
+
+    def test_overflow_is_divergence(self):
+        # the iteration stops at the second step, with the non-finite delta
+        # last and no numpy warning
+        cfg = small_config(sigma=AffineSigma(1e308, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PicardDivergenceError) as exc:
+                solve_ensemble(cfg, 2, n_iters=3)
+        assert len(exc.value.deltas) == 2
+        assert math.isfinite(exc.value.deltas[0])
+        assert not math.isfinite(exc.value.deltas[-1])
+
+    def test_deltas_decay_geometrically(self):
+        d = solve_ensemble(small_config(), 1, n_iters=7).deltas[0]
+        assert np.all(d[1:] < 0.5 * d[:-1])
 
 
 class TestEnsemble:
@@ -489,14 +576,18 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("equation", ["wave", "heat"])
     def test_one_realization_reproduces_solve(self, equation):
-        cfg = small_config(equation, realization=2, tol=1e-6)
-        res = solve(cfg)
+        # one realization iterated max_iters times is the Picard iteration of
+        # that draw, bit for bit, and lies within tol of solve's fixed point
+        cfg = small_config(equation, realization=2)
+        geom, w, eta = draw(cfg)
+        u, deltas, _ = _iterate(geom, cfg.sigma, w, eta, cfg.max_iters)
         finals = []
-        ens = solve_ensemble(
-            cfg, 1, n_iters=res.n_iters, on_final=lambda r, f: finals.append(f.values)
-        )
-        np.testing.assert_array_equal(ens.deltas[0], res.deltas)
-        np.testing.assert_array_equal(finals[0], res.field.values)
+        ens = solve_ensemble(cfg, 1, on_final=lambda r, f: finals.append(f.values))
+        np.testing.assert_array_equal(ens.deltas[0], deltas)
+        np.testing.assert_array_equal(finals[0], u)
+        res = solve(cfg)
+        gap = float(np.max(np.abs((finals[0] - res.field.values)[:, geom.core])))
+        assert gap <= res.stopping_threshold
 
     def test_runs_past_exact_fixed_point(self):
         # with a = 0 the second step reproduces the first exactly; the
@@ -517,7 +608,8 @@ class TestEnsemble:
 
 def exact_first_increment_variance(geom, t):
     """Var(u^1 - w)(t, x) for sigma == 1: the lattice-banded integral in
-    closed form, 2 dt sum_{i,k} m_k sym(t - t_i, w_k)^2."""
+    closed form, 2 dt sum_{i,k} m_k sym(t - t_i, w_k)^2, with the heat
+    symbol carrying the exact-variance slab weight."""
     t_left = geom.dt * np.arange(geom.n_steps)
     tau = t - t_left[t_left < t - 1e-12]
     om = geom.omega_r[: geom.n_bands]
@@ -526,7 +618,8 @@ def exact_first_increment_variance(geom, t):
         sym[:, 1:] = np.sin(np.outer(tau, om[1:])) / om[1:]
         sym[:, 0] = tau
     else:
-        sym = np.exp(-0.5 * np.outer(tau, om**2))
+        c = heat_slab_weight(geom)[: geom.n_bands]
+        sym = c * np.exp(-0.5 * np.outer(tau - geom.dt, om**2))
     return 2.0 * geom.dt * float(np.sum(geom.band_masses * sym**2))
 
 
@@ -567,3 +660,53 @@ class TestFirstIncrementVariance:
         m2 = acc["s2"] / acc["n"]
         se = math.sqrt(max(acc["s4"] / acc["n"] - m2 * m2, 0.0) / acc["n"])
         assert abs(m2 - disc) <= 3.0 * se
+
+
+def impulse_response(geom, band=None):
+    """The sweep's additive (sigma = 1) response to a unit draw Z_{0k} = 1 in
+    slab 0, on every band or on one; row j is R_k(t_j), the spectral gain
+    from the slab-0 draw of band k to u(t_j)."""
+    z = np.zeros((geom.n_steps, geom.n_bands), dtype=complex)
+    z[0, slice(None) if band is None else band] = 1.0
+    eta = _band_field(geom, z)
+    u = _sweep(geom, AffineSigma(0.0, 1.0), np.zeros((geom.n_steps + 1, geom.n_fft)), eta)
+    # the irfft half spectrum that _band_field gives a unit draw: (-1)^k, and 2 at k = 0
+    half = (-1.0) ** np.arange(geom.n_bands)
+    half[0] = 2.0
+    return np.fft.rfft(u, axis=1, norm="forward")[:, : geom.n_bands] / half
+
+
+class TestHeatSlabLaw:
+    """With sigma = b the heat scheme has the exact Ornstein-Uhlenbeck law at
+    grid times, band by band: slab j enters with the exact-variance weight
+    and then decays by exp(-dt w^2 / 2) per step."""
+
+    def test_variance_at_the_defaults_is_near_the_continuum(self):
+        # the heat scheme is time-invariant, so the response to slab i at T
+        # is the slab-0 response at T - t_i: Var u(T, x) = 2 dt sum_k m_k sum_j R_k(t_j)^2
+        geom = build_geometry(default_config("heat", sigma_a=0.0))
+        r = impulse_response(geom)
+        assert np.max(np.abs(r.imag)) < 1e-12
+        var = 2.0 * geom.dt * float(np.sum(geom.band_masses * np.sum(r[1:].real ** 2, axis=0)))
+        assert var == pytest.approx(exact_first_increment_variance(geom, geom.T), rel=1e-12)
+        continuum = c_H(0.3) * A_T("heat", 0.5, 1.0 - 2.0 * 0.3)
+        assert continuum == pytest.approx(0.40434, rel=1e-4)
+        assert abs(var - continuum) / continuum < 0.02
+
+    @pytest.mark.parametrize("band", [0, 1, 5, 37])
+    def test_one_band_impulse_follows_the_ou_transition(self, band):
+        # the law of regularity.sample_additive_solution("heat") per band:
+        # y(t + dt) = exp(-dt w^2 / 2) y(t) + innovation of variance
+        # m (1 - exp(-dt w^2)) / w^2 (m dt at w = 0)
+        geom = build_geometry(small_config("heat"))
+        r = impulse_response(geom, band)
+        others = np.delete(r, band, axis=1)
+        assert np.max(np.abs(others)) < 1e-12
+        gain = r[1:, band].real
+        om = geom.omega_r[band : band + 1]
+        m = geom.band_masses[band : band + 1]
+        innovation = _heat_innovation_var(om, geom.dt, m)[0]
+        assert gain[0] ** 2 * geom.dt * m[0] == pytest.approx(innovation, rel=1e-12)
+        decay = math.exp(-0.5 * geom.dt * om[0] ** 2)
+        # the tail decays below the FFT rounding floor of the first gain
+        np.testing.assert_allclose(gain[1:], decay * gain[:-1], rtol=1e-12, atol=1e-14 * gain[0])
