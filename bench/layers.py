@@ -11,15 +11,18 @@ and times, in order: the RNG draw of the slab increments, the lattice
 transform ``picard._band_field``, the homogeneous term, one
 ``picard_step``, the causal sweep ``picard._sweep`` and a full ``solve``.
 Each CLI command then runs at its defaults, each repeat in a fresh process,
-so its time includes the interpreter start and the imports.
+so its time includes the interpreter start and the imports.  ``moments``
+refuses a single realization, so it runs as ``moments --ensemble 200
+--threads 2``.  A command that exits non-zero stops the script: the time of
+a refused run is not a timing of the command.
 
-Every entry records the median of --repeats (at least 5) ``perf_counter``
-timings and all of them.  A solver layer also records the ``tracemalloc``
-peak of one more call; each process records its peak resident memory from
-``getrusage`` (``os.wait4`` on the child).  The machine is recorded too.
-A layer that the source under --src does not define is recorded as null,
-so older checkouts can be timed with the same script.  Only per-process
-measures are used.
+Every entry records the median of 5 ``perf_counter`` timings and all of
+them.  A solver layer also records the ``tracemalloc`` peak of one more
+call; each process records its peak resident memory from ``getrusage``
+(``os.wait4`` on the child).  The machine is recorded too.  A layer that
+the source under --src does not define is recorded as null, so older
+checkouts can be timed with the same script.  Only per-process measures
+are used.
 """
 
 import argparse
@@ -35,18 +38,19 @@ import tracemalloc
 
 SCHEMA = "fracspde-bench-layers/1"
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-MIN_REPEATS = 5
+REPEATS = 5
 LAYERS = ("rng_draw", "band_field", "homogeneous", "picard_step", "sweep", "solve")
-COMMANDS = (
-    "verify-identities",
-    "verify-kernels",
-    "peszat",
-    "simulate",
-    "picard",
-    "holder",
-    "moments",
-    "gronwall",
-)
+# each command with the arguments it is timed at; () is its defaults
+COMMANDS = {
+    "verify-identities": (),
+    "verify-kernels": (),
+    "peszat": (),
+    "simulate": (),
+    "picard": (),
+    "holder": (),
+    "moments": ("--ensemble", "200", "--threads", "2"),
+    "gronwall": (),
+}
 
 
 def _run_child(argv, env):
@@ -62,9 +66,9 @@ def _run_child(argv, env):
     return proc.returncode, wall, usage.ru_maxrss / 1024.0, out.decode()
 
 
-def _timed(fn, repeats):
+def _timed(fn):
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
@@ -81,7 +85,7 @@ def _timed(fn, repeats):
     }
 
 
-def time_case(equation, dx, repeats):
+def time_case(equation, dx):
     """The solver layers of one (equation, dt = dx) case, in this process."""
     from fracspde import picard
     from fracspde.config import from_mapping, to_picard_config
@@ -112,25 +116,29 @@ def time_case(equation, dx, repeats):
         "n_fft": geom.n_fft,
         "n_bands": geom.n_bands,
         "layers": {
-            name: _timed(calls[name], repeats) if name in calls else None for name in LAYERS
+            name: _timed(calls[name]) if name in calls else None for name in LAYERS
         },
     }
 
 
-def time_command(command, repeats, env):
-    """One CLI command at its defaults, each repeat in a fresh process."""
+def time_command(command, env):
+    """One CLI command at its COMMANDS arguments, each repeat in a fresh process."""
     runs = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         with tempfile.TemporaryDirectory() as out:
-            argv = [sys.executable, "-m", "fracspde.cli", command, "--out", out]
-            runs.append(_run_child(argv, env)[:3])
-    times = [wall for _, wall, _ in runs]
+            argv = [sys.executable, "-m", "fracspde.cli", command, *COMMANDS[command],
+                    "--out", out]
+            code, wall, rss, _ = _run_child(argv, env)
+            if code != 0:
+                raise SystemExit(f"{' '.join(argv[3:-2])} exited {code}")
+            runs.append((wall, rss))
+    times = [wall for wall, _ in runs]
     return {
         "command": command,
-        "exit_codes": [code for code, _, _ in runs],
+        "args": list(COMMANDS[command]),
         "median_s": statistics.median(times),
         "times_s": times,
-        "maxrss_mb": max(rss for _, _, rss in runs),
+        "maxrss_mb": max(rss for _, rss in runs),
     }
 
 
@@ -160,20 +168,17 @@ def main(argv=None):
     parser.add_argument("--dx", type=float, nargs="+", default=[1.0 / 256, 1.0 / 1024],
                         help="lattice steps, each used as dt = dx")
     parser.add_argument("--commands", nargs="*", default=list(COMMANDS), choices=COMMANDS,
-                        help="CLI commands to time at their defaults (none: solver layers only)")
-    parser.add_argument("--repeats", type=int, default=MIN_REPEATS)
+                        help="CLI commands to time (none: solver layers only)")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="the source tree that provides fracspde")
     parser.add_argument("--case", nargs=2, metavar=("EQUATION", "DX"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeats < MIN_REPEATS:
-        parser.error(f"--repeats must be at least {MIN_REPEATS}")
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
 
     if args.case:
         # one solver case, run by the parent process below
-        record = time_case(args.case[0], float(args.case[1]), args.repeats)
+        record = time_case(args.case[0], float(args.case[1]))
         print(json.dumps(record))
         return 0
 
@@ -182,19 +187,19 @@ def main(argv=None):
     for equation in ("wave", "heat"):
         for dx in args.dx:
             argv = [sys.executable, os.path.abspath(__file__), "--case", equation, repr(dx),
-                    "--repeats", str(args.repeats), "--src", src, "--out", args.out]
+                    "--src", src, "--out", args.out]
             code, _, rss, out = _run_child(argv, env)
             if code != 0:
                 raise SystemExit(f"solver case {equation} dx={dx} exited {code}")
             record = json.loads(out.splitlines()[-1])
             record["maxrss_mb"] = rss
             solver.append(record)
-    cli = [time_command(command, args.repeats, env) for command in args.commands]
+    cli = [time_command(command, env) for command in args.commands]
 
     result = {
         "schema": SCHEMA,
         "src": os.path.relpath(src, ROOT),
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "machine": machine_record(),
         "solver": solver,
         "cli": cli,

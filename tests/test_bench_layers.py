@@ -1,9 +1,13 @@
 """bench/layers.py runs end to end at a tiny lattice and writes its schema."""
 
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "bench" / "layers.py"
@@ -19,7 +23,7 @@ def test_layers_script_writes_its_schema(tmp_path):
     assert run.returncode == 0, run.stderr
     result = json.loads(out.read_text())
     assert result["schema"] == "fracspde-bench-layers/1"
-    assert result["repeats"] >= 5
+    assert result["repeats"] == 5
     assert {"nproc", "cpu_model", "python", "numpy"} <= set(result["machine"])
     assert [(case["equation"], case["dx"]) for case in result["solver"]] == [
         ("wave", 0.0625), ("heat", 0.0625),
@@ -34,15 +38,18 @@ def test_layers_script_writes_its_schema(tmp_path):
             assert layer["median_s"] == sorted(layer["times_s"])[len(layer["times_s"]) // 2]
             assert layer["tracemalloc_peak_mb"] > 0.0
     [cli] = result["cli"]
-    assert cli["command"] == "gronwall" and cli["exit_codes"] == [0] * result["repeats"]
+    # the script stops at a command that exits non-zero, so each timed run exited 0
+    assert cli["command"] == "gronwall" and cli["args"] == []
+    assert len(cli["times_s"]) == result["repeats"]
     assert cli["median_s"] > 0.0 and cli["maxrss_mb"] > 0.0
 
 
-def test_layers_script_refuses_fewer_than_five_repeats(tmp_path):
-    run = subprocess.run(
-        [sys.executable, str(SCRIPT), "--repeats", "4", "--out", str(tmp_path / "b.json")],
-        capture_output=True, text=True,
-    )
-    assert run.returncode == 2
-    assert "at least 5" in run.stderr
-    assert not (tmp_path / "b.json").exists()
+def test_a_command_that_exits_non_zero_stops_the_script(monkeypatch):
+    spec = importlib.util.spec_from_file_location("layers", SCRIPT)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    # the Gronwall bound diverges at this g, so every run of it fails
+    monkeypatch.setitem(layers.COMMANDS, "gronwall", ("--g", "power:-0.7"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with pytest.raises(SystemExit, match=r"^gronwall --g power:-0\.7 exited [1-9]"):
+        layers.time_command("gronwall", env)
