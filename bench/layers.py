@@ -9,12 +9,15 @@ dt = dx of --dx (default 1/256 and 1/1024), with every other setting at the
 SimulationConfig default.  Each (equation, dx) case runs in a fresh process
 and times, in order: the RNG draw of the slab increments, the lattice
 transform ``picard._band_field``, the homogeneous term, one
-``picard_step``, the causal sweep ``picard._sweep`` and a full ``solve``.
-Each CLI command then runs at its defaults, each repeat in a fresh process,
-so its time includes the interpreter start and the imports.  ``moments``
-refuses a single realization, so it runs as ``moments --ensemble 200
---threads 2``.  A command that exits non-zero stops the script: the time of
-a refused run is not a timing of the command.
+``picard_step``, the causal sweep ``picard._sweep``, a full ``solve`` and
+``solve_ensemble`` of ENSEMBLE_REALIZATIONS realizations at the default
+Picard iteration count.  Each CLI command then runs at its defaults, each
+repeat in a fresh process, so its time includes the interpreter start and
+the imports.  ``moments`` refuses a single realization, so it runs as
+``moments --ensemble 200 --threads 2``; ``picard:ensemble`` is ``picard
+--ensemble 64 --threads 2`` (a COMMANDS key names its CLI command before
+any ``:``).  A command that exits non-zero stops the script: the time of a
+refused run is not a timing of the command.
 
 Every entry records the median of 5 ``perf_counter`` timings and all of
 them.  A solver layer also records the ``tracemalloc`` peak of one more
@@ -39,7 +42,8 @@ import tracemalloc
 SCHEMA = "fracspde-bench-layers/1"
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 5
-LAYERS = ("rng_draw", "band_field", "homogeneous", "picard_step", "sweep", "solve")
+LAYERS = ("rng_draw", "band_field", "homogeneous", "picard_step", "sweep", "solve", "ensemble")
+ENSEMBLE_REALIZATIONS = 8
 # each command with the arguments it is timed at; () is its defaults
 COMMANDS = {
     "verify-identities": (),
@@ -47,6 +51,7 @@ COMMANDS = {
     "peszat": (),
     "simulate": (),
     "picard": (),
+    "picard:ensemble": ("--ensemble", "64", "--threads", "2"),
     "holder": (),
     "moments": ("--ensemble", "200", "--threads", "2"),
     "gronwall": (),
@@ -105,6 +110,7 @@ def time_case(equation, dx):
         "homogeneous": lambda: picard._homogeneous_values(geom, cfg.init),
         "picard_step": lambda: picard.picard_step(geom, cfg.sigma, w, eta, w),
         "solve": lambda: picard.solve(cfg),
+        "ensemble": lambda: picard.solve_ensemble(cfg, ENSEMBLE_REALIZATIONS),
     }
     if hasattr(picard, "_sweep"):
         calls["sweep"] = lambda: picard._sweep(geom, cfg.sigma, w, eta)
@@ -126,8 +132,8 @@ def time_command(command, env):
     runs = []
     for _ in range(REPEATS):
         with tempfile.TemporaryDirectory() as out:
-            argv = [sys.executable, "-m", "fracspde.cli", command, *COMMANDS[command],
-                    "--out", out]
+            argv = [sys.executable, "-m", "fracspde.cli", command.partition(":")[0],
+                    *COMMANDS[command], "--out", out]
             code, wall, rss, _ = _run_child(argv, env)
             if code != 0:
                 raise SystemExit(f"{' '.join(argv[3:-2])} exited {code}")

@@ -62,6 +62,7 @@ from .gronwall import (
     GronwallProblem,
     a_n_sequence,
     hitting_probability,
+    root_summability_certificate,
     root_summability_check,
 )
 from .kernels import EQUATIONS, kernel_checks, peszat_probe
@@ -444,16 +445,11 @@ def _picard_single(cfg, echo):
     field = result.field
 
     t_idx = _thin_indices(field.n_steps + 1, 33)
-    x_all = field.core_x
-    x_idx = _thin_indices(x_all.size, 257)
-    values = field.core_values
-    # each t and x repeats across the grid: format it once
-    x_text = [format_float(x_all[j]) for j in x_idx]
-    rows = []
-    for i in t_idx:
-        t_text = format_float(field.t_grid[i])
-        for j, x in zip(x_idx, x_text):
-            rows.append((t_text, x, float(values[i, j])))
+    x_idx = _thin_indices(field.core_x.size, 257)
+    block = np.empty((t_idx.size, x_idx.size, 3))
+    block[..., 0] = field.t_grid[t_idx, None]
+    block[..., 1] = field.core_x[x_idx]
+    block[..., 2] = field.core_values[np.ix_(t_idx, x_idx)]
 
     seminorm = pathwise_x2_seminorm(field.values - result.homogeneous, result.geometry)
     diagnostics = {
@@ -473,7 +469,7 @@ def _picard_single(cfg, echo):
         "pathwise_x2_seminorm": _json_number(seminorm),
     }
     files = {
-        "field.csv": csv_text(("t", "x", "value"), rows),
+        "field.csv": csv_text(("t", "x", "value"), block.reshape(-1, 3)),
         "diagnostics.json": _json_text(diagnostics),
     }
 
@@ -675,6 +671,9 @@ def _cmd_gronwall(args):
         )
 
     reports.append(root_summability_check(problem, seq))
+    certificate = root_summability_certificate(problem)
+    if certificate is not None:
+        reports.append(certificate)
 
     positive = seq > 0.0
     plots = [

@@ -208,8 +208,9 @@ def _pair_energy_curves(geom, g, wmat, m2_y, cross, m2_z):
 class VnWnCollector:
     """Streaming accumulator for the V_n / W_n curves over an ensemble.
 
-    Feed successive differences via observe(n, diff, geom) in iteration
-    order (n = 1..n_iters) for each realization; finalize() returns the
+    Feed the rows t_idx (= grids.t_idx) of successive differences via
+    observe(n, rows, geom) in iteration order (n = 1..n_iters) for each
+    realization, as solve_ensemble does; finalize() returns the
     curves with standard errors.  Holds second/fourth moments on the full
     core for V and, for W, sums of the _pair_moments terms on the thinned
     y/z lattices, so memory grows with t * y, never t * y * z.
@@ -228,10 +229,13 @@ class VnWnCollector:
         self._pair_sums = tuple(np.zeros((self.n_iters, g.t_idx.size, m)) for m in widths)
         self._count = 0
 
-    def observe(self, n, diff, geom):
+    @property
+    def t_idx(self):
+        return self.grids.t_idx
+
+    def observe(self, n, rows, geom):
         if not 1 <= n <= self.n_iters:
             return
-        rows = diff[self.grids.t_idx]
         core = rows[:, self.geom.core]
         sq = core * core
         self._sum2[n - 1] += sq
@@ -289,7 +293,8 @@ class IterateSecondMomentCollector:
     """Streaming sup-grid second moments of each Picard iterate.
 
     Reconstructs u^n = w + sum of observed differences on a thinned
-    (time, core-column) grid per realization and accumulates E|u^n|^2.
+    (time, core-column) grid per realization and accumulates E|u^n|^2; it
+    declares the thinned times as the rows ``t_idx`` it observes.
     finalize() returns the per-iterate sup over the thin grid, index 0
     holding the deterministic sup |w|^2; a bounded scheme keeps
     consecutive entries from growing once the iteration settles.
@@ -307,12 +312,16 @@ class IterateSecondMomentCollector:
         self._running = None
         self._count = 0
 
-    def observe(self, n, diff, geom):
+    @property
+    def t_idx(self):
+        return self._t_idx
+
+    def observe(self, n, rows, geom):
         if not 1 <= n <= self.n_iters:
             return
         if n == 1:
             self._running = self._w.copy()
-        self._running = self._running + diff[np.ix_(self._t_idx, self._x_idx)]
+        self._running = self._running + rows[:, self._x_idx]
         self._sums[n - 1] += self._running**2
         if n == self.n_iters:
             self._count += 1

@@ -16,8 +16,11 @@ This module computes the pieces numerically: exact integer Fibonacci
 numbers, hitting probabilities by k-fold cell-mass convolution (with a
 Monte Carlo oracle), the a_n sequence, and a checker that tests a
 supplied f_sequence against both the recurrence hypothesis and the
-conclusion.  Summability can only be reported as a numerical Cauchy
-verdict on partial sums, never as a proof.
+conclusion.  Summability of the computed a_0..a_n_max is reported as a
+numerical Cauchy verdict on partial sums.  For the densities with a closed
+hitting probability (const and power), root_summability_certificate also
+proves it: in log space a_{n+2}/a_n falls below 1 for good at a certified
+index, beyond which the tail of sqrt(a_n) is bounded geometrically.
 """
 
 import math
@@ -38,12 +41,14 @@ __all__ = [
     "hitting_probability",
     "a_n_sequence",
     "root_summability_check",
+    "root_summability_certificate",
     "recurrence_violations",
     "recurrence_check",
 ]
 
 GRID_CELLS = 4096
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_PHI = math.log(0.5 * (1.0 + math.sqrt(5.0)))
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,12 @@ class GronwallOverflowError(ValueError):
     """Raised when a factor of a_n, b_(n+1) or K^(n-1), lies beyond float range."""
 
 
+def _log_fibonacci(m):
+    """log b_m by Binet: b_m = phi^m (1 - (-phi^-2)^m) / sqrt(5)."""
+    correction = math.log1p(-((-1.0) ** m) * math.exp(-2.0 * m * _LOG_PHI))
+    return m * _LOG_PHI - 0.5 * math.log(5.0) + correction
+
+
 def _check_float_range(big_k, n):
     """Reject an index n whose Fibonacci factor or K-power overflows a float.
 
@@ -83,7 +94,7 @@ def _check_float_range(big_k, n):
     index that fits and the first that does not, that log lies 0.32 below
     and 0.16 above the float limit, far beyond the form's rounding.
     """
-    log_fib = (n + 1) * math.log(0.5 * (1.0 + math.sqrt(5.0))) - 0.5 * math.log(5.0)
+    log_fib = _log_fibonacci(n + 1)
     try:
         big_k ** (n - 1)
         fits = log_fib <= _LOG_FLOAT_MAX
@@ -260,6 +271,110 @@ def root_summability_check(problem, a_seq):
         reference=0.0,
         tolerance=1e-5,
         inputs={"g": problem.g, "T": problem.T, "n_max": a_seq.size - 1},
+    )
+
+
+# the certified ratio must clear 1 by more than the rounding of its lgamma terms
+_CERTIFICATE_MARGIN = 1e-6
+_CERTIFICATE_SEARCH_LIMIT = 2**50
+
+
+def _closed_form_exponent(g):
+    """e for g(t) = c t^e given as "const[:c]" (e = 0) or "power:e"; None
+    for tables and callables, whose hitting probability has no closed form."""
+    if not isinstance(g, str):
+        return None
+    kind, _, arg = g.partition(":")
+    if kind == "const":
+        return 0.0
+    if kind == "power" and arg:
+        return float(arg)
+    return None
+
+
+def _log_hitting_exact(e, k):
+    """log P(S_k <= T) for k i.i.d. draws of density (e + 1) t^e / T^(e+1)
+    on [0, T]: the Dirichlet integral Gamma(e + 2)^k / Gamma(k (e + 1) + 1),
+    the same for every T."""
+    return k * math.lgamma(e + 2.0) - math.lgamma(k * (e + 1.0) + 1.0)
+
+
+def _log_a_exact(e, log_k, n):
+    """log a_n (n >= 2) with the exact hitting probability."""
+    return _log_fibonacci(n + 1) + (n - 1) * log_k + _log_hitting_exact(e, n // 2)
+
+
+def _log_ratio_bound(e, log_k, n):
+    """An upper bound on log(a_{n+2} / a_n) that does not increase in n.
+
+    b_{m+2} / b_m <= phi^2 / (1 - phi^-2m) at m = n + 1, which falls in n;
+    the hitting term log P_{k+1} - log P_k falls in k = n // 2 because
+    lgamma is convex."""
+    k = n // 2
+    fib = 2.0 * _LOG_PHI - math.log1p(-math.exp(-2.0 * (n + 1) * _LOG_PHI))
+    return fib + 2.0 * log_k + _log_hitting_exact(e, k + 1) - _log_hitting_exact(e, k)
+
+
+def _certified_index(e, log_k):
+    """The first n >= 2 with _log_ratio_bound below -_CERTIFICATE_MARGIN,
+    by doubling and then bisection (the bound does not increase in n), or
+    the search limit when there is none below it."""
+
+    def certified(n):
+        return _log_ratio_bound(e, log_k, n) < -_CERTIFICATE_MARGIN
+
+    hi = 2
+    while not certified(hi) and hi < _CERTIFICATE_SEARCH_LIMIT:
+        hi *= 2
+    lo = 2 if hi == 2 else hi // 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if certified(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def root_summability_certificate(problem):
+    """Proof that sum sqrt(a_n) converges, for const and power densities.
+
+    With the exact hitting probability, log a_n and a bound L(n) on
+    log(a_{n+2} / a_n) that does not increase in n are closed forms.  The
+    certified index n* is the first n >= 2 with L(n) below -1e-6 (found by
+    doubling, then bisection); beyond it a_{n+2} <= rho a_n with
+    rho = exp(L(n*)) < 1, so the tail of sqrt(a_n) from n* is at most
+    (sqrt(a_n*) + sqrt(a_n*+1)) / (1 - sqrt(rho)).  The check passes when
+    rho <= exp(-1e-6), as a certified index makes it; without an index below
+    2^50, rho is taken there and fails.  Returns None for tables and
+    callables.
+    """
+    e = _closed_form_exponent(problem.g)
+    if e is None:
+        return None
+    # one cell holds the exact G(T), and the spec is validated on the way
+    total = float(density_cell_masses(problem.g, problem.T, n_cells=1)[0])
+    inputs = {"g": problem.g, "T": problem.T}
+    limit = math.exp(-_CERTIFICATE_MARGIN)
+    if total <= 0.0:
+        # a_n = 0 from n = 2 on
+        return make_check("gronwall-root-summability-certificate", computed=0.0,
+                          reference=0.0, tolerance=limit, inputs={**inputs, "n_star": 2})
+    log_k = math.log(max(total, 1.0))
+    n_star = _certified_index(e, log_k)
+    rho = math.exp(_log_ratio_bound(e, log_k, n_star))
+    if rho <= limit:
+        head = [0.5 * _log_a_exact(e, log_k, n) for n in (n_star, n_star + 1)]
+        top = max(head)
+        log_head = top + math.log(sum(math.exp(v - top) for v in head))
+        log_tail = log_head - math.log1p(-math.sqrt(rho))
+        inputs.update(log_a_n_star=_log_a_exact(e, log_k, n_star), log_tail_bound=log_tail)
+    return make_check(
+        "gronwall-root-summability-certificate",
+        computed=rho,
+        reference=0.0,
+        tolerance=limit,
+        inputs={**inputs, "n_star": n_star},
     )
 
 

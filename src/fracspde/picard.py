@@ -15,13 +15,18 @@ band, so every kernel application is a pair of FFTs with closed-form symbols.
 Time uses the left-endpoint (Ito) rule: the integrand slice at step i is
 sigma(u(t_i, .)) against the increment of slab [t_i, t_{i+1}).  Under that
 rule row j + 1 of Phi(u) reads only rows 0..j of u, so the lattice fixed
-point is reached exactly by one forward pass over the rows (``solve``);
-the sweep and ``picard_step`` form the same spectral sums (``_slab_sums``).
+point is reached exactly by one forward pass over the rows (``solve``).
+The same causality builds the iterates themselves, whose successive
+differences are objects of the paper's proof: the iterate engine
+``_picard_levels`` carries every level u^0..u^N of a batch of draws through
+one forward pass, row j + 1 of u^{n+1} from row j of u^n, and feeds
+``solve_ensemble`` and ``uniqueness_probe``.  The sweep, the engine and
+``picard_step`` form the same spectral sums (``_slab_sums``), so the engine's
+iterates are bit for bit those of chained ``picard_step`` calls, and
+``picard_step`` stays the independent route of ``solve``'s residual.
 The heat slab weight is the exact-variance (accelerated exponential Euler)
 weight, so with sigma = b each heat band follows its exact Ornstein-Uhlenbeck
-law at grid times.  The iterates themselves, whose successive differences
-are objects of the paper's proof, come from ``solve_ensemble`` and
-``uniqueness_probe``.
+law at grid times.
 
 All randomness flows through noise.keyed_rng: the noise of realization r is
 the stream keyed by (seed, r); iterates of the same solve share one noise
@@ -82,14 +87,18 @@ class PicardDivergenceError(PicardConvergenceError):
     """
 
 
-def _core_delta(diff, geom, n, deltas):
-    """sup |diff| over the core window; raises PicardDivergenceError if not finite."""
-    delta = float(np.max(np.abs(diff[:, geom.core])))
+def _finite_delta(delta, n, deltas):
+    """delta itself; raises PicardDivergenceError if it is not finite."""
     if not math.isfinite(delta):
         raise PicardDivergenceError(
             f"non-finite delta {delta} at iteration {n}", [*deltas, delta]
         )
     return delta
+
+
+def _core_delta(diff, geom, n, deltas):
+    """sup |diff| over the core window; raises PicardDivergenceError if not finite."""
+    return _finite_delta(float(np.max(np.abs(diff[:, geom.core]))), n, deltas)
 
 
 @dataclass(frozen=True)
@@ -459,15 +468,39 @@ def noise_slabs(geom, seed, realization=0):
     return _band_field(geom, z)
 
 
-def _slab_sums(geom):
+NOISE_CHUNK = 16  # slabs drawn per call by _noise_rows: amortizes the per-draw overhead
+
+
+def _noise_rows(geom, seed, realizations):
+    """The slab noise fields of several realizations, one slab at a time.
+
+    Yields eta_j for j = 0..n_steps-1 as an array of shape
+    (len(realizations), n_fft) whose row i is row j of
+    noise_slabs(geom, seed, realizations[i]).  The slabs are drawn
+    NOISE_CHUNK at a time from each realization's own stream; a standard
+    normal block filled in pieces holds the same numbers as one filled at
+    once, so memory stays at NOISE_CHUNK slabs per realization.
+    """
+    rngs = [keyed_rng(seed, r) for r in realizations]
+    for j0 in range(0, geom.n_steps, NOISE_CHUNK):
+        m = min(NOISE_CHUNK, geom.n_steps - j0)
+        z = np.stack([spectral_increments(geom.band_masses, geom.dt, m, rng) for rng in rngs])
+        eta = _band_field(geom, z)
+        for i in range(m):
+            yield eta[:, i]
+
+
+def _slab_sums(geom, batch=()):
     """The per-slab update of the stochastic term, in rfft space.
 
     Returns add(j, p_hat_j), which folds the transformed integrand
     rfft(sigma(u(t_j)) * eta_j) of slab j into running sums and returns the
     spectrum of the stochastic term at t_{j+1}.  Slabs must come in the
-    order j = 0, 1, ....  The sweep uses it for both equations and
-    picard_step for heat; picard_step forms the wave sums over all slabs at
-    once, bit for bit the same.
+    order j = 0, 1, ....  p_hat_j has shape batch + (n_fft // 2 + 1,): one
+    independent set of sums per leading index, each updated exactly as a
+    single one would be.  The sweep and the iterate engine use it for both
+    equations and picard_step for heat; picard_step forms the wave sums over
+    all slabs at once, bit for bit the same.
 
     The wave symbol sin(tau w)/w splits over the geometry's trig tables
     into running cos/sin sums, with the two moments sum p and sum t_i p in
@@ -478,12 +511,13 @@ def _slab_sums(geom):
     end's dt exp(-dt w^2).
     """
     omega = geom.omega_r
+    shape = tuple(batch) + (omega.size,)
     if geom.equation == "heat":
         x = geom.dt * omega**2
         decay = np.exp(-0.5 * x)
         weight = np.ones_like(x)
         weight[1:] = np.sqrt(-np.expm1(-x[1:]) / x[1:])
-        running = np.zeros(omega.size, dtype=complex)
+        running = np.zeros(shape, dtype=complex)
 
         def add(j, p_hat):
             nonlocal running
@@ -494,19 +528,20 @@ def _slab_sums(geom):
 
     cos_t, sin_t = geom.trig_tables
     t_grid = geom.t_grid
-    a_run = np.zeros(omega.size, dtype=complex)
-    b_run = np.zeros(omega.size, dtype=complex)
-    s0 = s1 = 0j
+    a_run = np.zeros(shape, dtype=complex)
+    b_run = np.zeros(shape, dtype=complex)
+    s0 = np.zeros(shape[:-1], dtype=complex)
+    s1 = np.zeros(shape[:-1], dtype=complex)
 
     def add(j, p_hat):
         nonlocal a_run, b_run, s0, s1
         a_run += cos_t[j] * p_hat
         b_run += sin_t[j] * p_hat
         sym = sin_t[j + 1] * a_run - cos_t[j + 1] * b_run
-        sym[1:] /= omega[1:]
-        s0 += p_hat[0]
-        s1 += t_grid[j] * p_hat[0]
-        sym[0] = t_grid[j + 1] * s0 - s1
+        sym[..., 1:] /= omega[1:]
+        s0 += p_hat[..., 0]
+        s1 += t_grid[j] * p_hat[..., 0]
+        sym[..., 0] = t_grid[j + 1] * s0 - s1
         return sym
 
     return add
@@ -588,29 +623,89 @@ class PicardResult:
     homogeneous: np.ndarray
 
 
-def _iterate(geom, sigma, w, eta, max_iters, tol=None, observer=None, start=None):
-    """Picard steps for one noise draw, from ``start`` (default w).
+# Realizations per pass of the iterate engine.  4 was fastest for
+# `picard --ensemble 64` at the wave defaults on one and on two threads:
+# smaller batches spend more of the pass in short numpy calls that hold the
+# interpreter lock, larger ones fall out of cache.
+ENGINE_BATCH = 4
 
-    Stops once a delta is zero or at most tol times the first delta;
-    tol=None runs all max_iters steps.  observer(n, diff, u_n) sees each
-    step after its delta is checked.  Returns (u, deltas, converged).
+
+def _picard_levels(geom, sigma, w, slabs, n_iters, start=None, keep_rows=(), final=False,
+                   on_row=None):
+    """The Picard iterates u^0..u^n_iters of a batch of noise draws, by one
+    causal pass over the rows.
+
+    Row j + 1 of u^{n+1} = picard_step(u^n) reads rows 0..j of u^n only, so
+    every level advances one row per slab: at row j one batched rfft of
+    sigma(levels 0..n_iters-1) * eta_j feeds the per-level running sums of
+    ``_slab_sums``, and one batched irfft gives row j + 1 of levels
+    1..n_iters.  The floating point operations are those of n_iters
+    chained picard_step calls, so every number is bit for bit theirs.
+    State is the current row of each level, shape (R, n_iters + 1, n_fft),
+    plus the running sums; nothing grows with n_steps unless asked for.
+
+    slabs yields the noise slab eta_j for j = 0..n_steps-1 in order, shape
+    (R, n_fft) with one row per realization, or (1, n_fft) for a draw the
+    batch shares (as ``_noise_rows`` yields them).  Level 0 is w, or
+    start[r] (shape (R, n_steps + 1, n_fft)) when given; R is the number
+    of starts then, else of noise rows.
+    Returns (deltas, kept, field):
+      deltas[r, n - 1] = sup over rows and the core of |u^n - u^{n-1}|,
+        possibly not finite (overflow is left to the caller);
+      kept[r, n - 1, i] = row keep_rows[i] of u^n - u^{n-1};
+      field[r] = u^n_iters when ``final``, else None.
+    on_row(j, rows), when given, sees row j of every level, rows[r, n].
     """
-    u = w if start is None else start
-    deltas = []
-    for n in range(1, max_iters + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            u_next = picard_step(geom, sigma, u, eta, w)
-            diff = u_next - u
-        delta = _core_delta(diff, geom, n, deltas)
-        if observer is not None:
-            observer(n, diff, u_next)
-        deltas.append(delta)
-        u = u_next
+    n_steps, n_fft = geom.n_steps, geom.n_fft
+    slabs = iter(slabs)
+    eta = next(slabs)
+    n_real = eta.shape[0] if start is None else start.shape[0]
+    core = geom.core
+    add = _slab_sums(geom, (n_real, n_iters))
+    rows = np.empty((n_real, n_iters + 1, n_fft))
+    deltas = np.zeros((n_real, n_iters))
+    slots = {int(t): i for i, t in enumerate(keep_rows)}
+    kept = np.empty((n_real, n_iters, len(slots), n_fft))
+    field = np.empty((n_real, n_steps + 1, n_fft)) if final else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_steps + 1):
+            rows[:, 0] = w[j] if start is None else start[:, j]
+            if j == 0:
+                rows[:, 1:] = w[0]
+            else:
+                np.add(w[j], np.fft.irfft(sym, n=n_fft, axis=-1), out=rows[:, 1:])
+            core_diff = rows[:, 1:, core] - rows[:, :-1, core]
+            np.maximum(deltas, np.max(np.abs(core_diff), axis=-1), out=deltas)
+            if j in slots:
+                np.subtract(rows[:, 1:], rows[:, :-1], out=kept[:, :, slots[j]])
+            if final:
+                field[:, j] = rows[:, -1]
+            if on_row is not None:
+                on_row(j, rows)
+            if j < n_steps:
+                if j > 0:
+                    eta = next(slabs)
+                q = sigma(rows[:, :-1]) * eta[:, None, :]
+                sym = add(j, np.fft.rfft(q, axis=-1))
+    return deltas, kept, field
+
+
+def _delta_history(deltas, tol=None):
+    """The successive deltas of one realization as a list, in order.
+
+    Raises PicardDivergenceError at the first non-finite delta, with the
+    history up to it.  With tol, the list stops at the first delta that is
+    zero or at most tol times the first one.  Returns (history, stopped).
+    """
+    history = []
+    for n, value in enumerate(deltas, start=1):
+        delta = _finite_delta(float(value), n, history)
+        history.append(delta)
         # delta == 0 is an exact fixed point; the explicit test also avoids
         # inf * 0 when tol is infinite and the noise term vanishes
-        if tol is not None and (delta == 0.0 or delta <= tol * deltas[0]):
-            return u, deltas, True
-    return u, deltas, False
+        if tol is not None and (delta == 0.0 or delta <= tol * history[0]):
+            return history, True
+    return history, False
 
 
 def solve(config):
@@ -662,10 +757,18 @@ def solve_ensemble(config, n_realizations, n_iters=None, collectors=(), on_final
     and runs the Picard iteration u^{n+1} = picard_step(u^n) from u^0 = w
     for exactly n_iters updates (default max_iters), past an exact zero
     delta too: ensemble statistics need aligned iteration counts, so no
-    stopping rule is applied here.  Collectors see each successive difference as it is
-    produced via collector.observe(n, diff, geom); on_final(r, field) sees
-    each final iterate.  Memory stays O(one realization).  A non-finite
-    delta raises PicardDivergenceError.
+    stopping rule is applied here.  The iterates come from the engine
+    ``_picard_levels``, ENGINE_BATCH realizations per pass, bit for bit
+    those of chained picard_step calls whatever the batching.
+
+    A collector declares the rows it reads in ``collector.t_idx`` (time
+    indices into 0..n_steps, negative ones counting from the end); it sees
+    collector.observe(n, rows, geom) with rows[i] = row t_idx[i] of
+    u^n - u^{n-1}, for n = 1..n_iters and realization by realization.
+    on_final(r, field) sees each final iterate after the collectors.
+    Memory holds a batch's noise draws and final iterates plus the rows
+    the collectors declare; it does not grow with n_iters * n_steps.  A
+    non-finite delta raises PicardDivergenceError.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be at least 1")
@@ -673,16 +776,24 @@ def solve_ensemble(config, n_realizations, n_iters=None, collectors=(), on_final
     geom = build_geometry(config)
     w = _homogeneous_values(geom, config.init)
     deltas = np.empty((n_realizations, n_iters))
+    times = np.arange(geom.n_steps + 1)
+    wanted = [times[np.asarray(c.t_idx, dtype=int)] for c in collectors]
+    keep = sorted({int(t) for rows in wanted for t in rows})
+    picks = [np.searchsorted(keep, rows) for rows in wanted]
 
-    def observe(n, diff, u):
-        for collector in collectors:
-            collector.observe(n, diff, geom)
-
-    for r in range(n_realizations):
-        eta = noise_slabs(geom, config.seed, config.realization + r)
-        u, deltas[r], _ = _iterate(geom, config.sigma, w, eta, n_iters, observer=observe)
-        if on_final is not None:
-            on_final(r, _field_from(geom, u))
+    for r0 in range(0, n_realizations, ENGINE_BATCH):
+        batch = range(r0, min(n_realizations, r0 + ENGINE_BATCH))
+        slabs = _noise_rows(geom, config.seed, [config.realization + r for r in batch])
+        levels, kept, field = _picard_levels(
+            geom, config.sigma, w, slabs, n_iters, keep_rows=keep, final=on_final is not None
+        )
+        for i, r in enumerate(batch):
+            deltas[r] = _delta_history(levels[i])[0]
+            for n in range(1, n_iters + 1):
+                for collector, pick in zip(collectors, picks):
+                    collector.observe(n, kept[i, n - 1, pick], geom)
+            if on_final is not None:
+                on_final(r, _field_from(geom, field[i]))
 
     return EnsembleResult(
         deltas=deltas,
@@ -700,26 +811,37 @@ def uniqueness_probe(config, perturbation):
     fixed point, so starting the iteration from the homogeneous term or
     from that term plus ``perturbation`` (a float or a callable of x) must
     land on the same limit.  The data, the noise, and the map are shared;
-    only the starting iterate moves.  Agreement of the two limits within
+    only the starting iterate moves.  The two starts run as one batch of
+    the iterate engine, and each stops at its first delta that is zero or
+    at most tol times its first one.  Agreement of the two limits within
     3x the larger achieved stopping threshold passes.
     """
     geom = build_geometry(config)
     w = _homogeneous_values(geom, config.init)
-    eta = noise_slabs(geom, config.seed, config.realization)
     if callable(perturbation):
         bump = _eval_on(perturbation, geom.x_grid)[None, :]
     else:
         bump = float(perturbation)
-    u_a, d_a, ok_a = _iterate(geom, config.sigma, w, eta, config.max_iters, config.tol)
-    u_b, d_b, ok_b = _iterate(
-        geom, config.sigma, w, eta, config.max_iters, config.tol, start=w + bump
+    n_iters, core = config.max_iters, geom.core
+    # gaps[m, n] = sup over rows and the core of |u_a^m - u_b^n|
+    gaps = np.zeros((n_iters + 1, n_iters + 1))
+
+    def pair_gaps(j, rows):
+        a, b = rows[0][:, None, core], rows[1][None, :, core]
+        np.maximum(gaps, np.max(np.abs(a - b), axis=-1), out=gaps)
+
+    levels, _, _ = _picard_levels(
+        geom, config.sigma, w, _noise_rows(geom, config.seed, [config.realization]), n_iters,
+        start=np.stack([w, w + bump]), on_row=pair_gaps,
     )
+    d_a, ok_a = _delta_history(levels[0], config.tol)
+    d_b, ok_b = _delta_history(levels[1], config.tol)
     if not (ok_a and ok_b):
         raise PicardConvergenceError(
             "uniqueness probe did not converge; raise max_iters or tol",
             d_a if not ok_a else d_b,
         )
-    gap = float(np.max(np.abs((u_a - u_b)[:, geom.core])))
+    gap = float(gaps[len(d_a), len(d_b)])
     threshold = 3.0 * max(config.tol * d_a[0], config.tol * d_b[0])
     return {
         "max_difference": gap,

@@ -815,15 +815,17 @@ class FirstIncrementCollector:
     center n_fft // 2, one value per realization.
 
     Plug it into solve_ensemble's collectors; ``values`` then holds the
-    realizations in the order they ran.
+    realizations in the order they ran.  It reads the final row only.
     """
+
+    t_idx = (-1,)
 
     def __init__(self):
         self.values = []
 
-    def observe(self, n, diff, geom):
+    def observe(self, n, rows, geom):
         if n == 1:
-            self.values.append(float(diff[-1, geom.n_fft // 2]))
+            self.values.append(float(rows[0, geom.n_fft // 2]))
 
 
 def gaussian_ratio_check(config, samples):

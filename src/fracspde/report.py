@@ -11,6 +11,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "VerificationReport",
     "PlotSeries",
@@ -150,7 +152,15 @@ def _csv_cell(value):
 
 def csv_text(header, rows):
     """CSV text of a header and rows of cells: floats by format_float,
-    bools as true/false, None as an empty cell, anything else by str."""
+    bools as true/false, None as an empty cell, anything else by str.
+
+    rows may be a 2-D float64 array, formatted by one %.12g pass over the
+    whole block: %.12g is format_float on every float but -0.0, which
+    adding 0.0 turns into 0.0 first."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+        line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+        cells = tuple((rows + 0.0).ravel().tolist())
+        return ",".join(header) + "\n" + (line * rows.shape[0]) % cells
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"

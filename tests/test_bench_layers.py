@@ -31,7 +31,7 @@ def test_layers_script_writes_its_schema(tmp_path):
     for case in result["solver"]:
         assert case["n_steps"] == 8 and case["maxrss_mb"] > 0.0
         assert list(case["layers"]) == [
-            "rng_draw", "band_field", "homogeneous", "picard_step", "sweep", "solve",
+            "rng_draw", "band_field", "homogeneous", "picard_step", "sweep", "solve", "ensemble",
         ]
         for layer in case["layers"].values():
             assert len(layer["times_s"]) == result["repeats"]
@@ -44,10 +44,30 @@ def test_layers_script_writes_its_schema(tmp_path):
     assert cli["median_s"] > 0.0 and cli["maxrss_mb"] > 0.0
 
 
-def test_a_command_that_exits_non_zero_stops_the_script(monkeypatch):
+def load_layers():
     spec = importlib.util.spec_from_file_location("layers", SCRIPT)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_a_labelled_key_runs_its_command(monkeypatch):
+    layers = load_layers()
+    argvs = []
+
+    def child(argv, env):
+        argvs.append(argv[3:-2])
+        return 0, 1.0, 50.0, ""
+
+    monkeypatch.setattr(layers, "_run_child", child)
+    record = layers.time_command("picard:ensemble", {})
+    assert argvs == [["picard", "--ensemble", "64", "--threads", "2"]] * layers.REPEATS
+    assert record["command"] == "picard:ensemble"
+    assert record["args"] == ["--ensemble", "64", "--threads", "2"]
+
+
+def test_a_command_that_exits_non_zero_stops_the_script(monkeypatch):
+    layers = load_layers()
     # the Gronwall bound diverges at this g, so every run of it fails
     monkeypatch.setitem(layers.COMMANDS, "gronwall", ("--g", "power:-0.7"))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -24,6 +24,7 @@ from fracspde.config import (
     serialize_mapping,
     to_picard_config,
 )
+import fracspde.gronwall
 import fracspde.picard
 import fracspde.regularity
 from fracspde.picard import build_geometry
@@ -624,15 +625,16 @@ class TestFitCommands:
 
     def test_moments_runs_its_ensemble_once(self, tmp_path, monkeypatch):
         # with sigma_a = 0 the Gaussian ratio check reads the first
-        # increments off the main pass: no second pass over the realizations
+        # increments off the main pass: no second pass over the realizations,
+        # so each realization's noise is drawn once
         calls = []
-        step = fracspde.picard.picard_step
+        draw = fracspde.picard._noise_rows
 
-        def counted(*args):
-            calls.append(1)
-            return step(*args)
+        def counted(geom, seed, realizations):
+            calls.extend(realizations)
+            return draw(geom, seed, realizations)
 
-        monkeypatch.setattr(fracspde.picard, "picard_step", counted)
+        monkeypatch.setattr(fracspde.picard, "_noise_rows", counted)
         out = tmp_path / "mom"
         code = main(
             ["moments", "--equation", "heat", "--T", "0.125", "--dt", "0.0078125",
@@ -643,7 +645,7 @@ class TestFitCommands:
         assert code == 0
         report = json.loads(read(out / "report.json"))
         assert "gaussian-p4-p2-ratio" in {r["check_name"] for r in report}
-        assert len(calls) == 40 * 3
+        assert sorted(calls) == list(range(40))
 
 
 class TestGronwallCommand:
@@ -664,12 +666,31 @@ class TestGronwallCommand:
         row = next(r for r in report if r["check_name"] == "gronwall-hitting-exact-uniform")
         assert abs(row["computed"] - 1.0 / 24.0) < 1e-3
 
+    @pytest.mark.parametrize("spec", ["const", "const:3", "power:-0.7"])
+    def test_closed_form_densities_carry_a_passing_certificate(self, tmp_path, spec):
+        # the certificate sits beside the partial-sum verdict, which still
+        # judges const:3 and power:-0.7 by their first n_max terms only
+        out = tmp_path / "gw"
+        code = main(["gronwall", "--g", spec, "--out", str(out)])
+        verdicts = {r["check_name"]: r["pass"] for r in json.loads(read(out / "report.json"))}
+        assert verdicts["gronwall-root-summability-certificate"] is True
+        tail = verdicts["gronwall-root-summability-tail"]
+        assert code == (0 if tail else 2)
+        assert tail is (spec == "const")
+
+    def test_certificate_catches_a_hitting_probability_of_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(fracspde.gronwall, "_log_hitting_exact", lambda e, k: 0.0)
+        assert main(["gronwall", "--out", str(tmp_path / "gw")]) == 2
+        assert "FAIL gronwall-root-summability-certificate" in capsys.readouterr().out
+
     def test_table_density_from_csv(self, tmp_path):
         dens = tmp_path / "dens.csv"
         dens.write_text("0.0,0.5\n0.5,1.0\n1.0,0.25\n")
         out = tmp_path / "gwt"
         code = main(["gronwall", "--g", f"table:{dens}", "--k", "2", "--out", str(out)])
         assert code == 0
+        names = {r["check_name"] for r in json.loads(read(out / "report.json"))}
+        assert "gronwall-root-summability-certificate" not in names
 
 
 class TestReportCommand:

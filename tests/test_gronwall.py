@@ -9,6 +9,7 @@ and only the conclusion is at stake).
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from fracspde.gronwall import (
     hitting_probability,
     recurrence_check,
     recurrence_violations,
+    root_summability_certificate,
 )
 
 
@@ -263,6 +265,80 @@ def equality_built_problem(n_members=21, n_grid=65, g="const", ms=(1.0, 1.0)):
         fs.append(rhs)
     return GronwallProblem(T=1.0, g=g, M0=ms[0], M1=ms[1],
                            f_grid=grid, f_sequence=tuple(fs))
+
+
+def log_terms(spec, T=1.0):
+    """(e, log K) of a closed-form density, as the certificate reads them."""
+    e = gronwall._closed_form_exponent(spec)
+    total = float(density_cell_masses(spec, T, n_cells=1)[0])
+    return e, math.log(max(total, 1.0))
+
+
+class TestSummabilityCertificate:
+    @pytest.mark.parametrize("spec", ["const", "const:3", "power:-0.7", "power:0.6", "const:0"])
+    def test_closed_form_densities_are_certified(self, spec):
+        report = root_summability_certificate(GronwallProblem(T=1.0, g=spec, M0=1, M1=1))
+        assert report.passed and 0.0 <= report.computed < 1.0
+
+    @pytest.mark.parametrize("spec", ["const", "const:3", "power:-0.7", "power:0.6"])
+    def test_certified_index_is_the_first(self, spec):
+        e, log_k = log_terms(spec)
+        n_star = gronwall._certified_index(e, log_k)
+        margin = gronwall._CERTIFICATE_MARGIN
+        assert gronwall._log_ratio_bound(e, log_k, n_star) < -margin
+        if n_star > 2:
+            assert gronwall._log_ratio_bound(e, log_k, n_star - 1) >= -margin
+
+    def test_heat_density_peaks_far_past_a_float_product(self):
+        # a_n grows until n ~ 352 000 (log a_n ~ 52 777), where it is certified
+        e, log_k = log_terms("power:-0.7")
+        n_star = gronwall._certified_index(e, log_k)
+        assert 350_000 < n_star < 354_000
+        assert gronwall._log_a_exact(e, log_k, n_star) == pytest.approx(52777.07, abs=0.05)
+        assert gronwall._log_a_exact(e, log_k, 957_000) < -60.0
+
+    @pytest.mark.parametrize("spec", ["const:3", "power:-0.7", "power:0.6"])
+    def test_exact_log_sequence_matches_the_convolution(self, spec):
+        # the cell-mass convolution carries an O(k / n_cells) bias only
+        e, log_k = log_terms(spec)
+        seq = a_n_sequence(GronwallProblem(T=1.0, g=spec, M0=1, M1=1), 60)
+        for n in range(2, 61):
+            assert math.log(seq[n]) == pytest.approx(gronwall._log_a_exact(e, log_k, n), abs=1e-2)
+
+    def test_fibonacci_in_log_space(self):
+        for m in range(1, 90):
+            assert gronwall._log_fibonacci(m) == pytest.approx(math.log(fibonacci(m)), abs=1e-12)
+
+    @pytest.mark.parametrize("spec", ["const:3", "power:-0.7", "power:0.6"])
+    def test_ratio_bound_bounds_and_does_not_increase(self, spec):
+        e, log_k = log_terms(spec)
+        bounds = [gronwall._log_ratio_bound(e, log_k, n) for n in range(2, 400)]
+        actual = [gronwall._log_a_exact(e, log_k, n + 2) - gronwall._log_a_exact(e, log_k, n)
+                  for n in range(2, 400)]
+        assert all(b >= a - 1e-9 for a, b in zip(actual, bounds))
+        assert all(later <= earlier + 1e-12 for earlier, later in zip(bounds, bounds[1:]))
+
+    def test_a_hitting_probability_of_one_fails(self, monkeypatch):
+        # without the factorial decay a_n grows like (phi K)^n: nothing to certify
+        monkeypatch.setattr(gronwall, "_log_hitting_exact", lambda e, k: 0.0)
+        report = root_summability_certificate(GronwallProblem(T=1.0, g="const", M0=1, M1=1))
+        assert not report.passed and report.computed > 1.0
+
+    def test_tables_and_callables_have_no_certificate(self, tmp_path):
+        dens = tmp_path / "dens.csv"
+        dens.write_text("0.0,0.5\n1.0,0.25\n")
+        for g in (f"table:{dens}", lambda t: t):
+            assert root_summability_certificate(GronwallProblem(T=1.0, g=g, M0=1, M1=1)) is None
+
+    def test_invalid_densities_are_refused(self):
+        for spec in ("power:-1.5", "const:-1"):
+            with pytest.raises(ValueError):
+                root_summability_certificate(GronwallProblem(T=1.0, g=spec, M0=1, M1=1))
+
+    def test_is_cheap(self):
+        start = time.perf_counter()
+        root_summability_certificate(GronwallProblem(T=1.0, g="power:-0.7", M0=1, M1=1))
+        assert time.perf_counter() - start < 0.05
 
 
 class TestRecurrenceCheck:

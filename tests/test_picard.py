@@ -11,7 +11,10 @@ checked both as an exact lattice sum and by Monte Carlo over
 solve_ensemble.
 """
 
+import inspect
+import itertools
 import math
+import textwrap
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -31,8 +34,10 @@ from fracspde.picard import (
     PicardConvergenceError,
     PicardDivergenceError,
     _band_field,
+    _core_delta,
+    _delta_history,
     _homogeneous_values,
-    _iterate,
+    _picard_levels,
     _slab_sums,
     _sweep,
     _trapezoid_antiderivative,
@@ -46,7 +51,8 @@ from fracspde.picard import (
     solve_ensemble,
     uniqueness_probe,
 )
-from fracspde.regularity import _heat_innovation_var
+from fracspde import cli, picard
+from fracspde.regularity import FirstIncrementCollector, _heat_innovation_var
 
 
 def small_config(equation="wave", **overrides):
@@ -394,6 +400,17 @@ def draw(cfg):
     return geom, _homogeneous_values(geom, cfg.init), noise_slabs(geom, cfg.seed, cfg.realization)
 
 
+def iterate(geom, sigma, w, eta, max_iters, tol=None):
+    """The Picard iteration of one draw on the iterate engine, stopped by
+    _delta_history's rule: (the iterate where it stopped, its deltas, whether
+    the rule stopped it).  Levels up to n do not depend on the levels above,
+    so the stopping iterate is the final level of an engine run to n."""
+    levels, _, _ = _picard_levels(geom, sigma, w, eta[:, None], max_iters)
+    deltas, converged = _delta_history(levels[0], tol)
+    _, _, field = _picard_levels(geom, sigma, w, eta[:, None], len(deltas), final=True)
+    return field[0], deltas, converged
+
+
 def default_config(equation, **settings):
     return to_picard_config(from_mapping({"equation": equation, **settings}))
 
@@ -419,7 +436,7 @@ class TestSolve:
         for n in range(1, 6):
             u = picard_step(geom, cfg.sigma, u, eta, w)
             np.testing.assert_allclose(u[: n + 1], fixed[: n + 1], rtol=0.0, atol=1e-12 * scale)
-        u, deltas, _ = _iterate(geom, cfg.sigma, w, eta, cfg.max_iters)
+        u, deltas, _ = iterate(geom, cfg.sigma, w, eta, cfg.max_iters)
         assert len(deltas) == cfg.max_iters
         gap = float(np.max(np.abs((u - fixed)[:, geom.core])))
         assert gap <= cfg.tol * float(np.max(np.abs((fixed - w)[:, geom.core])))
@@ -506,20 +523,21 @@ class TestSolve:
 
 
 class TestIterate:
-    """Picard iteration, where the iterates are the object: the stopping
-    rule of _iterate, the probe that raises on it, and solve_ensemble."""
+    """Picard iteration, where the iterates are the object: the iterate
+    engine under the stopping rule of _delta_history, the probe that raises
+    on it, and solve_ensemble."""
 
     def test_zero_a_converges_in_two_steps(self):
         cfg = small_config(sigma=AffineSigma(0.0, 1.0))
         geom, w, eta = draw(cfg)
-        _, deltas, converged = _iterate(geom, cfg.sigma, w, eta, cfg.max_iters, cfg.tol)
+        _, deltas, converged = iterate(geom, cfg.sigma, w, eta, cfg.max_iters, cfg.tol)
         assert converged and len(deltas) == 2
         assert deltas[1] == 0.0
 
     def test_tol_inf_stops_after_one_step(self):
         cfg = small_config()
         geom, w, eta = draw(cfg)
-        u, deltas, converged = _iterate(geom, cfg.sigma, w, eta, cfg.max_iters, math.inf)
+        u, deltas, converged = iterate(geom, cfg.sigma, w, eta, cfg.max_iters, math.inf)
         assert converged and len(deltas) == 1
         np.testing.assert_array_equal(u, picard_step(geom, cfg.sigma, w, eta, w))
 
@@ -558,8 +576,10 @@ class TestEnsemble:
         seen = []
 
         class Spy:
-            def observe(self, n, diff, geom):
-                seen.append((n, float(np.max(np.abs(diff)))))
+            t_idx = (-1,)
+
+            def observe(self, n, rows, geom):
+                seen.append((n, float(np.max(np.abs(rows)))))
 
         solve_ensemble(small_config(), 2, n_iters=3, collectors=(Spy(),))
         assert [n for n, _ in seen] == [1, 2, 3, 1, 2, 3]
@@ -580,7 +600,7 @@ class TestEnsemble:
         # that draw, bit for bit, and lies within tol of solve's fixed point
         cfg = small_config(equation, realization=2)
         geom, w, eta = draw(cfg)
-        u, deltas, _ = _iterate(geom, cfg.sigma, w, eta, cfg.max_iters)
+        u, deltas, _ = iterate(geom, cfg.sigma, w, eta, cfg.max_iters)
         finals = []
         ens = solve_ensemble(cfg, 1, on_final=lambda r, f: finals.append(f.values))
         np.testing.assert_array_equal(ens.deltas[0], deltas)
@@ -595,7 +615,9 @@ class TestEnsemble:
         seen = []
 
         class Spy:
-            def observe(self, n, diff, geom):
+            t_idx = (-1,)
+
+            def observe(self, n, rows, geom):
                 seen.append(n)
 
         cfg = small_config(sigma=AffineSigma(0.0, 1.0))
@@ -604,6 +626,167 @@ class TestEnsemble:
         assert np.all(res.deltas[:, 0] > 0.0)
         np.testing.assert_array_equal(res.deltas[:, 1:], 0.0)
         assert seen == [1, 2, 3, 4, 1, 2, 3, 4]
+
+
+class RowSpy:
+    """A collector that keeps a copy of every row it declares, in order."""
+
+    def __init__(self, t_idx):
+        self.t_idx = t_idx
+        self.rows = []
+
+    def observe(self, n, rows, geom):
+        self.rows.append((n, rows.copy()))
+
+
+def chained_steps(cfg, n_realizations, n_iters, t_idx):
+    """The oracle of the iterate engine: n_iters chained picard_step calls per
+    realization.  Returns the deltas, the final iterates, (n, rows t_idx of
+    u^n - u^{n-1}) in realization-major order, and the first increments at
+    the final-time lattice center."""
+    geom = build_geometry(cfg)
+    w = _homogeneous_values(geom, cfg.init)
+    deltas, finals, rows, firsts = [], [], [], []
+    for r in range(n_realizations):
+        eta = noise_slabs(geom, cfg.seed, cfg.realization + r)
+        u, history = w, []
+        for n in range(1, n_iters + 1):
+            u_next = picard_step(geom, cfg.sigma, u, eta, w)
+            diff = u_next - u
+            history.append(_core_delta(diff, geom, n, history))
+            rows.append((n, diff[list(t_idx)]))
+            if n == 1:
+                firsts.append(float(diff[-1, geom.n_fft // 2]))
+            u = u_next
+        deltas.append(history)
+        finals.append(u)
+    return np.array(deltas), finals, rows, firsts
+
+
+def engine_run(cfg, n_realizations, n_iters, t_idx):
+    """The same four outputs from solve_ensemble."""
+    spy, first, finals = RowSpy(t_idx), FirstIncrementCollector(), []
+    res = solve_ensemble(
+        cfg, n_realizations, n_iters=n_iters, collectors=(spy, first),
+        on_final=lambda r, f: finals.append(f.values),
+    )
+    return res.deltas, finals, spy.rows, first.values
+
+
+def assert_same_run(got, expected):
+    deltas, finals, rows, firsts = got
+    np.testing.assert_array_equal(deltas, expected[0])
+    assert len(finals) == len(expected[1])
+    for a, b in zip(finals, expected[1]):
+        np.testing.assert_array_equal(a, b)
+    assert [n for n, _ in rows] == [n for n, _ in expected[2]]
+    for (_, a), (_, b) in zip(rows, expected[2]):
+        np.testing.assert_array_equal(a, b)
+    assert firsts == expected[3]
+
+
+# the rows a test collector declares: the first, an inner and the last one
+SPY_ROWS = (0, 5, -1)
+
+
+def faulty_engine(old, new):
+    """A copy of the iterate engine with one piece of source replaced."""
+    src = textwrap.dedent(inspect.getsource(picard._picard_levels))
+    assert src.count(old) == 1
+    namespace = dict(vars(picard))
+    exec(src.replace(old, new), namespace)
+    return namespace["_picard_levels"]
+
+
+class TestEngine:
+    """The iterate engine behind solve_ensemble and uniqueness_probe: bit
+    for bit the chained picard_step calls, whatever the batching."""
+
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_chained_picard_steps(self, equation, seed):
+        # 5 realizations: one full batch of ENGINE_BATCH = 4 and a partial one
+        cfg = small_config(equation, seed=seed)
+        expected = chained_steps(cfg, 5, 4, SPY_ROWS)
+        assert_same_run(engine_run(cfg, 5, 4, SPY_ROWS), expected)
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 8])
+    def test_does_not_depend_on_the_batch(self, monkeypatch, batch):
+        cfg = small_config("heat", realization=1)
+        expected = engine_run(cfg, 6, 3, SPY_ROWS)
+        monkeypatch.setattr(picard, "ENGINE_BATCH", batch)
+        assert_same_run(engine_run(cfg, 6, 3, SPY_ROWS), expected)
+
+    def test_a_smaller_ensemble_is_a_prefix(self):
+        cfg = small_config()
+        deltas, finals, rows, firsts = engine_run(cfg, 7, 3, SPY_ROWS)
+        prefix = (deltas[:3], finals[:3], rows[:9], firsts[:3])
+        assert_same_run(engine_run(cfg, 3, 3, SPY_ROWS), prefix)
+
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    def test_does_not_depend_on_the_thread_split(self, equation):
+        cfg = small_config(equation)
+        runs = [
+            cli._solve_ensemble_blocks(cfg, 7, 3, threads, thin=(8, 32)) for threads in (1, 2, 3)
+        ]
+        for deltas, ensemble, firsts in runs[1:]:
+            np.testing.assert_array_equal(deltas, runs[0][0])
+            np.testing.assert_array_equal(ensemble.values, runs[0][1].values)
+            assert firsts == runs[0][2]
+
+    def test_an_engine_reading_its_own_level_fails(self, monkeypatch):
+        # level n + 1 built from itself instead of from level n
+        cfg = small_config()
+        expected = chained_steps(cfg, 2, 3, SPY_ROWS)
+        faulty = faulty_engine("sigma(rows[:, :-1])", "sigma(rows[:, 1:])")
+        monkeypatch.setattr(picard, "_picard_levels", faulty)
+        deltas, finals, rows, firsts = engine_run(cfg, 2, 3, SPY_ROWS)
+        assert not np.array_equal(deltas, expected[0])
+        assert not np.array_equal(finals[0], expected[1][0])
+
+    def test_a_slab_lagged_by_one_fails(self, monkeypatch):
+        # row j + 1 fed by slab j - 1 (and row 1 by no noise)
+        noise_rows = picard._noise_rows
+
+        def lagged(geom, seed, realizations):
+            rows = noise_rows(geom, seed, realizations)
+            first = next(rows)
+            yield np.zeros_like(first)
+            yield first
+            yield from itertools.islice(rows, geom.n_steps - 2)
+
+        cfg = small_config()
+        expected = chained_steps(cfg, 2, 3, SPY_ROWS)
+        monkeypatch.setattr(picard, "_noise_rows", lagged)
+        deltas, finals, rows, firsts = engine_run(cfg, 2, 3, SPY_ROWS)
+        assert not np.array_equal(deltas, expected[0])
+        assert not np.array_equal(finals[0], expected[1][0])
+
+    @pytest.mark.parametrize("chunk", [1, 5, 16, 64])
+    def test_noise_rows_are_the_noise_slabs(self, monkeypatch, chunk):
+        # 37 slabs: the last chunk is a partial one unless it holds them all
+        monkeypatch.setattr(picard, "NOISE_CHUNK", chunk)
+        geom = build_geometry(small_config("heat", n_steps=37))
+        rows = np.stack(list(picard._noise_rows(geom, 3, [0, 5, 2])), axis=1)
+        for i, r in enumerate([0, 5, 2]):
+            np.testing.assert_array_equal(rows[i], noise_slabs(geom, 3, r))
+
+    def test_memory_does_not_grow_with_the_levels(self):
+        # on 512 slabs, 12 levels peak within half a field of 1 level: the
+        # engine holds rows of the levels, never whole iterates
+        cfg = small_config(n_steps=512)
+        geom = build_geometry(cfg)
+        field_bytes = (geom.n_steps + 1) * geom.n_fft * 8
+        peaks = []
+        for n_iters in (1, 12):
+            solve_ensemble(cfg, 1, n_iters=n_iters)
+            tracemalloc.start()
+            try:
+                solve_ensemble(cfg, 1, n_iters=n_iters)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + field_bytes / 2
 
 
 def exact_first_increment_variance(geom, t):
@@ -649,9 +832,11 @@ class TestFirstIncrementVariance:
         acc = {"s2": 0.0, "s4": 0.0, "n": 0}
 
         class Spy:
-            def observe(self, n, diff, geom_):
+            t_idx = (-1,)
+
+            def observe(self, n, rows, geom_):
                 if n == 1:
-                    d = float(diff[-1, center])
+                    d = float(rows[0, center])
                     acc["s2"] += d * d
                     acc["s4"] += d**4
                     acc["n"] += 1

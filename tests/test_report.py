@@ -10,11 +10,13 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fracspde.report import (
     PlotSeries,
     all_passed,
+    csv_text,
     emit_report,
     format_float,
     inputs_digest,
@@ -138,6 +140,32 @@ class TestRenderCsv:
         assert alpha[6] == "true"
         beta = lines[2].split(",")
         assert beta[4] == "" and beta[6] == "false"
+
+
+class TestCsvText:
+    SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+               2.2250738585072014e-308, 1e16, -1e16, 3.0, -7.0, 1e15 + 1.0, 2.0**53,
+               0.1 + 0.2, math.pi, -1.5e300, 1e-7, 123456789012.5, 0.5]
+
+    def test_float_block_matches_format_float_cell_for_cell(self):
+        block = np.array(self.SPECIAL).reshape(-1, 3)
+        text = csv_text(("a", "b", "c"), block)
+        lines = text.splitlines()
+        assert text.endswith("\n") and lines[0] == "a,b,c"
+        cells = [line.split(",") for line in lines[1:]]
+        assert cells == [[format_float(v) for v in row] for row in block.tolist()]
+        # and byte for byte the cell-by-cell path
+        assert text == csv_text(("a", "b", "c"), block.tolist())
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 1), (3, 0)])
+    def test_float_block_edge_shapes(self, shape):
+        block = np.arange(float(np.prod(shape))).reshape(shape) - 1.0
+        assert csv_text(("x",), block) == csv_text(("x",), block.tolist())
+
+    def test_other_arrays_go_cell_by_cell(self):
+        # float32 cells are not floats, so they keep the str route
+        block = np.array([[0.1, -0.0]], dtype=np.float32)
+        assert csv_text(("a", "b"), block) == "a,b\n" + ",".join(str(v) for v in block[0]) + "\n"
 
 
 def fit_series():
