@@ -31,9 +31,8 @@ rerunning a command on its own echo reproduces the outputs byte for byte.
 A refused run writes nothing, not even the output directory.  Two flags
 stay outside the settings and the echo: --threads, because the pool size
 changes no output (picard --ensemble and moments split their realizations
-over a worker pool bounded by --threads, default from FRACSPDE_THREADS,
-else 1), and simulate --save-noise, because simulate's echo must stay a
-valid picard config.
+over a worker pool bounded by --threads, default 1), and simulate
+--save-noise, because simulate's echo must stay a valid picard config.
 """
 
 import argparse
@@ -114,14 +113,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_threads(value):
-    if value is None:
-        raw = os.environ.get("FRACSPDE_THREADS", "").strip()
-        if not raw:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise _CliError(f"FRACSPDE_THREADS must be a positive integer, got {raw!r}")
     if value < 1:
         raise _CliError(f"threads must be a positive integer, got {value}")
     return min(value, _MAX_THREADS)
@@ -406,37 +397,27 @@ def _ensemble_blocks(n, threads):
     return [(r0, min(n, r0 + width)) for r0 in range(0, n, width)]
 
 
-def _solve_ensemble_blocks(picard_cfg, n_realizations, n_iters, threads, thin=None):
+def _solve_ensemble_blocks(picard_cfg, n_realizations, n_iters, threads, collect=lambda geom: ()):
     """solve_ensemble over contiguous realization blocks, one per worker.
 
     Realizations are independent streams indexed by (seed, realization), so
-    splitting preserves every number the serial run produces.  Returns the
-    deltas, the thinned ensemble (None without ``thin``) and the first
-    increments at the final-time lattice center, in realization order.
+    splitting preserves every number the serial run produces.
+    collect(geom) builds the collectors of one block.  Returns the deltas
+    and the collectors of each block, both in realization order.
     """
     geom = build_geometry(picard_cfg)
     blocks = _ensemble_blocks(n_realizations, threads)
-    collectors = [FieldSampleCollector(geom, *thin) if thin else None for _ in blocks]
-    firsts = [FirstIncrementCollector() for _ in blocks]
+    collectors = [collect(geom) for _ in blocks]
 
-    def run(block, coll, first):
+    def run(block, block_collectors):
         r0, r1 = block
         cfg = replace(picard_cfg, realization=picard_cfg.realization + r0)
-        on_final = coll.on_final if coll is not None else None
-        return solve_ensemble(
-            cfg, r1 - r0, n_iters=n_iters, collectors=(first,), on_final=on_final
-        )
+        return solve_ensemble(cfg, r1 - r0, n_iters=n_iters, collectors=block_collectors)
 
-    results = _run_parallel(
-        [lambda b=b, c=c, f=f: run(b, c, f) for b, c, f in zip(blocks, collectors, firsts)],
-        threads,
+    deltas = _run_parallel(
+        [lambda b=b, c=c: run(b, c) for b, c in zip(blocks, collectors)], threads
     )
-    deltas = np.vstack([res.deltas for res in results])
-    ensemble = None
-    if thin:
-        parts = [coll.finalize() for coll in collectors]
-        ensemble = replace(parts[0], values=np.concatenate([p.values for p in parts]))
-    return deltas, ensemble, [v for first in firsts for v in first.values]
+    return np.vstack(deltas), collectors
 
 
 def _picard_single(cfg, echo):
@@ -487,7 +468,7 @@ def _picard_single(cfg, echo):
 
 def _picard_ensemble(cfg, echo, threads):
     picard_cfg = to_picard_config(cfg)
-    deltas, _, _ = _solve_ensemble_blocks(picard_cfg, cfg.ensemble, cfg.max_iters, threads)
+    deltas, _ = _solve_ensemble_blocks(picard_cfg, cfg.ensemble, cfg.max_iters, threads)
     mean = deltas.mean(axis=0)
     peak = deltas.max(axis=0)
     rows = [(n + 1, float(mean[n]), float(peak[n])) for n in range(mean.size)]
@@ -607,13 +588,23 @@ def _cmd_moments(args):
         raise _CliError("moments needs a noise term; sigma_a = sigma_b = 0 leaves u = w")
 
     picard_cfg = to_picard_config(cfg)
-    _, ensemble, first = _solve_ensemble_blocks(
-        picard_cfg, cfg.ensemble, cfg.max_iters, threads, thin=(16, 128)
-    )
+    additive = cfg.sigma_a == 0.0
+
+    def collect(geom):
+        samples = FieldSampleCollector(geom, n_t=16, n_x=128)
+        return (samples, FirstIncrementCollector()) if additive else (samples,)
+
+    _, blocks = _solve_ensemble_blocks(picard_cfg, cfg.ensemble, cfg.max_iters, threads, collect)
+    first = [v for block in blocks for v in block[1].values] if additive else None
+    parts = [block[0].finalize() for block in blocks]
+    ensemble = replace(parts[0], values=np.concatenate([p.values for p in parts]))
+    # the blocks' rows and the parts copy the joined ensemble: free them, or
+    # the moment report would set the run's peak above the ensemble pass
+    del blocks, parts
     reports, sups = moment_report(ensemble, p_list=p_list)
     rows = [(s.p, s.sup, s.stderr) for s in sups]
 
-    if cfg.sigma_a == 0.0:
+    if additive:
         reports.append(gaussian_ratio_check(picard_cfg, first))
 
     # the first stored time is the deterministic datum: the curves start after it
@@ -760,7 +751,7 @@ _COMMON = {
 # the SimulationConfig fields pass through unchecked: from_mapping checks them
 _SIM_SETTINGS = {key: (None, None) for key in _SIM_KEYS if key != "out"}
 _SIM_SETTINGS["u0"] = (None, None, "const:<value> or holder-sample")
-_THREADS = ("--threads", dict(type=int, help="worker pool bound (default FRACSPDE_THREADS or 1)"))
+_THREADS = ("--threads", dict(type=int, default=1, help="worker pool bound (default 1)"))
 
 _COMMANDS = {
     "verify-identities": _Command(

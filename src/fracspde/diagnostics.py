@@ -208,12 +208,13 @@ def _pair_energy_curves(geom, g, wmat, m2_y, cross, m2_z):
 class VnWnCollector:
     """Streaming accumulator for the V_n / W_n curves over an ensemble.
 
-    Feed the rows t_idx (= grids.t_idx) of successive differences via
-    observe(n, rows, geom) in iteration order (n = 1..n_iters) for each
-    realization, as solve_ensemble does; finalize() returns the
-    curves with standard errors.  Holds second/fourth moments on the full
-    core for V and, for W, sums of the _pair_moments terms on the thinned
-    y/z lattices, so memory grows with t * y, never t * y * z.
+    Plug it into solve_ensemble's collectors: it declares the rows t_idx
+    (= grids.t_idx) and, for each realization, forms the successive
+    differences u^n - u^{n-1}, n = 1..n_iters, of every row it is handed;
+    finalize() returns the curves with standard errors.  Holds
+    second/fourth moments on the full core for V and, for W, sums of the
+    _pair_moments terms on the thinned y/z lattices, so memory grows with
+    t * y, never t * y * z.
     """
 
     def __init__(self, geom, n_iters, n_t=32, n_x=128):
@@ -233,16 +234,15 @@ class VnWnCollector:
     def t_idx(self):
         return self.grids.t_idx
 
-    def observe(self, n, rows, geom):
-        if not 1 <= n <= self.n_iters:
-            return
-        core = rows[:, self.geom.core]
+    def observe(self, r, k, levels):
+        diffs = levels[1 : self.n_iters + 1] - levels[: self.n_iters]
+        core = diffs[:, self.geom.core]
         sq = core * core
-        self._sum2[n - 1] += sq
-        self._sum4[n - 1] += sq * sq
-        for acc, term in zip(self._pair_sums, _pair_moments(rows, self.grids, self._wmat)):
-            acc[n - 1] += term
-        if n == self.n_iters:
+        self._sum2[:, k] += sq
+        self._sum4[:, k] += sq * sq
+        for acc, term in zip(self._pair_sums, _pair_moments(diffs, self.grids, self._wmat)):
+            acc[:, k] += term
+        if k == 0:
             self._count += 1
 
     def finalize(self):
@@ -292,38 +292,29 @@ class VnWnCurves:
 class IterateSecondMomentCollector:
     """Streaming sup-grid second moments of each Picard iterate.
 
-    Reconstructs u^n = w + sum of observed differences on a thinned
-    (time, core-column) grid per realization and accumulates E|u^n|^2; it
-    declares the thinned times as the rows ``t_idx`` it observes.
+    Plug it into solve_ensemble's collectors: it declares the thinned times
+    as its rows ``t_idx`` and accumulates E|u^n|^2 on the thinned core
+    columns, reading each iterate u^n directly from the rows it is handed.
     finalize() returns the per-iterate sup over the thin grid, index 0
-    holding the deterministic sup |w|^2; a bounded scheme keeps
+    holding the deterministic sup |w|^2 (w = u^0); a bounded scheme keeps
     consecutive entries from growing once the iteration settles.
     """
 
-    def __init__(self, geom, w_values, n_iters, n_t=16, n_x=64):
+    def __init__(self, geom, n_iters, n_t=16, n_x=64):
         stride_t = max(1, geom.n_steps // int(n_t))
-        self._t_idx = np.arange(0, geom.n_steps + 1, stride_t)
+        self.t_idx = np.arange(0, geom.n_steps + 1, stride_t)
         core_cols = np.arange(geom.core.start, geom.core.stop)
         stride_x = max(1, core_cols.size // int(n_x))
         self._x_idx = core_cols[::stride_x]
         self.n_iters = int(n_iters)
-        self._w = w_values[np.ix_(self._t_idx, self._x_idx)].copy()
-        self._sums = np.zeros((self.n_iters, self._t_idx.size, self._x_idx.size))
-        self._running = None
+        self._w = np.zeros((self.t_idx.size, self._x_idx.size))
+        self._sums = np.zeros((self.n_iters, self.t_idx.size, self._x_idx.size))
         self._count = 0
 
-    @property
-    def t_idx(self):
-        return self._t_idx
-
-    def observe(self, n, rows, geom):
-        if not 1 <= n <= self.n_iters:
-            return
-        if n == 1:
-            self._running = self._w.copy()
-        self._running = self._running + rows[:, self._x_idx]
-        self._sums[n - 1] += self._running**2
-        if n == self.n_iters:
+    def observe(self, r, k, levels):
+        self._w[k] = levels[0, self._x_idx]
+        self._sums[:, k] += levels[1 : self.n_iters + 1, self._x_idx] ** 2
+        if k == 0:
             self._count += 1
 
     def finalize(self):

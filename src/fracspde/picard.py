@@ -19,8 +19,9 @@ point is reached exactly by one forward pass over the rows (``solve``).
 The same causality builds the iterates themselves, whose successive
 differences are objects of the paper's proof: the iterate engine
 ``_picard_levels`` carries every level u^0..u^N of a batch of draws through
-one forward pass, row j + 1 of u^{n+1} from row j of u^n, and feeds
-``solve_ensemble`` and ``uniqueness_probe``.  The sweep, the engine and
+one forward pass, row j + 1 of u^{n+1} from row j of u^n, and hands each
+row of every level, as it is built, to ``solve_ensemble``'s collectors and
+to ``uniqueness_probe``.  The sweep, the engine and
 ``picard_step`` form the same spectral sums (``_slab_sums``), so the engine's
 iterates are bit for bit those of chained ``picard_step`` calls, and
 ``picard_step`` stays the independent route of ``solve``'s residual.
@@ -52,7 +53,6 @@ __all__ = [
     "build_geometry",
     "SpaceTimeField",
     "PicardResult",
-    "EnsembleResult",
     "PicardConvergenceError",
     "PicardDivergenceError",
     "homogeneous_term",
@@ -565,8 +565,9 @@ def picard_step(geom, sigma, u_prev, eta, w):
     p_hat = np.fft.rfft(sigma(u_prev[:n_steps]) * eta, axis=1)
     if geom.equation == "wave":
         # _slab_sums' wave update over all slabs at once: the same sums in
-        # the same order, in whole-array operations that release the
-        # interpreter lock to the ensemble's other workers
+        # the same order, written as whole-array cumulative sums so that
+        # picard_step is a route independent of the engine and the sweep,
+        # for solve's residual, the engine tests and the benchmark gate
         cos_t, sin_t = geom.trig_tables
         omega, t_grid = geom.omega_r, geom.t_grid
         a_run = np.cumsum(cos_t[:n_steps] * p_hat, axis=0)
@@ -630,8 +631,7 @@ class PicardResult:
 ENGINE_BATCH = 4
 
 
-def _picard_levels(geom, sigma, w, slabs, n_iters, start=None, keep_rows=(), final=False,
-                   on_row=None):
+def _picard_levels(geom, sigma, w, slabs, n_iters, start=None, on_row=None):
     """The Picard iterates u^0..u^n_iters of a batch of noise draws, by one
     causal pass over the rows.
 
@@ -642,19 +642,18 @@ def _picard_levels(geom, sigma, w, slabs, n_iters, start=None, keep_rows=(), fin
     1..n_iters.  The floating point operations are those of n_iters
     chained picard_step calls, so every number is bit for bit theirs.
     State is the current row of each level, shape (R, n_iters + 1, n_fft),
-    plus the running sums; nothing grows with n_steps unless asked for.
+    plus the running sums; nothing grows with n_steps.
 
     slabs yields the noise slab eta_j for j = 0..n_steps-1 in order, shape
     (R, n_fft) with one row per realization, or (1, n_fft) for a draw the
     batch shares (as ``_noise_rows`` yields them).  Level 0 is w, or
     start[r] (shape (R, n_steps + 1, n_fft)) when given; R is the number
     of starts then, else of noise rows.
-    Returns (deltas, kept, field):
-      deltas[r, n - 1] = sup over rows and the core of |u^n - u^{n-1}|,
-        possibly not finite (overflow is left to the caller);
-      kept[r, n - 1, i] = row keep_rows[i] of u^n - u^{n-1};
-      field[r] = u^n_iters when ``final``, else None.
-    on_row(j, rows), when given, sees row j of every level, rows[r, n].
+    on_row(j, rows), when given, sees row j of every level as soon as it is
+    built: rows[r, n] is row j of u^n for draw r.  rows is the engine's
+    buffer and is overwritten at the next row, so on_row copies what it
+    keeps.  Returns deltas[r, n - 1] = sup over rows and the core of
+    |u^n - u^{n-1}|, possibly not finite (overflow is left to the caller).
     """
     n_steps, n_fft = geom.n_steps, geom.n_fft
     slabs = iter(slabs)
@@ -664,9 +663,6 @@ def _picard_levels(geom, sigma, w, slabs, n_iters, start=None, keep_rows=(), fin
     add = _slab_sums(geom, (n_real, n_iters))
     rows = np.empty((n_real, n_iters + 1, n_fft))
     deltas = np.zeros((n_real, n_iters))
-    slots = {int(t): i for i, t in enumerate(keep_rows)}
-    kept = np.empty((n_real, n_iters, len(slots), n_fft))
-    field = np.empty((n_real, n_steps + 1, n_fft)) if final else None
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_steps + 1):
             rows[:, 0] = w[j] if start is None else start[:, j]
@@ -676,10 +672,6 @@ def _picard_levels(geom, sigma, w, slabs, n_iters, start=None, keep_rows=(), fin
                 np.add(w[j], np.fft.irfft(sym, n=n_fft, axis=-1), out=rows[:, 1:])
             core_diff = rows[:, 1:, core] - rows[:, :-1, core]
             np.maximum(deltas, np.max(np.abs(core_diff), axis=-1), out=deltas)
-            if j in slots:
-                np.subtract(rows[:, 1:], rows[:, :-1], out=kept[:, :, slots[j]])
-            if final:
-                field[:, j] = rows[:, -1]
             if on_row is not None:
                 on_row(j, rows)
             if j < n_steps:
@@ -687,7 +679,7 @@ def _picard_levels(geom, sigma, w, slabs, n_iters, start=None, keep_rows=(), fin
                     eta = next(slabs)
                 q = sigma(rows[:, :-1]) * eta[:, None, :]
                 sym = add(j, np.fft.rfft(q, axis=-1))
-    return deltas, kept, field
+    return deltas
 
 
 def _delta_history(deltas, tol=None):
@@ -739,18 +731,7 @@ def solve(config):
     )
 
 
-@dataclass(frozen=True)
-class EnsembleResult:
-    """Per-realization successive deltas from a fixed-iteration ensemble."""
-
-    deltas: np.ndarray
-    n_realizations: int
-    n_iters: int
-    geometry: SolverGeometry
-    config: PicardConfig
-
-
-def solve_ensemble(config, n_realizations, n_iters=None, collectors=(), on_final=None):
+def solve_ensemble(config, n_realizations, n_iters=None, collectors=()):
     """Run a fixed number of Picard iterations over an ensemble of draws.
 
     Every realization r uses the independent stream (seed, realization0 + r)
@@ -762,13 +743,16 @@ def solve_ensemble(config, n_realizations, n_iters=None, collectors=(), on_final
     those of chained picard_step calls whatever the batching.
 
     A collector declares the rows it reads in ``collector.t_idx`` (time
-    indices into 0..n_steps, negative ones counting from the end); it sees
-    collector.observe(n, rows, geom) with rows[i] = row t_idx[i] of
-    u^n - u^{n-1}, for n = 1..n_iters and realization by realization.
-    on_final(r, field) sees each final iterate after the collectors.
-    Memory holds a batch's noise draws and final iterates plus the rows
-    the collectors declare; it does not grow with n_iters * n_steps.  A
-    non-finite delta raises PicardDivergenceError.
+    indices into 0..n_steps, negative ones counting from the end).  While
+    row t_idx[k] is built it sees collector.observe(r, k, levels) for each
+    realization r = 0..n_realizations-1 in turn, with levels[n] that row of
+    u^n, n = 0..n_iters.  levels is the engine's buffer, so a collector
+    copies what it keeps; one that reads differences forms
+    levels[1:] - levels[:-1], the subtraction behind the deltas.  Memory
+    holds a batch's noise chunk and current rows plus what the collectors
+    keep; it grows with neither n_steps nor n_iters.
+    Returns deltas[r, n - 1] = sup over rows and the core of
+    |u^n - u^{n-1}|; a non-finite delta raises PicardDivergenceError.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be at least 1")
@@ -777,31 +761,26 @@ def solve_ensemble(config, n_realizations, n_iters=None, collectors=(), on_final
     w = _homogeneous_values(geom, config.init)
     deltas = np.empty((n_realizations, n_iters))
     times = np.arange(geom.n_steps + 1)
-    wanted = [times[np.asarray(c.t_idx, dtype=int)] for c in collectors]
-    keep = sorted({int(t) for rows in wanted for t in rows})
-    picks = [np.searchsorted(keep, rows) for rows in wanted]
+    routes = {}
+    for collector in collectors:
+        for k, j in enumerate(times[np.asarray(collector.t_idx, dtype=int)]):
+            routes.setdefault(int(j), []).append((collector, k))
 
     for r0 in range(0, n_realizations, ENGINE_BATCH):
         batch = range(r0, min(n_realizations, r0 + ENGINE_BATCH))
+
+        def hand_off(j, rows, r0=r0):
+            for collector, k in routes.get(j, ()):
+                for i, levels in enumerate(rows):
+                    collector.observe(r0 + i, k, levels)
+
         slabs = _noise_rows(geom, config.seed, [config.realization + r for r in batch])
-        levels, kept, field = _picard_levels(
-            geom, config.sigma, w, slabs, n_iters, keep_rows=keep, final=on_final is not None
+        levels = _picard_levels(
+            geom, config.sigma, w, slabs, n_iters, on_row=hand_off if routes else None
         )
         for i, r in enumerate(batch):
             deltas[r] = _delta_history(levels[i])[0]
-            for n in range(1, n_iters + 1):
-                for collector, pick in zip(collectors, picks):
-                    collector.observe(n, kept[i, n - 1, pick], geom)
-            if on_final is not None:
-                on_final(r, _field_from(geom, field[i]))
-
-    return EnsembleResult(
-        deltas=deltas,
-        n_realizations=n_realizations,
-        n_iters=n_iters,
-        geometry=geom,
-        config=config,
-    )
+    return deltas
 
 
 def uniqueness_probe(config, perturbation):
@@ -830,7 +809,7 @@ def uniqueness_probe(config, perturbation):
         a, b = rows[0][:, None, core], rows[1][None, :, core]
         np.maximum(gaps, np.max(np.abs(a - b), axis=-1), out=gaps)
 
-    levels, _, _ = _picard_levels(
+    levels = _picard_levels(
         geom, config.sigma, w, _noise_rows(geom, config.seed, [config.realization]), n_iters,
         start=np.stack([w, w + bump]), on_row=pair_gaps,
     )

@@ -356,12 +356,13 @@ def sample_additive_solution(equation, h, T, dx, half_width, times,
 class FieldSampleCollector:
     """Collect thinned final Picard iterates into a FieldEnsemble.
 
-    Plug the bound method ``on_final`` into solve_ensemble; the collector
-    keeps a (time, core-column) thinned copy of each final iterate, so an
-    ensemble of general affine-sigma solutions can feed the fit and
-    moment operations at O(thin grid) memory per realization.  The time
-    thinning keeps both endpoints and an odd point count, which is what
-    the moment report's half-resolution comparison expects.
+    Plug it into solve_ensemble's collectors: it declares the thinned times
+    as its rows ``t_idx`` and copies the last level of each at the thinned
+    core columns, so an ensemble of general affine-sigma solutions can feed
+    the fit and moment operations at O(thin grid) memory per realization,
+    and no whole final iterate is held.  The time thinning keeps both
+    endpoints and an odd point count, which is what the moment report's
+    half-resolution comparison expects.
     """
 
     def __init__(self, geom, n_t=16, n_x=128):
@@ -369,17 +370,20 @@ class FieldSampleCollector:
         t_idx = np.arange(0, geom.n_steps + 1, stride_t)
         if t_idx[-1] != geom.n_steps:
             t_idx = np.append(t_idx, geom.n_steps)
-        if t_idx.size % 2 == 0:
-            t_idx = t_idx[:-1] if t_idx.size > 3 else t_idx
+        if t_idx.size % 2 == 0 and t_idx.size > 3:
+            # drop the point before the end, so that t = T stays
+            t_idx = np.delete(t_idx, -2)
         core_cols = np.arange(geom.core.start, geom.core.stop)
         stride_x = max(1, core_cols.size // int(n_x))
         self._geom = geom
-        self._t_idx = t_idx
+        self.t_idx = t_idx
         self._x_idx = core_cols[::stride_x]
-        self._rows = []
+        self._rows = {}
 
-    def on_final(self, r, fld):
-        self._rows.append(fld.values[np.ix_(self._t_idx, self._x_idx)].copy())
+    def observe(self, r, k, levels):
+        if r not in self._rows:
+            self._rows[r] = np.empty((self.t_idx.size, self._x_idx.size))
+        self._rows[r][k] = levels[-1, self._x_idx]
 
     def finalize(self):
         if not self._rows:
@@ -387,9 +391,9 @@ class FieldSampleCollector:
         geom = self._geom
         return FieldEnsemble(
             kind=geom.equation, h=geom.h,
-            t=geom.dt * self._t_idx.astype(float),
+            t=geom.dt * self.t_idx.astype(float),
             x=geom.x_grid[self._x_idx],
-            values=np.stack(self._rows),
+            values=np.stack([self._rows[r] for r in sorted(self._rows)]),
         )
 
 
@@ -811,11 +815,12 @@ def moment_report(ensemble, p_list=(2, 4), kurtosis_cap=0.25):
 
 
 class FirstIncrementCollector:
-    """Collect the first Picard increment at the final time and the lattice
-    center n_fft // 2, one value per realization.
+    """Collect the first Picard increment u^1 - u^0 at the final time and the
+    lattice center n_fft // 2, one value per realization.
 
     Plug it into solve_ensemble's collectors; ``values`` then holds the
-    realizations in the order they ran.  It reads the final row only.
+    realizations in order.  It declares the final row only, which each
+    realization reaches after the one before it.
     """
 
     t_idx = (-1,)
@@ -823,9 +828,9 @@ class FirstIncrementCollector:
     def __init__(self):
         self.values = []
 
-    def observe(self, n, rows, geom):
-        if n == 1:
-            self.values.append(float(rows[0, geom.n_fft // 2]))
+    def observe(self, r, k, levels):
+        center = levels.shape[-1] // 2
+        self.values.append(float(levels[1, center] - levels[0, center]))
 
 
 def gaussian_ratio_check(config, samples):

@@ -1,8 +1,10 @@
-"""Gather the chunks of an exact-law sampler into one eager FieldEnsemble.
+"""Gather whole fields that the library hands out piece by piece.
 
-The samplers never keep a whole ensemble: they hand each chunk of
-realizations to their collectors.  Tests that read field values directly
-collect every chunk here and join them in realization order.
+The exact-law samplers never keep a whole ensemble: they hand each chunk of
+realizations to their collectors, and ``gather`` joins every chunk in
+realization order.  solve_ensemble hands each row of the Picard iterates
+to the collectors that declare it, and ``FinalIterates`` declares every row
+to keep each realization's final iterate whole.
 """
 
 from dataclasses import replace
@@ -21,3 +23,23 @@ def gather(sampler, *args, **kwargs):
     chunks = _ChunkList()
     sampler(*args, collectors=(chunks,), **kwargs)
     return replace(chunks[0], values=np.concatenate([c.values for c in chunks]))
+
+
+class FinalIterates:
+    """A solve_ensemble collector that keeps the last level of every row:
+    ``fields`` lists the final iterates, shape (n_steps + 1, n_fft), in
+    realization order."""
+
+    def __init__(self, geom):
+        self.t_idx = np.arange(geom.n_steps + 1)
+        self._shape = (geom.n_steps + 1, geom.n_fft)
+        self._fields = {}
+
+    def observe(self, r, k, levels):
+        if r not in self._fields:
+            self._fields[r] = np.empty(self._shape)
+        self._fields[r][k] = levels[-1]
+
+    @property
+    def fields(self):
+        return [self._fields[r] for r in sorted(self._fields)]

@@ -168,11 +168,6 @@ class TestExitCodes:
         assert code == 1
         assert "not a report file" in capsys.readouterr().err
 
-    def test_threads_env_must_be_integer(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FRACSPDE_THREADS", "many")
-        assert main(["picard", "--ensemble", "2", "--out", str(tmp_path)]) == 1
-        assert "FRACSPDE_THREADS" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "command, config, message",
         [

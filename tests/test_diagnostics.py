@@ -244,38 +244,39 @@ def wave_run():
     geom = build_geometry(cfg)
     coll = VnWnCollector(geom, n_iters=3, n_t=16, n_x=64)
     center = geom.n_fft // 2
-    acc = {"s2": None, "s4": None, "n": 0}
-
     grids = coll.grids
+    acc = {"s2": np.zeros(grids.t_idx.size), "s4": np.zeros(grids.t_idx.size), "n": 0}
 
     class CenterSpy:
         t_idx = grids.t_idx
 
-        def observe(self, n, rows, geom_):
-            if n != 1:
-                return
-            d = rows[:, center]
-            if acc["s2"] is None:
-                acc["s2"] = d * d
-                acc["s4"] = d**4
-            else:
-                acc["s2"] += d * d
-                acc["s4"] += d**4
-            acc["n"] += 1
+        def observe(self, r, k, levels):
+            d = levels[1, center] - levels[0, center]
+            acc["s2"][k] += d * d
+            acc["s4"][k] += d**4
+            if k == 0:
+                acc["n"] += 1
 
     solve_ensemble(cfg, 150, n_iters=3, collectors=(coll, CenterSpy()))
     return cfg, geom, coll.finalize(), acc
 
 
 class RowSpy:
-    """Keeps every observed difference on the thin time rows, per iteration."""
+    """Keeps every difference u^n - u^{n-1} on the thin time rows."""
 
     def __init__(self, grids):
         self.t_idx = grids.t_idx
-        self.rows = {}
+        self._diffs = {}
 
-    def observe(self, n, rows, geom):
-        self.rows.setdefault(n, []).append(rows)
+    def observe(self, r, k, levels):
+        self._diffs.setdefault(r, {})[k] = levels[1:] - levels[:-1]
+
+    def rows(self, n):
+        """The rows of u^n - u^{n-1}, shape (realizations, t_idx, n_fft)."""
+        return np.stack([
+            np.stack([by_row[k][n - 1] for k in range(self.t_idx.size)])
+            for _, by_row in sorted(self._diffs.items())
+        ])
 
 
 class TestCollectorAgainstOracles:
@@ -330,7 +331,7 @@ class TestCollectorAgainstOracles:
         curves = coll.finalize()
         g = coll.grids
         for n in (1, 2, 3):
-            rows = np.stack(spy.rows[n])
+            rows = spy.rows(n)
             v = (rows[:, :, geom.core] ** 2).mean(axis=0).max(axis=1)
             ys, zs = rows[:, :, g.y_idx], rows[:, :, g.z_idx]
             m2_y, m2_z = (ys**2).mean(axis=0), (zs**2).mean(axis=0)
@@ -449,7 +450,7 @@ class TestIterateSecondMoments:
     def test_noise_free_iterates_stay_at_w(self):
         cfg = heat_config(sigma=AffineSigma(0.0, 0.0), init=constant_initial(0.7))
         geom = build_geometry(cfg)
-        coll = IterateSecondMomentCollector(geom, homogeneous_term(cfg).values, n_iters=3)
+        coll = IterateSecondMomentCollector(geom, n_iters=3)
         solve_ensemble(cfg, 2, n_iters=3, collectors=(coll,))
         sups = coll.finalize()
         assert sups.shape == (4,)
@@ -458,7 +459,7 @@ class TestIterateSecondMoments:
     def test_wave_iterate_moments_stabilise(self):
         cfg = wave_config(sigma=AffineSigma(0.5, 1.0), n_steps=32, dx=1.0 / 32)
         geom = build_geometry(cfg)
-        coll = IterateSecondMomentCollector(geom, homogeneous_term(cfg).values, n_iters=5)
+        coll = IterateSecondMomentCollector(geom, n_iters=5)
         solve_ensemble(cfg, 100, n_iters=5, collectors=(coll,))
         sups = coll.finalize()
         assert np.all(sups[1:] > 0.0)
@@ -469,7 +470,6 @@ class TestIterateSecondMoments:
 
     def test_empty_collector_rejected(self):
         cfg = wave_config()
-        coll = IterateSecondMomentCollector(
-            build_geometry(cfg), homogeneous_term(cfg).values, n_iters=2)
+        coll = IterateSecondMomentCollector(build_geometry(cfg), n_iters=2)
         with pytest.raises(ValueError, match="no realizations"):
             coll.finalize()

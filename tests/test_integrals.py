@@ -23,6 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.special as sp
+from sampled import FinalIterates
 
 from fracspde.noise import keyed_rng, spectral_increments
 from fracspde.picard import (
@@ -163,11 +164,11 @@ class TestIsometry:
         # so an ensemble started at realization 2 reproduces the tail of one
         # started at 0 bitwise: splitting an ensemble keeps every number
         cfg = lattice_config(dx=1.0 / 32, L=1.0, pad=2.0, seed=5)
-        a, b = [], []
-        solve_ensemble(cfg, 4, n_iters=1, on_final=lambda r, f: a.append(f.values))
-        solve_ensemble(
-            replace(cfg, realization=2), 2, n_iters=1, on_final=lambda r, f: b.append(f.values)
-        )
+        geom = build_geometry(cfg)
+        a, b = FinalIterates(geom), FinalIterates(geom)
+        solve_ensemble(cfg, 4, n_iters=1, collectors=(a,))
+        solve_ensemble(replace(cfg, realization=2), 2, n_iters=1, collectors=(b,))
+        a, b = a.fields, b.fields
         for x, y in zip(a[2:], b):
             np.testing.assert_array_equal(x, y)
         assert not np.array_equal(a[0], a[1])
@@ -223,9 +224,9 @@ class TestIntegrate:
         om = geom.omega_r[: geom.n_bands]
         weight = np.ones_like(om)
         weight[1:] = np.sqrt((1.0 - np.exp(-geom.dt * om[1:] ** 2)) / (geom.dt * om[1:] ** 2))
-        finals = []
-        solve_ensemble(cfg, 3, n_iters=1, on_final=lambda r, f: finals.append(f.values))
-        for r, values in enumerate(finals):
+        finals = FinalIterates(geom)
+        solve_ensemble(cfg, 3, n_iters=1, collectors=(finals,))
+        for r, values in enumerate(finals.fields):
             scale = np.max(np.abs(values))
             for n in (1, 4, geom.n_steps):
                 lag = geom.dt * (n - 1 - np.arange(n))

@@ -21,6 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from sampled import FinalIterates
 from scipy.integrate import cumulative_trapezoid
 
 from fracspde.constants import c_H
@@ -52,7 +53,11 @@ from fracspde.picard import (
     uniqueness_probe,
 )
 from fracspde import cli, picard
-from fracspde.regularity import FirstIncrementCollector, _heat_innovation_var
+from fracspde.regularity import (
+    FieldSampleCollector,
+    FirstIncrementCollector,
+    _heat_innovation_var,
+)
 
 
 def small_config(equation="wave", **overrides):
@@ -405,10 +410,15 @@ def iterate(geom, sigma, w, eta, max_iters, tol=None):
     _delta_history's rule: (the iterate where it stopped, its deltas, whether
     the rule stopped it).  Levels up to n do not depend on the levels above,
     so the stopping iterate is the final level of an engine run to n."""
-    levels, _, _ = _picard_levels(geom, sigma, w, eta[:, None], max_iters)
+    levels = _picard_levels(geom, sigma, w, eta[:, None], max_iters)
     deltas, converged = _delta_history(levels[0], tol)
-    _, _, field = _picard_levels(geom, sigma, w, eta[:, None], len(deltas), final=True)
-    return field[0], deltas, converged
+    field = np.empty_like(w)
+
+    def keep(j, rows):
+        field[j] = rows[0, -1]
+
+    _picard_levels(geom, sigma, w, eta[:, None], len(deltas), on_row=keep)
+    return field, deltas, converged
 
 
 def default_config(equation, **settings):
@@ -561,16 +571,14 @@ class TestIterate:
         assert not math.isfinite(exc.value.deltas[-1])
 
     def test_deltas_decay_geometrically(self):
-        d = solve_ensemble(small_config(), 1, n_iters=7).deltas[0]
+        d = solve_ensemble(small_config(), 1, n_iters=7)[0]
         assert np.all(d[1:] < 0.5 * d[:-1])
 
 
 class TestEnsemble:
     def test_fixed_iteration_count(self):
         cfg = small_config(max_iters=4)
-        res = solve_ensemble(cfg, 3)
-        assert res.deltas.shape == (3, 4)
-        assert res.n_iters == 4
+        assert solve_ensemble(cfg, 3).shape == (3, 4)
 
     def test_collector_sees_every_difference(self):
         seen = []
@@ -578,17 +586,28 @@ class TestEnsemble:
         class Spy:
             t_idx = (-1,)
 
-            def observe(self, n, rows, geom):
-                seen.append((n, float(np.max(np.abs(rows)))))
+            def observe(self, r, k, levels):
+                for n, diff in enumerate(levels[1:] - levels[:-1], start=1):
+                    seen.append((n, float(np.max(np.abs(diff)))))
 
         solve_ensemble(small_config(), 2, n_iters=3, collectors=(Spy(),))
         assert [n for n, _ in seen] == [1, 2, 3, 1, 2, 3]
 
-    def test_on_final_receives_fields(self):
-        fields = []
-        solve_ensemble(small_config(), 2, n_iters=2, on_final=lambda r, f: fields.append((r, f)))
-        assert [r for r, _ in fields] == [0, 1]
-        assert fields[0][1].values.shape == fields[1][1].values.shape
+    def test_collectors_receive_each_realization(self):
+        seen = []
+
+        class Spy:
+            t_idx = (-1,)
+
+            def observe(self, r, k, levels):
+                seen.append((r, k, levels.shape))
+
+        cfg = small_config()
+        geom = build_geometry(cfg)
+        finals = FinalIterates(geom)
+        solve_ensemble(cfg, 2, n_iters=2, collectors=(Spy(), finals))
+        assert seen == [(0, 0, (3, geom.n_fft)), (1, 0, (3, geom.n_fft))]
+        assert [f.shape for f in finals.fields] == [(geom.n_steps + 1, geom.n_fft)] * 2
 
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError):
@@ -601,12 +620,12 @@ class TestEnsemble:
         cfg = small_config(equation, realization=2)
         geom, w, eta = draw(cfg)
         u, deltas, _ = iterate(geom, cfg.sigma, w, eta, cfg.max_iters)
-        finals = []
-        ens = solve_ensemble(cfg, 1, on_final=lambda r, f: finals.append(f.values))
-        np.testing.assert_array_equal(ens.deltas[0], deltas)
-        np.testing.assert_array_equal(finals[0], u)
+        finals = FinalIterates(geom)
+        ens = solve_ensemble(cfg, 1, collectors=(finals,))
+        np.testing.assert_array_equal(ens[0], deltas)
+        np.testing.assert_array_equal(finals.fields[0], u)
         res = solve(cfg)
-        gap = float(np.max(np.abs((finals[0] - res.field.values)[:, geom.core])))
+        gap = float(np.max(np.abs((finals.fields[0] - res.field.values)[:, geom.core])))
         assert gap <= res.stopping_threshold
 
     def test_runs_past_exact_fixed_point(self):
@@ -617,26 +636,37 @@ class TestEnsemble:
         class Spy:
             t_idx = (-1,)
 
-            def observe(self, n, rows, geom):
-                seen.append(n)
+            def observe(self, r, k, levels):
+                seen.extend(range(1, levels.shape[0]))
 
         cfg = small_config(sigma=AffineSigma(0.0, 1.0))
-        res = solve_ensemble(cfg, 2, n_iters=4, collectors=(Spy(),))
-        assert res.deltas.shape == (2, 4)
-        assert np.all(res.deltas[:, 0] > 0.0)
-        np.testing.assert_array_equal(res.deltas[:, 1:], 0.0)
+        deltas = solve_ensemble(cfg, 2, n_iters=4, collectors=(Spy(),))
+        assert deltas.shape == (2, 4)
+        assert np.all(deltas[:, 0] > 0.0)
+        np.testing.assert_array_equal(deltas[:, 1:], 0.0)
         assert seen == [1, 2, 3, 4, 1, 2, 3, 4]
 
 
 class RowSpy:
-    """A collector that keeps a copy of every row it declares, in order."""
+    """A collector that keeps the differences u^n - u^{n-1} of every row it
+    declares; ``rows`` lists (n, rows t_idx of u^n - u^{n-1}) in
+    realization-major order."""
 
     def __init__(self, t_idx):
         self.t_idx = t_idx
-        self.rows = []
+        self._diffs = {}
 
-    def observe(self, n, rows, geom):
-        self.rows.append((n, rows.copy()))
+    def observe(self, r, k, levels):
+        self._diffs.setdefault(r, {})[k] = levels[1:] - levels[:-1]
+
+    @property
+    def rows(self):
+        out = []
+        for r in sorted(self._diffs):
+            by_row = self._diffs[r]
+            stacked = np.stack([by_row[k] for k in range(len(self.t_idx))], axis=1)
+            out.extend(enumerate(stacked, start=1))
+        return out
 
 
 def chained_steps(cfg, n_realizations, n_iters, t_idx):
@@ -665,12 +695,10 @@ def chained_steps(cfg, n_realizations, n_iters, t_idx):
 
 def engine_run(cfg, n_realizations, n_iters, t_idx):
     """The same four outputs from solve_ensemble."""
-    spy, first, finals = RowSpy(t_idx), FirstIncrementCollector(), []
-    res = solve_ensemble(
-        cfg, n_realizations, n_iters=n_iters, collectors=(spy, first),
-        on_final=lambda r, f: finals.append(f.values),
-    )
-    return res.deltas, finals, spy.rows, first.values
+    spy, first = RowSpy(t_idx), FirstIncrementCollector()
+    finals = FinalIterates(build_geometry(cfg))
+    deltas = solve_ensemble(cfg, n_realizations, n_iters=n_iters, collectors=(spy, first, finals))
+    return deltas, finals.fields, spy.rows, first.values
 
 
 def assert_same_run(got, expected):
@@ -726,12 +754,18 @@ class TestEngine:
     @pytest.mark.parametrize("equation", ["wave", "heat"])
     def test_does_not_depend_on_the_thread_split(self, equation):
         cfg = small_config(equation)
-        runs = [
-            cli._solve_ensemble_blocks(cfg, 7, 3, threads, thin=(8, 32)) for threads in (1, 2, 3)
-        ]
+
+        def collect(geom):
+            return FieldSampleCollector(geom, 8, 32), FirstIncrementCollector()
+
+        runs = []
+        for threads in (1, 2, 3):
+            deltas, blocks = cli._solve_ensemble_blocks(cfg, 7, 3, threads, collect)
+            ensemble = np.concatenate([block[0].finalize().values for block in blocks])
+            runs.append((deltas, ensemble, [v for block in blocks for v in block[1].values]))
         for deltas, ensemble, firsts in runs[1:]:
             np.testing.assert_array_equal(deltas, runs[0][0])
-            np.testing.assert_array_equal(ensemble.values, runs[0][1].values)
+            np.testing.assert_array_equal(ensemble, runs[0][1])
             assert firsts == runs[0][2]
 
     def test_an_engine_reading_its_own_level_fails(self, monkeypatch):
@@ -834,12 +868,11 @@ class TestFirstIncrementVariance:
         class Spy:
             t_idx = (-1,)
 
-            def observe(self, n, rows, geom_):
-                if n == 1:
-                    d = float(rows[0, center])
-                    acc["s2"] += d * d
-                    acc["s4"] += d**4
-                    acc["n"] += 1
+            def observe(self, r, k, levels):
+                d = float(levels[1, center] - levels[0, center])
+                acc["s2"] += d * d
+                acc["s4"] += d**4
+                acc["n"] += 1
 
         solve_ensemble(cfg, 1500, n_iters=1, collectors=(Spy(),))
         m2 = acc["s2"] / acc["n"]

@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from sampled import gather
+from sampled import FinalIterates, gather
 
 from fracspde import regularity
 from fracspde.noise import keyed_rng, spectral_increments
@@ -566,7 +566,7 @@ class TestMomentReport:
         )
         geom = build_geometry(config)
         coll = FieldSampleCollector(geom, n_t=8, n_x=16)
-        solve_ensemble(config, 3, n_iters=2, on_final=coll.on_final)
+        solve_ensemble(config, 3, n_iters=2, collectors=(coll,))
         return coll.finalize()
 
     def test_deterministic_field_moments_exact(self):
@@ -684,12 +684,12 @@ class TestGaussianRatio:
             equation=equation, h=0.35, T=0.25, n_steps=8, dx=1.0 / 32, L=0.5,
             sigma=AffineSigma(0.0, 1.0), init=constant_initial(0.3), seed=11,
         )
-        center = build_geometry(config).n_fft // 2
+        geom = build_geometry(config)
+        center = geom.n_fft // 2
         w_end = homogeneous_term(config).values[-1, center]
-        first = []
-        coll = FirstIncrementCollector()
-        solve_ensemble(config, 300, n_iters=1, collectors=(coll,),
-                       on_final=lambda r, fld: first.append(fld.values[-1, center] - w_end))
+        coll, finals = FirstIncrementCollector(), FinalIterates(geom)
+        solve_ensemble(config, 300, n_iters=1, collectors=(coll, finals))
+        first = [values[-1, center] - w_end for values in finals.fields]
         expected = gaussian_ratio_check(config, first)
         report = gaussian_ratio_check(config, coll.values)
         assert report.computed == pytest.approx(expected.computed, rel=1e-12)
@@ -735,7 +735,7 @@ class TestFieldSampleCollector:
         )
         geom = build_geometry(config)
         coll = FieldSampleCollector(geom, n_t=8, n_x=8)
-        solve_ensemble(config, 4, n_iters=3, on_final=coll.on_final)
+        solve_ensemble(config, 4, n_iters=3, collectors=(coll,))
         ens = coll.finalize()
         assert ens.n_realizations == 4
         assert ens.t.size % 2 == 1
@@ -743,6 +743,46 @@ class TestFieldSampleCollector:
         assert ens.t[-1] == pytest.approx(0.5)
         assert ens.kind == "wave"
         assert np.all(np.abs(ens.x) <= 0.5 + 1e-9)
+
+    def test_keeps_the_final_time_when_the_count_turns_even(self):
+        # n_steps = 100 at n_t = 16: stride 6 reaches 96, appending 100
+        # makes 18 points, and the point dropped for an odd count is 96
+        config = PicardConfig(
+            equation="heat", h=0.3, T=0.5, n_steps=100, dx=1.0 / 32, L=0.5,
+            sigma=AffineSigma(0.3, 1.0), init=constant_initial(0.0), seed=13,
+        )
+        geom = build_geometry(config)
+        coll, finals = FieldSampleCollector(geom), FinalIterates(geom)
+        solve_ensemble(config, 3, n_iters=2, collectors=(coll, finals))
+        ens = coll.finalize()
+        steps = np.rint(ens.t / geom.dt).astype(int)
+        np.testing.assert_array_equal(steps, [*range(0, 96, 6), 100])
+        assert ens.t[-1] == 0.5
+        # the samples are the final iterates on the thin grid, bit for bit
+        cols = np.nonzero(np.isin(geom.x_grid, ens.x))[0]
+        for values, field in zip(ens.values, finals.fields):
+            np.testing.assert_array_equal(values, field[np.ix_(steps, cols)])
+
+    def test_holds_no_whole_final_iterate(self):
+        # the ensemble peaks no higher with the collector than without it,
+        # within one whole final iterate: only thinned rows are kept
+        config = PicardConfig(
+            equation="heat", h=0.3, T=0.5, n_steps=512, dx=1.0 / 64, L=1.0,
+            sigma=AffineSigma(0.3, 1.0), init=constant_initial(0.0), seed=13,
+        )
+        geom = build_geometry(config)
+        field_bytes = (geom.n_steps + 1) * geom.n_fft * 8
+
+        def peak(collect):
+            tracemalloc.start()
+            try:
+                solve_ensemble(config, 4, n_iters=2, collectors=collect())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        solve_ensemble(config, 1, n_iters=2)
+        assert peak(lambda: (FieldSampleCollector(geom),)) < peak(tuple) + field_bytes
 
     def test_empty_collector_rejected(self):
         config = PicardConfig(
