@@ -9,15 +9,18 @@ dt = dx of --dx (default 1/256 and 1/1024), with every other setting at the
 SimulationConfig default.  Each (equation, dx) case runs in a fresh process
 and times, in order: the RNG draw of the slab increments, the lattice
 transform ``picard._band_field``, the homogeneous term, one
-``picard_step``, the causal sweep ``picard._sweep``, a full ``solve`` and
-``solve_ensemble`` of ENSEMBLE_REALIZATIONS realizations at the default
-Picard iteration count.  Each CLI command then runs at its defaults, each
-repeat in a fresh process, so its time includes the interpreter start and
-the imports.  ``moments`` refuses a single realization, so it runs as
-``moments --ensemble 200 --threads 2``; ``picard:ensemble`` is ``picard
---ensemble 64 --threads 2`` (a COMMANDS key names its CLI command before
-any ``:``).  A command that exits non-zero stops the script: the time of a
-refused run is not a timing of the command.
+``picard_step``, the causal sweep, a full ``solve`` and ``solve_ensemble``
+of ENSEMBLE_REALIZATIONS realizations at the default Picard iteration
+count.  The sweep is the streamed ``picard._sweep_rows``, its chunked
+residual included, on the given rows of w and the noise; a checkout that
+predates it times ``picard._sweep`` on whole arrays.  Each CLI command then
+runs at its defaults, each repeat in a fresh process, so its time includes
+the interpreter start and the imports.  ``moments`` refuses a single
+realization, so it runs as ``moments --ensemble 200 --threads 2``;
+``picard:ensemble`` is ``picard --ensemble 64 --threads 2`` and
+``picard:heat-1024`` is a heat ``picard`` at dt = dx = 1/1024 (a COMMANDS
+key names its CLI command before any ``:``).  A command that exits non-zero
+stops the script: the time of a refused run is not a timing of the command.
 
 Every entry records the median of 5 ``perf_counter`` timings and all of
 them.  A solver layer also records the ``tracemalloc`` peak of one more
@@ -52,6 +55,7 @@ COMMANDS = {
     "simulate": (),
     "picard": (),
     "picard:ensemble": ("--ensemble", "64", "--threads", "2"),
+    "picard:heat-1024": ("--equation", "heat", "--dt", "0.0009765625", "--dx", "0.0009765625"),
     "holder": (),
     "moments": ("--ensemble", "200", "--threads", "2"),
     "gronwall": (),
@@ -98,7 +102,6 @@ def time_case(equation, dx):
 
     cfg = to_picard_config(from_mapping({"equation": equation, "dt": dx, "dx": dx}))
     geom = picard.build_geometry(cfg)
-    geom.trig_tables  # the wave tables are built once per geometry
     z = spectral_increments(geom.band_masses, geom.dt, geom.n_steps, keyed_rng(cfg.seed, 0))
     eta = picard._band_field(geom, z)
     w = picard._homogeneous_values(geom, cfg.init)
@@ -112,7 +115,9 @@ def time_case(equation, dx):
         "solve": lambda: picard.solve(cfg),
         "ensemble": lambda: picard.solve_ensemble(cfg, ENSEMBLE_REALIZATIONS),
     }
-    if hasattr(picard, "_sweep"):
+    if hasattr(picard, "_sweep_rows"):
+        calls["sweep"] = lambda: picard._sweep_rows(geom, cfg.sigma, iter(w), iter(eta[:, None]))
+    elif hasattr(picard, "_sweep"):
         calls["sweep"] = lambda: picard._sweep(geom, cfg.sigma, w, eta)
     return {
         "equation": equation,

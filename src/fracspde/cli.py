@@ -56,7 +56,7 @@ from .config import (
     to_picard_config,
 )
 from .constants import validate_hurst
-from .diagnostics import pathwise_x2_seminorm
+from .diagnostics import make_diagnostic_grids, pathwise_x2_seminorm
 from .gronwall import (
     GronwallProblem,
     a_n_sequence,
@@ -420,19 +420,39 @@ def _solve_ensemble_blocks(picard_cfg, n_realizations, n_iters, threads, collect
     return np.vstack(deltas), collectors
 
 
+class _RowPicks:
+    """A consumer of solve's rows: values[k] = pick(levels) at row t_idx[k],
+    where levels[0] is that row of w and levels[1] that row of the fixed
+    point u."""
+
+    def __init__(self, t_idx, pick):
+        self.t_idx = t_idx
+        self._pick = pick
+        self.values = [None] * len(t_idx)
+
+    def observe(self, r, k, levels):
+        self.values[k] = self._pick(levels)
+
+
 def _picard_single(cfg, echo):
     picard_cfg = to_picard_config(cfg)
-    result = solve(picard_cfg)
-    field = result.field
+    geom = build_geometry(picard_cfg)
+    # the solve is streamed: only the field.csv grid and the seminorm's rows are kept
+    t_idx = _thin_indices(geom.n_steps + 1, 33)
+    x_idx = _thin_indices(geom.core.stop - geom.core.start, 257)
+    cols = geom.core.start + x_idx
+    grid = _RowPicks(t_idx, lambda levels: levels[1, cols])
+    increments = _RowPicks(
+        make_diagnostic_grids(geom).t_idx, lambda levels: levels[1] - levels[0]
+    )
+    result = solve(picard_cfg, consumers=(grid, increments))
 
-    t_idx = _thin_indices(field.n_steps + 1, 33)
-    x_idx = _thin_indices(field.core_x.size, 257)
     block = np.empty((t_idx.size, x_idx.size, 3))
-    block[..., 0] = field.t_grid[t_idx, None]
-    block[..., 1] = field.core_x[x_idx]
-    block[..., 2] = field.core_values[np.ix_(t_idx, x_idx)]
+    block[..., 0] = geom.t_grid[t_idx, None]
+    block[..., 1] = geom.x_grid[cols]
+    block[..., 2] = grid.values
 
-    seminorm = pathwise_x2_seminorm(field.values - result.homogeneous, result.geometry)
+    seminorm = pathwise_x2_seminorm(np.array(increments.values), geom)
     diagnostics = {
         "equation": cfg.equation,
         "hurst": cfg.hurst,

@@ -112,10 +112,13 @@ def _pair_weight_matrix(y, z, h, dx_thin):
     """|y_i - z_j|^(2h-2) dx quadrature weights with the singular
     coincidence cell zeroed (the pair energy vanishes there faster than
     the weight diverges)."""
-    gap = np.abs(y[:, None] - z[None, :])
+    w = np.subtract.outer(y, z)
+    np.abs(w, out=w)
+    coincident = w < 0.5 * dx_thin
     with np.errstate(divide="ignore"):
-        w = gap ** (2.0 * h - 2.0) * dx_thin
-    w[gap < 0.5 * dx_thin] = 0.0
+        np.power(w, 2.0 * h - 2.0, out=w)
+    w *= dx_thin
+    w[coincident] = 0.0
     return w
 
 
@@ -453,15 +456,19 @@ def vn_wn_diagnostics(curves, sigma):
     )
 
 
-def pathwise_x2_seminorm(diff, geom, n_t=32, n_x=128):
+def pathwise_x2_seminorm(rows, geom, n_t=32, n_x=128):
     """Single-path kernel-weighted increment seminorm of a field difference.
 
-    Same quadrature as the ensemble W curves but with the bare squared
-    increments of this one path in place of expectations (tail completion
-    included); returns the sup over the thin lattice of the square root of
-    the accumulated energy.
+    rows holds the rows t_idx of make_diagnostic_grids(geom, n_t, n_x) of
+    the difference, shape (t_idx.size, n_fft): the only rows it reads, so a
+    streamed solve keeps those alone.  Same quadrature as the ensemble W
+    curves but with the bare squared increments of this one path in place
+    of expectations (tail completion included); returns the sup over the
+    thin lattice of the square root of the accumulated energy.
     """
     g = make_diagnostic_grids(geom, n_t=n_t, n_x=n_x)
+    if rows.shape != (g.t_idx.size, geom.n_fft):
+        raise ValueError(f"rows must have shape {(g.t_idx.size, geom.n_fft)}, got {rows.shape}")
     wmat = _pair_weight_matrix(g.y, g.z, geom.h, g.dx_thin)
-    curve = _pair_energy_curves(geom, g, wmat, *_pair_moments(diff[g.t_idx], g, wmat))
+    curve = _pair_energy_curves(geom, g, wmat, *_pair_moments(rows, g, wmat))
     return float(np.sqrt(curve.max()))

@@ -21,10 +21,18 @@ differences are objects of the paper's proof: the iterate engine
 ``_picard_levels`` carries every level u^0..u^N of a batch of draws through
 one forward pass, row j + 1 of u^{n+1} from row j of u^n, and hands each
 row of every level, as it is built, to ``solve_ensemble``'s collectors and
-to ``uniqueness_probe``.  The sweep, the engine and
-``picard_step`` form the same spectral sums (``_slab_sums``), so the engine's
-iterates are bit for bit those of chained ``picard_step`` calls, and
-``picard_step`` stays the independent route of ``solve``'s residual.
+to ``uniqueness_probe``.
+
+Both passes are streamed: w comes row by row (``_homogeneous_rows``), the
+noise NOISE_CHUNK slabs at a time (``_noise_rows``), and each finished row
+goes to consumers that declare it, so no solver path holds an array that
+grows with n_steps unless a consumer keeps one (``solve`` does so by
+default).  The sweep, the engine and ``picard_step`` form the same spectral
+sums (``_slab_sums``), so the engine's iterates are bit for bit those of
+chained ``picard_step`` calls.  ``picard_step`` is one block of
+``_stochastic_blocks``, the whole-array route that the sweep applies to
+each noise chunk, with its running sums carried, for its residual; that
+route stays independent of the sweep and the engine.
 The heat slab weight is the exact-variance (accelerated exponential Euler)
 weight, so with sigma = b each heat band follows its exact Ornstein-Uhlenbeck
 law at grid times.
@@ -36,7 +44,6 @@ draw, so the Picard maps are deterministic functions of that draw.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -291,14 +298,6 @@ class SolverGeometry:
     def actual_pad(self):
         return 0.5 * self.n_fft * self.dx - self.x_grid[self.core].max()
 
-    @cached_property
-    def trig_tables(self):
-        """cos(t_j w_l) and sin(t_j w_l) for all grid times and rfft
-        frequencies; the wave symbol sin(tau w)/w splits over these.
-        Computed once per geometry."""
-        phase = np.outer(self.t_grid, self.omega_r)
-        return np.cos(phase), np.sin(phase)
-
 
 def build_geometry(config):
     pad = config.pad if config.pad is not None else _default_pad(config.equation, config.T, config.dx)
@@ -387,48 +386,85 @@ def _trapezoid_antiderivative(v, x):
     return np.concatenate([[0.0], np.cumsum(np.diff(x) * (v[1:] + v[:-1]) / 2.0)])
 
 
-def _homogeneous_values(geom, init):
-    """Noise-free mild solution w on the full lattice.
+NOISE_CHUNK = 16  # rows per call of _rows_by_chunks (noise, w, wave trig): amortizes call overhead
 
+
+def _rows_by_chunks(n_rows, chunk):
+    """Rows 0..n_rows-1 one at a time, formed NOISE_CHUNK at a time.
+
+    chunk(j) returns an iterable over the rows j (an array of consecutive
+    row indices), such as an array of them stacked along its first axis,
+    whose rows are then yielded as views.  So a row generator holds
+    NOISE_CHUNK rows whatever n_rows, and pays each numpy call once per
+    chunk rather than once per row.
+    """
+    for j0 in range(0, n_rows, NOISE_CHUNK):
+        yield from chunk(np.arange(j0, min(j0 + NOISE_CHUNK, n_rows)))
+
+
+def _homogeneous_rows(geom, init):
+    """Noise-free mild solution w on the full lattice, one row at a time.
+
+    Returns an iterator over the rows w(t_j, .), j = 0..n_steps, formed
+    by ``_rows_by_chunks`` (views, so callers copy what they keep).  The
+    window checks run, and the data are sampled, when it is made; nothing
+    it holds grows with n_steps.
     wave: d'Alembert, with the v0 antiderivative tabulated by cumulative
     trapezoid at dx/4 and linearly interpolated (both errors O(dx^2)).
-    heat: spectral heat propagation of the u0 samples; exact for the DC
-    mode, spectrally accurate otherwise, with wrap-around suppressed by the
-    window check below.
+    heat: spectral heat propagation of the u0 samples, row j =
+    irfft(exp(-t_j w^2 / 2) rfft(u0)); exact for the DC mode, spectrally
+    accurate otherwise, with wrap-around suppressed by the window check
+    below.
     """
     T = geom.T
+    x_grid = geom.x_grid
     if geom.equation == "wave":
         if geom.actual_pad < T - 1e-12 * T:
             raise ValueError(
                 f"window too small: wave needs padding >= T = {T:g}, "
                 f"have {geom.actual_pad:g}; widen L/pad or shrink T"
             )
-        t_col = geom.t_grid[:, None]
-        xp = geom.x_grid[None, :] + t_col
-        xm = geom.x_grid[None, :] - t_col
-        w = 0.5 * (_eval_on(init.u0, xp) + _eval_on(init.u0, xm))
         if init.v0 is not None:
             step = geom.dx / 4.0
             lo = geom.x0 - T - 2.0 * step
-            hi = geom.x_grid[-1] + T + 2.0 * step
+            hi = x_grid[-1] + T + 2.0 * step
             n_fine = int(math.ceil((hi - lo) / step)) + 1
             fine = np.linspace(lo, hi, n_fine)
             v_anti = _trapezoid_antiderivative(_eval_on(init.v0, fine), fine)
-            w += 0.5 * (np.interp(xp, fine, v_anti) - np.interp(xm, fine, v_anti))
-        return w
 
-    tail_mass = 0.5 * math.erfc(geom.actual_pad / math.sqrt(2.0 * T))
-    if tail_mass > GAUSS_TAIL_CAP:
-        raise ValueError(
-            f"window too small: heat-kernel mass {tail_mass:.2e} beyond the "
-            f"padding exceeds {GAUSS_TAIL_CAP:g}; widen L/pad or shrink T"
-        )
-    u0_samples = _eval_on(init.u0, geom.x_grid)
-    u0_hat = np.fft.rfft(u0_samples)
-    decay = np.exp(-0.5 * geom.t_grid[:, None] * geom.omega_r[None, :] ** 2)
-    w = np.fft.irfft(decay * u0_hat[None, :], n=geom.n_fft, axis=1)
-    w[0] = u0_samples
-    return w
+        def rows(j):
+            t_col = (geom.dt * j)[:, None]
+            xp, xm = x_grid + t_col, x_grid - t_col
+            w = 0.5 * (_eval_on(init.u0, xp) + _eval_on(init.u0, xm))
+            if init.v0 is not None:
+                w += 0.5 * (np.interp(xp, fine, v_anti) - np.interp(xm, fine, v_anti))
+            return w
+
+    else:
+        tail_mass = 0.5 * math.erfc(geom.actual_pad / math.sqrt(2.0 * T))
+        if tail_mass > GAUSS_TAIL_CAP:
+            raise ValueError(
+                f"window too small: heat-kernel mass {tail_mass:.2e} beyond the "
+                f"padding exceeds {GAUSS_TAIL_CAP:g}; widen L/pad or shrink T"
+            )
+        u0_samples = _eval_on(init.u0, x_grid)
+        u0_hat = np.fft.rfft(u0_samples)
+        omega_sq = geom.omega_r**2
+
+        def rows(j):
+            decay = np.exp(-0.5 * (geom.dt * j)[:, None] * omega_sq)
+            w = np.fft.irfft(decay * u0_hat, n=geom.n_fft, axis=1)
+            if j[0] == 0:
+                w[0] = u0_samples
+            return w
+
+    return _rows_by_chunks(geom.n_steps + 1, rows)
+
+
+def _homogeneous_values(geom, init):
+    """The rows of _homogeneous_rows stacked into the whole (n_steps + 1,
+    n_fft) array of w."""
+    return np.stack(list(_homogeneous_rows(geom, init)))
 
 
 def homogeneous_term(config):
@@ -468,9 +504,6 @@ def noise_slabs(geom, seed, realization=0):
     return _band_field(geom, z)
 
 
-NOISE_CHUNK = 16  # slabs drawn per call by _noise_rows: amortizes the per-draw overhead
-
-
 def _noise_rows(geom, seed, realizations):
     """The slab noise fields of several realizations, one slab at a time.
 
@@ -482,12 +515,12 @@ def _noise_rows(geom, seed, realizations):
     once, so memory stays at NOISE_CHUNK slabs per realization.
     """
     rngs = [keyed_rng(seed, r) for r in realizations]
-    for j0 in range(0, geom.n_steps, NOISE_CHUNK):
-        m = min(NOISE_CHUNK, geom.n_steps - j0)
-        z = np.stack([spectral_increments(geom.band_masses, geom.dt, m, rng) for rng in rngs])
-        eta = _band_field(geom, z)
-        for i in range(m):
-            yield eta[:, i]
+
+    def slabs(j):
+        z = np.stack([spectral_increments(geom.band_masses, geom.dt, j.size, rng) for rng in rngs])
+        return _band_field(geom, z).swapaxes(0, 1)
+
+    return _rows_by_chunks(geom.n_steps, slabs)
 
 
 def _slab_sums(geom, batch=()):
@@ -499,21 +532,22 @@ def _slab_sums(geom, batch=()):
     order j = 0, 1, ....  p_hat_j has shape batch + (n_fft // 2 + 1,): one
     independent set of sums per leading index, each updated exactly as a
     single one would be.  The sweep and the iterate engine use it for both
-    equations and picard_step for heat; picard_step forms the wave sums over
-    all slabs at once, bit for bit the same.
+    equations, and picard_step's route for heat; that route forms the wave
+    sums by blocks of slabs, bit for bit the same.
 
-    The wave symbol sin(tau w)/w splits over the geometry's trig tables
-    into running cos/sin sums, with the two moments sum p and sum t_i p in
-    the w = 0 slot, where the symbol is tau itself.  The heat sum decays by
+    The wave symbol sin(tau w)/w splits over cos(t_j w) and sin(t_j w) into
+    running cos/sin sums, with the two moments sum p and sum t_i p in the
+    w = 0 slot, where the symbol is tau itself; the cos/sin rows of the grid
+    times come from ``_rows_by_chunks``, one more per call.  The heat sum decays by
     exp(-dt w^2 / 2) per slab, and slab j enters it with the weight
     c = sqrt((1 - exp(-dt w^2)) / (dt w^2)) (c = 1 at w = 0), which gives
     each slab its exact variance int_0^dt exp(-s w^2) ds instead of the far
     end's dt exp(-dt w^2).
     """
-    omega = geom.omega_r
+    omega, dt = geom.omega_r, geom.dt
     shape = tuple(batch) + (omega.size,)
     if geom.equation == "heat":
-        x = geom.dt * omega**2
+        x = dt * omega**2
         decay = np.exp(-0.5 * x)
         weight = np.ones_like(x)
         weight[1:] = np.sqrt(-np.expm1(-x[1:]) / x[1:])
@@ -526,25 +560,92 @@ def _slab_sums(geom, batch=()):
 
         return add
 
-    cos_t, sin_t = geom.trig_tables
-    t_grid = geom.t_grid
+    def trig(j):
+        phase = np.outer(dt * j, omega)
+        return zip(np.cos(phase), np.sin(phase))
+
+    trig_rows = _rows_by_chunks(geom.n_steps + 1, trig)
+    cos_j, sin_j = next(trig_rows)
     a_run = np.zeros(shape, dtype=complex)
     b_run = np.zeros(shape, dtype=complex)
     s0 = np.zeros(shape[:-1], dtype=complex)
     s1 = np.zeros(shape[:-1], dtype=complex)
 
     def add(j, p_hat):
-        nonlocal a_run, b_run, s0, s1
-        a_run += cos_t[j] * p_hat
-        b_run += sin_t[j] * p_hat
-        sym = sin_t[j + 1] * a_run - cos_t[j + 1] * b_run
+        nonlocal a_run, b_run, s0, s1, cos_j, sin_j
+        cos_next, sin_next = next(trig_rows)
+        a_run += cos_j * p_hat
+        b_run += sin_j * p_hat
+        sym = sin_next * a_run - cos_next * b_run
         sym[..., 1:] /= omega[1:]
         s0 += p_hat[..., 0]
-        s1 += t_grid[j] * p_hat[..., 0]
-        sym[..., 0] = t_grid[j + 1] * s0 - s1
+        s1 += (dt * j) * p_hat[..., 0]
+        sym[..., 0] = (dt * (j + 1)) * s0 - s1
+        cos_j, sin_j = cos_next, sin_next
         return sym
 
     return add
+
+
+def _stochastic_blocks(geom):
+    """picard_step's whole-array route to the stochastic term, one block of
+    slabs at a time.
+
+    Returns term(p_hat), which maps the transformed integrand rows
+    p_hat_i = rfft(sigma(u(t_i)) * eta_i) of the slabs i = j0..j0+m-1 (shape
+    (m, n_fft // 2 + 1)) to the stochastic term at t_{j0+1}..t_{j0+m}, shape
+    (m, n_fft).  Blocks must come in order from j0 = 0; the running
+    sums carry from one block to the next, so any split of the slabs into
+    blocks gives the numbers of one block of them all.  The sums are those
+    of ``_slab_sums`` in the same order: heat runs its slab update over the
+    block's rows, and the wave sums are cumulative sums over the block,
+    seeded with the last sums of the block before, on cos/sin tables of the
+    block's own times.  So this route stays independent of the sweep and
+    the engine, for picard_step and the sweep's residual.
+    """
+    n_fft, omega, dt = geom.n_fft, geom.omega_r, geom.dt
+    j0 = 0
+    if geom.equation == "heat":
+        add = _slab_sums(geom)
+
+        def term(p_hat):
+            nonlocal j0
+            sym = np.empty_like(p_hat)
+            for i in range(p_hat.shape[0]):
+                sym[i] = add(j0 + i, p_hat[i])
+            j0 += p_hat.shape[0]
+            return np.fft.irfft(sym, n=n_fft, axis=1)
+
+        return term
+
+    carry = None  # the last a, b, s0 and s1 sums of the block before
+
+    def running(x, k):
+        # x summed down the block in place, from the block before's last sum
+        if carry is not None:
+            x[0] += carry[k]
+        return np.cumsum(x, axis=0, out=x)
+
+    def term(p_hat):
+        nonlocal j0, carry
+        t = dt * np.arange(j0, j0 + p_hat.shape[0] + 1)
+        phase = np.outer(t, omega)
+        cos_t, sin_t = np.cos(phase), np.sin(phase)
+        sums = (
+            running(cos_t[:-1] * p_hat, 0),
+            running(sin_t[:-1] * p_hat, 1),
+            running(p_hat[:, 0].copy(), 2),
+            running(t[:-1] * p_hat[:, 0], 3),
+        )
+        a_run, b_run, s0, s1 = sums
+        carry = tuple(x[-1].copy() for x in sums)
+        sym = sin_t[1:] * a_run - cos_t[1:] * b_run
+        sym[:, 1:] /= omega[1:]
+        sym[:, 0] = t[1:] * s0 - s1
+        j0 += p_hat.shape[0]
+        return np.fft.irfft(sym, n=n_fft, axis=1)
+
+    return term
 
 
 def picard_step(geom, sigma, u_prev, eta, w):
@@ -555,6 +656,7 @@ def picard_step(geom, sigma, u_prev, eta, w):
     wave, and for heat G_{t_j - t_{i+1}} times the exact-variance slab
     weight.  Convolution is spectral with the closed-form symbols, summed
     as ``_slab_sums`` sums them, so the whole update costs O(n_steps) FFTs.
+    It is ``_stochastic_blocks``' route on one block of all the slabs.
     """
     n_steps, n_fft = geom.n_steps, geom.n_fft
     if u_prev.shape != (n_steps + 1, n_fft):
@@ -562,48 +664,75 @@ def picard_step(geom, sigma, u_prev, eta, w):
     if eta.shape != (n_steps, n_fft):
         raise ValueError(f"eta must have shape {(n_steps, n_fft)}, got {eta.shape}")
 
-    p_hat = np.fft.rfft(sigma(u_prev[:n_steps]) * eta, axis=1)
-    if geom.equation == "wave":
-        # _slab_sums' wave update over all slabs at once: the same sums in
-        # the same order, written as whole-array cumulative sums so that
-        # picard_step is a route independent of the engine and the sweep,
-        # for solve's residual, the engine tests and the benchmark gate
-        cos_t, sin_t = geom.trig_tables
-        omega, t_grid = geom.omega_r, geom.t_grid
-        a_run = np.cumsum(cos_t[:n_steps] * p_hat, axis=0)
-        b_run = np.cumsum(sin_t[:n_steps] * p_hat, axis=0)
-        sym = sin_t[1:] * a_run - cos_t[1:] * b_run
-        sym[:, 1:] /= omega[1:]
-        s0 = np.cumsum(p_hat[:, 0])
-        s1 = np.cumsum(t_grid[:n_steps] * p_hat[:, 0])
-        sym[:, 0] = t_grid[1:] * s0 - s1
-    else:
-        add = _slab_sums(geom)
-        sym = np.empty_like(p_hat)
-        for j in range(n_steps):
-            sym[j] = add(j, p_hat[j])
     u_next = w.copy()
-    u_next[1:] += np.fft.irfft(sym, n=n_fft, axis=1)
+    u_next[1:] += _stochastic_blocks(geom)(np.fft.rfft(sigma(u_prev[:n_steps]) * eta, axis=1))
     return u_next
 
 
-def _sweep(geom, sigma, w, eta):
-    """The fixed point of picard_step by one causal forward pass.
+def _routes(geom, consumers):
+    """{row j: [(consumer, k), ...]} for the rows t_idx[k] that each
+    consumer declares (time indices into 0..n_steps, negative ones counting
+    from the end)."""
+    times = np.arange(geom.n_steps + 1)
+    routes = {}
+    for consumer in consumers:
+        for k, j in enumerate(times[np.asarray(consumer.t_idx, dtype=int)]):
+            routes.setdefault(int(j), []).append((consumer, k))
+    return routes
 
-    Row j + 1 of picard_step(u) depends on rows 0..j of u only, so the
-    rows u_{j+1} = w_{j+1} + irfft(add(j, rfft(sigma(u_j) * eta_j))) are
-    built in order, with the same per-slab update and the same floating
-    point operations as picard_step: picard_step(_sweep(...)) reproduces
-    the sweep exactly.  Overflow is left to the caller's finiteness check.
+
+def _sweep_rows(geom, sigma, w_rows, slabs, consumers=()):
+    """The fixed point of picard_step by one causal forward pass, streamed,
+    with its residual.
+
+    Row j + 1 of picard_step(u) depends on rows 0..j of u only, so the rows
+    u_{j+1} = w_{j+1} + irfft(add(j, rfft(sigma(u_j) * eta_j))) are built in
+    order from the rows of w (w_rows yields them for j = 0..n_steps) and the
+    noise slabs (slabs yields eta_j for j = 0..n_steps-1, shape (1, n_fft),
+    as ``_noise_rows`` yields them).  Nothing is held whole.  After every
+    NOISE_CHUNK slabs, picard_step's route (``_stochastic_blocks``) is
+    applied to that chunk's rows, with its sums carried from the chunk
+    before, and compared with the rows the pass built: the residual of one
+    more Picard step, 0 up to the rounding of the two routes.
+
+    Each consumer declares its rows in ``t_idx`` and sees
+    consumer.observe(0, k, levels) while row t_idx[k] is built: levels[0] is
+    that row of w and levels[1] that row of u.  levels is the pass's buffer
+    and is overwritten by a later chunk, so a consumer copies what it keeps.
+    Returns (residual, spread): sup over the core of |Phi(u) - u| and of
+    |u - w|, possibly not finite (overflow is left to the caller).
     """
-    n_fft = geom.n_fft
-    u = w.copy()
+    n_steps, n_fft, core = geom.n_steps, geom.n_fft, geom.core
+    routes = _routes(geom, consumers)
+
+    def hand_off(j, levels):
+        for consumer, k in routes.get(j, ()):
+            consumer.observe(0, k, levels)
+
     add = _slab_sums(geom)
+    stochastic = _stochastic_blocks(geom)
+    # rows[i] holds row j0 + i of w and of u, eta[i] slab j0 + i, for the
+    # chunk of slabs j0..j0 + NOISE_CHUNK - 1
+    rows = np.empty((NOISE_CHUNK + 1, 2, n_fft))
+    eta = np.zeros((NOISE_CHUNK, n_fft))
+    residual = spread = 0.0
+    rows[0] = next(w_rows)
+    hand_off(0, rows[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(geom.n_steps):
-            p_hat = np.fft.rfft(sigma(u[j]) * eta[j])
-            u[j + 1] += np.fft.irfft(add(j, p_hat), n=n_fft)
-    return u
+        for j in range(n_steps):
+            i = j % NOISE_CHUNK
+            eta[i] = next(slabs)[0]
+            p_hat = np.fft.rfft(sigma(rows[i, 1]) * eta[i])
+            rows[i + 1, 0] = next(w_rows)
+            np.add(rows[i + 1, 0], np.fft.irfft(add(j, p_hat), n=n_fft), out=rows[i + 1, 1])
+            hand_off(j + 1, rows[i + 1])
+            if i + 1 == NOISE_CHUNK or j + 1 == n_steps:
+                w, u = rows[1 : i + 2, 0], rows[1 : i + 2, 1]
+                phi = w + stochastic(np.fft.rfft(sigma(rows[: i + 1, 1]) * eta[: i + 1], axis=1))
+                residual = np.maximum(residual, np.max(np.abs((phi - u)[:, core])))
+                spread = np.maximum(spread, np.max(np.abs((u - w)[:, core])))
+                rows[0] = rows[i + 1]
+    return float(residual), float(spread)
 
 
 @dataclass(frozen=True)
@@ -614,6 +743,7 @@ class PicardResult:
     ``residual`` is sup over the core of |Phi(u*) - u*| for one more Picard
     step from the sweep's field u*; ``stopping_threshold`` is tol times
     sup over the core of |u* - w|, the bound that residual must meet.
+    ``field`` and ``homogeneous`` are None when the rows went to consumers.
     """
 
     field: SpaceTimeField
@@ -624,6 +754,17 @@ class PicardResult:
     homogeneous: np.ndarray
 
 
+class _EveryRow:
+    """solve's own consumer: values[0] keeps every row of w, values[1] of u."""
+
+    def __init__(self, geom):
+        self.t_idx = np.arange(geom.n_steps + 1)
+        self.values = np.empty((2, geom.n_steps + 1, geom.n_fft))
+
+    def observe(self, r, k, levels):
+        self.values[:, k] = levels
+
+
 # Realizations per pass of the iterate engine.  4 was fastest for
 # `picard --ensemble 64` at the wave defaults on one and on two threads:
 # smaller batches spend more of the pass in short numpy calls that hold the
@@ -631,7 +772,7 @@ class PicardResult:
 ENGINE_BATCH = 4
 
 
-def _picard_levels(geom, sigma, w, slabs, n_iters, start=None, on_row=None):
+def _picard_levels(geom, sigma, w_rows, slabs, n_iters, offset=None, on_row=None):
     """The Picard iterates u^0..u^n_iters of a batch of noise draws, by one
     causal pass over the rows.
 
@@ -644,11 +785,12 @@ def _picard_levels(geom, sigma, w, slabs, n_iters, start=None, on_row=None):
     State is the current row of each level, shape (R, n_iters + 1, n_fft),
     plus the running sums; nothing grows with n_steps.
 
-    slabs yields the noise slab eta_j for j = 0..n_steps-1 in order, shape
-    (R, n_fft) with one row per realization, or (1, n_fft) for a draw the
-    batch shares (as ``_noise_rows`` yields them).  Level 0 is w, or
-    start[r] (shape (R, n_steps + 1, n_fft)) when given; R is the number
-    of starts then, else of noise rows.
+    w_rows yields the rows of w for j = 0..n_steps in order (as
+    ``_homogeneous_rows`` does), and slabs the noise slab eta_j for
+    j = 0..n_steps-1, shape (R, n_fft) with one row per realization, or
+    (1, n_fft) for a draw the batch shares (as ``_noise_rows`` yields them).
+    Level 0 is w, or w + offset[r] when offset (shape (R, n_fft)) is given;
+    R is the number of offsets then, else of noise rows.
     on_row(j, rows), when given, sees row j of every level as soon as it is
     built: rows[r, n] is row j of u^n for draw r.  rows is the engine's
     buffer and is overwritten at the next row, so on_row copies what it
@@ -658,18 +800,19 @@ def _picard_levels(geom, sigma, w, slabs, n_iters, start=None, on_row=None):
     n_steps, n_fft = geom.n_steps, geom.n_fft
     slabs = iter(slabs)
     eta = next(slabs)
-    n_real = eta.shape[0] if start is None else start.shape[0]
+    n_real = eta.shape[0] if offset is None else offset.shape[0]
     core = geom.core
     add = _slab_sums(geom, (n_real, n_iters))
     rows = np.empty((n_real, n_iters + 1, n_fft))
     deltas = np.zeros((n_real, n_iters))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_steps + 1):
-            rows[:, 0] = w[j] if start is None else start[:, j]
+            w_j = next(w_rows)
+            rows[:, 0] = w_j if offset is None else w_j + offset
             if j == 0:
-                rows[:, 1:] = w[0]
+                rows[:, 1:] = w_j
             else:
-                np.add(w[j], np.fft.irfft(sym, n=n_fft, axis=-1), out=rows[:, 1:])
+                np.add(w_j, np.fft.irfft(sym, n=n_fft, axis=-1), out=rows[:, 1:])
             core_diff = rows[:, 1:, core] - rows[:, :-1, core]
             np.maximum(deltas, np.max(np.abs(core_diff), axis=-1), out=deltas)
             if on_row is not None:
@@ -700,34 +843,44 @@ def _delta_history(deltas, tol=None):
     return history, False
 
 
-def solve(config):
+def solve(config, consumers=None):
     """The fixed point by one causal sweep, checked by one Picard step.
 
-    The sweep builds the lattice fixed point u* of the Picard map row by
-    row; one more picard_step gives the residual sup_core |Phi(u*) - u*|,
-    which is 0 up to rounding.  A non-finite residual (overflow or NaN in
-    the sweep) raises PicardDivergenceError.  Picard iteration, where the
-    iterates are the object, is solve_ensemble and uniqueness_probe;
-    config.max_iters plays no part here, and config.tol only scales the
-    reported stopping_threshold.
+    The sweep ``_sweep_rows`` builds the lattice fixed point u* of the
+    Picard map row by row, from the rows of w and the noise slabs, and
+    checks it chunk by chunk against picard_step's route: the residual
+    sup_core |Phi(u*) - u*| is 0 up to rounding.  A non-finite residual
+    (overflow or NaN in the sweep) raises PicardDivergenceError.  Picard
+    iteration, where the iterates are the object, is solve_ensemble and
+    uniqueness_probe; config.max_iters plays no part here, and config.tol
+    only scales the reported stopping_threshold.
+
+    Without consumers the result keeps every row: ``field`` holds u* and
+    ``homogeneous`` holds w.  With consumers, each declares its rows in
+    ``t_idx`` and sees observe(0, k, levels) while row t_idx[k] is built,
+    levels[0] that row of w and levels[1] that row of u*; the result then
+    holds neither field, and memory holds a noise chunk of rows plus what
+    the consumers keep, whatever n_steps.
     """
     geom = build_geometry(config)
-    w = _homogeneous_values(geom, config.init)
-    eta = noise_slabs(geom, config.seed, config.realization)
-    u = _sweep(geom, config.sigma, w, eta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = picard_step(geom, config.sigma, u, eta, w) - u
-    residual = _core_delta(diff, geom, 1, [])
-    spread = float(np.max(np.abs((u - w)[:, geom.core])))
+    every = _EveryRow(geom) if consumers is None else None
+    residual, spread = _sweep_rows(
+        geom,
+        config.sigma,
+        _homogeneous_rows(geom, config.init),
+        _noise_rows(geom, config.seed, [config.realization]),
+        consumers if every is None else (every,),
+    )
+    residual = _finite_delta(residual, 1, [])
     # spread == 0 (no noise term) avoids inf * 0 when tol is infinite
     threshold = config.tol * spread if spread > 0.0 else 0.0
     return PicardResult(
-        field=_field_from(geom, u),
+        field=None if every is None else _field_from(geom, every.values[1]),
         residual=residual,
         stopping_threshold=threshold,
         geometry=geom,
         config=config,
-        homogeneous=w,
+        homogeneous=None if every is None else every.values[0],
     )
 
 
@@ -748,23 +901,27 @@ def solve_ensemble(config, n_realizations, n_iters=None, collectors=()):
     realization r = 0..n_realizations-1 in turn, with levels[n] that row of
     u^n, n = 0..n_iters.  levels is the engine's buffer, so a collector
     copies what it keeps; one that reads differences forms
-    levels[1:] - levels[:-1], the subtraction behind the deltas.  Memory
-    holds a batch's noise chunk and current rows plus what the collectors
-    keep; it grows with neither n_steps nor n_iters.
+    levels[1:] - levels[:-1], the subtraction behind the deltas.  A
+    collector that declares ``n_iters`` reads the levels up to that one;
+    more than the ensemble runs is a ValueError, raised before any row is
+    built.  Memory holds a batch's noise chunk and current rows plus what
+    the collectors keep: w comes row by row from ``_homogeneous_rows``, so
+    it grows with neither n_steps nor n_iters.
     Returns deltas[r, n - 1] = sup over rows and the core of
     |u^n - u^{n-1}|; a non-finite delta raises PicardDivergenceError.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be at least 1")
     n_iters = int(n_iters) if n_iters is not None else config.max_iters
-    geom = build_geometry(config)
-    w = _homogeneous_values(geom, config.init)
-    deltas = np.empty((n_realizations, n_iters))
-    times = np.arange(geom.n_steps + 1)
-    routes = {}
     for collector in collectors:
-        for k, j in enumerate(times[np.asarray(collector.t_idx, dtype=int)]):
-            routes.setdefault(int(j), []).append((collector, k))
+        wanted = getattr(collector, "n_iters", n_iters)
+        if wanted > n_iters:
+            raise ValueError(
+                f"a collector reads {wanted} Picard iterations, but the ensemble runs {n_iters}"
+            )
+    geom = build_geometry(config)
+    deltas = np.empty((n_realizations, n_iters))
+    routes = _routes(geom, collectors)
 
     for r0 in range(0, n_realizations, ENGINE_BATCH):
         batch = range(r0, min(n_realizations, r0 + ENGINE_BATCH))
@@ -776,7 +933,8 @@ def solve_ensemble(config, n_realizations, n_iters=None, collectors=()):
 
         slabs = _noise_rows(geom, config.seed, [config.realization + r for r in batch])
         levels = _picard_levels(
-            geom, config.sigma, w, slabs, n_iters, on_row=hand_off if routes else None
+            geom, config.sigma, _homogeneous_rows(geom, config.init), slabs, n_iters,
+            on_row=hand_off if routes else None,
         )
         for i, r in enumerate(batch):
             deltas[r] = _delta_history(levels[i])[0]
@@ -796,11 +954,11 @@ def uniqueness_probe(config, perturbation):
     3x the larger achieved stopping threshold passes.
     """
     geom = build_geometry(config)
-    w = _homogeneous_values(geom, config.init)
+    offset = np.zeros((2, geom.n_fft))
     if callable(perturbation):
-        bump = _eval_on(perturbation, geom.x_grid)[None, :]
+        offset[1] = _eval_on(perturbation, geom.x_grid)
     else:
-        bump = float(perturbation)
+        offset[1] = float(perturbation)
     n_iters, core = config.max_iters, geom.core
     # gaps[m, n] = sup over rows and the core of |u_a^m - u_b^n|
     gaps = np.zeros((n_iters + 1, n_iters + 1))
@@ -810,8 +968,9 @@ def uniqueness_probe(config, perturbation):
         np.maximum(gaps, np.max(np.abs(a - b), axis=-1), out=gaps)
 
     levels = _picard_levels(
-        geom, config.sigma, w, _noise_rows(geom, config.seed, [config.realization]), n_iters,
-        start=np.stack([w, w + bump]), on_row=pair_gaps,
+        geom, config.sigma, _homogeneous_rows(geom, config.init),
+        _noise_rows(geom, config.seed, [config.realization]), n_iters,
+        offset=offset, on_row=pair_gaps,
     )
     d_a, ok_a = _delta_history(levels[0], config.tol)
     d_b, ok_b = _delta_history(levels[1], config.tol)

@@ -1,12 +1,16 @@
-"""Gather whole fields that the library hands out piece by piece.
+"""Gather whole fields that the library hands out piece by piece, and
+build faulty copies of its loops.
 
 The exact-law samplers never keep a whole ensemble: they hand each chunk of
 realizations to their collectors, and ``gather`` joins every chunk in
 realization order.  solve_ensemble hands each row of the Picard iterates
 to the collectors that declare it, and ``FinalIterates`` declares every row
-to keep each realization's final iterate whole.
+to keep each realization's final iterate whole.  ``faulty_copy`` rebuilds a
+library function with one piece of its source replaced, for fault tests.
 """
 
+import inspect
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -43,3 +47,13 @@ class FinalIterates:
     @property
     def fields(self):
         return [self._fields[r] for r in sorted(self._fields)]
+
+
+def faulty_copy(fn, old, new):
+    """A copy of the module-level function fn with the one occurrence of the
+    source text old replaced by new, run in a copy of fn's module namespace."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(src.replace(old, new), namespace)
+    return namespace[fn.__name__]

@@ -14,6 +14,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from sampled import faulty_copy
 
 from fracspde.cli import main
 from fracspde.config import (
@@ -439,19 +440,14 @@ class TestPicardCommand:
     def test_residual_check_catches_a_faulty_sweep(
         self, tmp_path, monkeypatch, capsys, equation, fault
     ):
-        # a sweep whose slab weight is 1% high, or whose stochastic term
-        # lags one slab, is no fixed point of picard_step
-        sweep = fracspde.picard._sweep
-
-        def faulty(geom, sigma, w, eta):
-            noise = sweep(geom, sigma, w, eta) - w
-            if fault == "weight":
-                return w + 1.01 * noise
-            lagged = np.zeros_like(noise)
-            lagged[1:] = noise[:-1]
-            return w + lagged
-
-        monkeypatch.setattr(fracspde.picard, "_sweep", faulty)
+        # a streamed sweep whose stochastic term is 1% high, or whose row
+        # j + 1 is fed by slab j - 1, is no fixed point of picard_step
+        old, new = {
+            "weight": ("np.fft.irfft(add(", "1.01 * np.fft.irfft(add("),
+            "slab": ("sigma(rows[i, 1]) * eta[i]", "sigma(rows[i, 1]) * eta[i - 1]"),
+        }[fault]
+        faulty = faulty_copy(fracspde.picard._sweep_rows, old, new)
+        monkeypatch.setattr(fracspde.picard, "_sweep_rows", faulty)
         out = tmp_path / "single"
         assert main(self.run_args(out, ["--equation", equation])) == 2
         assert "FAIL picard-fixed-point-residual" in capsys.readouterr().out

@@ -113,6 +113,8 @@ UNREFERENCED_ALLOWLIST = {
     "gronwall.recurrence_check": "the Gronwall hypothesis check; waits on the moment ledger",
     "picard.uniqueness_probe": "the paper's pathwise uniqueness, probed from two starts",
     "picard.homogeneous_term": "the benchmark's fixed-point gate rebuilds a solve with it",
+    "picard.noise_slabs": "the benchmark's fixed-point gate rebuilds a solve with it",
+    "picard.picard_step": "the Picard map itself; the benchmark's fixed-point gate applies it",
 }
 
 

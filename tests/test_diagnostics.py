@@ -32,6 +32,7 @@ from fracspde.diagnostics import (
     vn_wn_diagnostics,
 )
 from fracspde.kernels import F_ab, fourier_moment
+from fracspde import picard
 from fracspde.picard import (
     AffineSigma,
     PicardConfig,
@@ -163,6 +164,11 @@ def dense_seminorm(diff, geom, n_t=32, n_x=128, pairs=True):
     zs = diff[g.t_idx][:, g.z_idx]
     pair = (ys[:, :, None] - zs[:, None, :]) ** 2 if pairs else np.zeros(ys.shape + zs.shape[1:])
     return math.sqrt(dense_w_curve(pair, ys**2, zs**2, geom, g).max())
+
+
+def seminorm_rows(diff, geom, n_t=32, n_x=128):
+    """The rows of a whole field difference that pathwise_x2_seminorm reads."""
+    return diff[make_diagnostic_grids(geom, n_t=n_t, n_x=n_x).t_idx]
 
 
 class TestJPowerForms:
@@ -403,19 +409,21 @@ class TestPathwiseSeminorm:
         res = solve(cfg)
         d = res.field.values - homogeneous_term(cfg).values
         for n_t, n_x in ((8, 32), (32, 128)):
-            assert pathwise_x2_seminorm(d, res.geometry, n_t=n_t, n_x=n_x) == pytest.approx(
+            rows = seminorm_rows(d, res.geometry, n_t=n_t, n_x=n_x)
+            assert pathwise_x2_seminorm(rows, res.geometry, n_t=n_t, n_x=n_x) == pytest.approx(
                 dense_seminorm(d, res.geometry, n_t=n_t, n_x=n_x), rel=1e-12)
 
     def test_default_heat_geometry_matches_dense_oracle(self, default_heat_difference):
         d, geom = default_heat_difference
-        assert pathwise_x2_seminorm(d, geom) == pytest.approx(dense_seminorm(d, geom), rel=1e-12)
+        got = pathwise_x2_seminorm(seminorm_rows(d, geom), geom)
+        assert got == pytest.approx(dense_seminorm(d, geom), rel=1e-12)
 
     def test_default_heat_geometry_memory(self, default_heat_difference):
         # the dense pair tensor alone would take 32 x 491 x 1024 doubles
         d, geom = default_heat_difference
         tracemalloc.start()
         try:
-            pathwise_x2_seminorm(d, geom)
+            pathwise_x2_seminorm(seminorm_rows(d, geom), geom)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -425,23 +433,39 @@ class TestPathwiseSeminorm:
         geom = build_geometry(heat_config())
         t = geom.dt * np.arange(geom.n_steps + 1)
         flat = np.repeat((1.0 + t)[:, None], geom.n_fft, axis=1)
-        got = pathwise_x2_seminorm(flat, geom, n_t=16, n_x=64)
+        got = pathwise_x2_seminorm(seminorm_rows(flat, geom, 16, 64), geom, n_t=16, n_x=64)
         assert np.isfinite(got) and got > 0.0
         assert got == pytest.approx(dense_seminorm(flat, geom, n_t=16, n_x=64, pairs=False),
                                     rel=1e-12)
 
     def test_zero_difference(self):
         geom = build_geometry(wave_config())
-        zero = np.zeros((geom.n_steps + 1, geom.n_fft))
+        zero = np.zeros((make_diagnostic_grids(geom, n_t=8, n_x=32).t_idx.size, geom.n_fft))
         assert pathwise_x2_seminorm(zero, geom, n_t=8, n_x=32) == 0.0
+
+    def test_rejects_rows_other_than_its_grid_rows(self):
+        # the whole field difference is not the seminorm's rows
+        geom = build_geometry(wave_config())
+        with pytest.raises(ValueError, match="rows must have shape"):
+            pathwise_x2_seminorm(np.zeros((geom.n_steps + 1, geom.n_fft)), geom, n_t=8, n_x=32)
+
+    def test_pair_weights_are_the_broadcast_formula(self):
+        # the in-place weights are bit for bit the broadcast expression
+        geom = build_geometry(heat_config())
+        g = make_diagnostic_grids(geom)
+        gap = np.abs(g.y[:, None] - g.z[None, :])
+        with np.errstate(divide="ignore"):
+            expected = gap ** (2.0 * geom.h - 2.0) * g.dx_thin
+        expected[gap < 0.5 * g.dx_thin] = 0.0
+        np.testing.assert_array_equal(_pair_weight_matrix(g.y, g.z, geom.h, g.dx_thin), expected)
 
     def test_finite_and_refinement_stable(self):
         cfg = wave_config(max_iters=10, tol=1e-4)
         res = solve(cfg)
         geom = res.geometry
         d = res.field.values - homogeneous_term(cfg).values
-        coarse = pathwise_x2_seminorm(d, geom, n_t=8, n_x=32)
-        fine = pathwise_x2_seminorm(d, geom, n_t=16, n_x=64)
+        coarse = pathwise_x2_seminorm(seminorm_rows(d, geom, 8, 32), geom, n_t=8, n_x=32)
+        fine = pathwise_x2_seminorm(seminorm_rows(d, geom, 16, 64), geom, n_t=16, n_x=64)
         assert 0.0 < coarse < np.inf
         assert 0.8 < fine / coarse < 1.25
 
@@ -467,6 +491,19 @@ class TestIterateSecondMoments:
         # settles, so consecutive iterates stay within a factor 2
         for n in range(3, 5):
             assert sups[n + 1] <= 2.0 * sups[n]
+
+    @pytest.mark.parametrize("collector", [VnWnCollector, IterateSecondMomentCollector])
+    def test_more_iterations_than_the_ensemble_runs_is_refused(self, monkeypatch, collector):
+        # the mismatch is named, with both counts, before any row is built
+        cfg = wave_config(n_steps=8)
+        coll = collector(build_geometry(cfg), n_iters=3)
+
+        def no_rows(*args, **kwargs):
+            pytest.fail("a row was built")
+
+        monkeypatch.setattr(picard, "_picard_levels", no_rows)
+        with pytest.raises(ValueError, match="reads 3 Picard iterations, but the ensemble runs 2"):
+            solve_ensemble(cfg, 2, n_iters=2, collectors=(coll,))
 
     def test_empty_collector_rejected(self):
         cfg = wave_config()

@@ -11,17 +11,15 @@ checked both as an exact lattice sum and by Monte Carlo over
 solve_ensemble.
 """
 
-import inspect
 import itertools
 import math
-import textwrap
 import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from sampled import FinalIterates
+from sampled import FinalIterates, faulty_copy
 from scipy.integrate import cumulative_trapezoid
 
 from fracspde.constants import c_H
@@ -37,10 +35,12 @@ from fracspde.picard import (
     _band_field,
     _core_delta,
     _delta_history,
+    _homogeneous_rows,
     _homogeneous_values,
     _picard_levels,
     _slab_sums,
-    _sweep,
+    _stochastic_blocks,
+    _sweep_rows,
     _trapezoid_antiderivative,
     build_geometry,
     constant_initial,
@@ -223,7 +223,51 @@ class TestGeometry:
             assert geom.xi_cut * geom.dx <= math.pi * (1.0 + 1e-12)
 
 
+def whole_array_homogeneous(geom, init):
+    """The homogeneous term formed on whole (n_steps + 1, n_fft) arrays:
+    d'Alembert on the space-time grid for wave, one table of heat decays
+    for heat."""
+    t_col = geom.t_grid[:, None]
+    if geom.equation == "wave":
+        xp = geom.x_grid[None, :] + t_col
+        xm = geom.x_grid[None, :] - t_col
+        w = 0.5 * (init.u0(xp.ravel()) + init.u0(xm.ravel())).reshape(xp.shape)
+        if init.v0 is not None:
+            step = geom.dx / 4.0
+            lo = geom.x0 - geom.T - 2.0 * step
+            hi = geom.x_grid[-1] + geom.T + 2.0 * step
+            fine = np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1)
+            v_anti = np.concatenate([[0.0], cumulative_trapezoid(init.v0(fine), fine)])
+            w += 0.5 * (np.interp(xp, fine, v_anti) - np.interp(xm, fine, v_anti))
+        return w
+    u0 = init.u0(geom.x_grid)
+    decay = np.exp(-0.5 * t_col * geom.omega_r[None, :] ** 2)
+    w = np.fft.irfft(decay * np.fft.rfft(u0)[None, :], n=geom.n_fft, axis=1)
+    w[0] = u0
+    return w
+
+
+HOMOGENEOUS_DATA = {
+    "const": constant_initial(0.7),
+    "holder-sample": sampled_holder_initial(0.3, 5),
+    "v0": InitialData(
+        u0=sampled_holder_initial(0.3, 5).u0, v0=lambda x: 0.7 + np.sin(3.0 * x)
+    ),
+}
+
+
 class TestHomogeneous:
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    @pytest.mark.parametrize("datum", list(HOMOGENEOUS_DATA))
+    @pytest.mark.parametrize("chunk", [1, 16])
+    def test_rows_are_the_whole_array_term(self, monkeypatch, equation, datum, chunk):
+        # row by row, w is bit for bit the term formed on whole arrays
+        monkeypatch.setattr(picard, "NOISE_CHUNK", chunk)
+        init = HOMOGENEOUS_DATA[datum]
+        geom = build_geometry(small_config(equation, init=init))
+        rows = np.stack(list(_homogeneous_rows(geom, init)))
+        np.testing.assert_array_equal(rows, whole_array_homogeneous(geom, init))
+
     def test_constant_datum_is_stationary(self):
         for equation in ("wave", "heat"):
             w = homogeneous_term(small_config(equation, init=constant_initial(3.0)))
@@ -410,15 +454,30 @@ def iterate(geom, sigma, w, eta, max_iters, tol=None):
     _delta_history's rule: (the iterate where it stopped, its deltas, whether
     the rule stopped it).  Levels up to n do not depend on the levels above,
     so the stopping iterate is the final level of an engine run to n."""
-    levels = _picard_levels(geom, sigma, w, eta[:, None], max_iters)
+    levels = _picard_levels(geom, sigma, iter(w), eta[:, None], max_iters)
     deltas, converged = _delta_history(levels[0], tol)
     field = np.empty_like(w)
 
     def keep(j, rows):
         field[j] = rows[0, -1]
 
-    _picard_levels(geom, sigma, w, eta[:, None], len(deltas), on_row=keep)
+    _picard_levels(geom, sigma, iter(w), eta[:, None], len(deltas), on_row=keep)
     return field, deltas, converged
+
+
+def sweep(geom, sigma, w, eta):
+    """The streamed sweep on the given rows of w and noise slabs: every row
+    of its fixed point u."""
+    u = np.empty_like(w)
+
+    class EveryRow:
+        t_idx = np.arange(geom.n_steps + 1)
+
+        def observe(self, r, k, levels):
+            u[k] = levels[1]
+
+    _sweep_rows(geom, sigma, iter(w), iter(eta[:, None]), (EveryRow(),))
+    return u
 
 
 def default_config(equation, **settings):
@@ -440,7 +499,7 @@ class TestSolve:
         # row j + 1 of a Picard step reads rows 0..j, so u^n is exact on rows 0..n
         cfg = small_config(equation)
         geom, w, eta = draw(cfg)
-        fixed = _sweep(geom, cfg.sigma, w, eta)
+        fixed = sweep(geom, cfg.sigma, w, eta)
         scale = float(np.max(np.abs(fixed)))
         u = w
         for n in range(1, 6):
@@ -450,6 +509,39 @@ class TestSolve:
         assert len(deltas) == cfg.max_iters
         gap = float(np.max(np.abs((u - fixed)[:, geom.core])))
         assert gap <= cfg.tol * float(np.max(np.abs((fixed - w)[:, geom.core])))
+
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    def test_any_split_into_blocks_is_one_block(self, equation):
+        # the residual's chunks carry the running sums: bit for bit picard_step
+        cfg = small_config(equation)
+        geom, w, eta = draw(cfg)
+        p_hat = np.fft.rfft(cfg.sigma(w[:-1]) * eta, axis=1)
+        whole = _stochastic_blocks(geom)(p_hat)
+        term = _stochastic_blocks(geom)
+        split = [term(p_hat[a:b]) for a, b in ((0, 1), (1, 17), (17, 20), (20, geom.n_steps))]
+        np.testing.assert_array_equal(np.concatenate(split), whole)
+
+    def test_consumers_see_rows_of_w_and_u(self):
+        # with consumers, solve keeps no field and hands out the rows it
+        # would keep: levels[0] of w and levels[1] of u
+        cfg = small_config("heat")
+        full = solve(cfg)
+        seen = {}
+
+        class Spy:
+            t_idx = (0, 5, -1)
+
+            def observe(self, r, k, levels):
+                seen[k] = (r, levels.copy())
+
+        res = solve(cfg, consumers=(Spy(),))
+        assert res.field is None and res.homogeneous is None
+        assert (res.residual, res.stopping_threshold) == (full.residual, full.stopping_threshold)
+        for k, j in enumerate((0, 5, cfg.n_steps)):
+            r, levels = seen[k]
+            assert r == 0
+            np.testing.assert_array_equal(levels[0], full.homogeneous[j])
+            np.testing.assert_array_equal(levels[1], full.field.values[j])
 
     def test_reproducible(self):
         a = solve(small_config())
@@ -717,15 +809,6 @@ def assert_same_run(got, expected):
 SPY_ROWS = (0, 5, -1)
 
 
-def faulty_engine(old, new):
-    """A copy of the iterate engine with one piece of source replaced."""
-    src = textwrap.dedent(inspect.getsource(picard._picard_levels))
-    assert src.count(old) == 1
-    namespace = dict(vars(picard))
-    exec(src.replace(old, new), namespace)
-    return namespace["_picard_levels"]
-
-
 class TestEngine:
     """The iterate engine behind solve_ensemble and uniqueness_probe: bit
     for bit the chained picard_step calls, whatever the batching."""
@@ -772,7 +855,7 @@ class TestEngine:
         # level n + 1 built from itself instead of from level n
         cfg = small_config()
         expected = chained_steps(cfg, 2, 3, SPY_ROWS)
-        faulty = faulty_engine("sigma(rows[:, :-1])", "sigma(rows[:, 1:])")
+        faulty = faulty_copy(picard._picard_levels, "sigma(rows[:, :-1])", "sigma(rows[:, 1:])")
         monkeypatch.setattr(picard, "_picard_levels", faulty)
         deltas, finals, rows, firsts = engine_run(cfg, 2, 3, SPY_ROWS)
         assert not np.array_equal(deltas, expected[0])
@@ -821,6 +904,48 @@ class TestEngine:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + field_bytes / 2
+
+
+class TestMemoryIsFlatInSteps:
+    """At a fixed n_fft, doubling n_steps leaves the tracemalloc peaks of a
+    single `picard` run and of solve_ensemble where they were: no solver
+    path holds an array that grows with n_steps."""
+
+    @staticmethod
+    def peaks(run):
+        out = []
+        for dt in (1.0 / 512, 1.0 / 1024):
+            run(dt)
+            tracemalloc.start()
+            try:
+                run(dt)
+                out.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return out
+
+    @staticmethod
+    def field_bytes(equation):
+        # the whole field at the smaller n_steps
+        geom = build_geometry(default_config(equation, T=0.25, dx=1.0 / 128, dt=1.0 / 512))
+        return (geom.n_steps + 1) * geom.n_fft * 8
+
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    def test_single_picard_run(self, equation, tmp_path):
+        def run(dt):
+            args = ["picard", "--equation", equation, "--T", "0.25", "--dx", "0.0078125"]
+            assert cli.main(args + ["--dt", repr(dt), "--out", str(tmp_path)]) == 0
+
+        small, large = self.peaks(run)
+        assert large < small + self.field_bytes(equation) / 8
+
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    def test_ensemble(self, equation):
+        def run(dt):
+            solve_ensemble(default_config(equation, T=0.25, dx=1.0 / 128, dt=dt), 4, n_iters=2)
+
+        small, large = self.peaks(run)
+        assert large < small + self.field_bytes(equation) / 8
 
 
 def exact_first_increment_variance(geom, t):
@@ -887,7 +1012,7 @@ def impulse_response(geom, band=None):
     z = np.zeros((geom.n_steps, geom.n_bands), dtype=complex)
     z[0, slice(None) if band is None else band] = 1.0
     eta = _band_field(geom, z)
-    u = _sweep(geom, AffineSigma(0.0, 1.0), np.zeros((geom.n_steps + 1, geom.n_fft)), eta)
+    u = sweep(geom, AffineSigma(0.0, 1.0), np.zeros((geom.n_steps + 1, geom.n_fft)), eta)
     # the irfft half spectrum that _band_field gives a unit draw: (-1)^k, and 2 at k = 0
     half = (-1.0) ** np.arange(geom.n_bands)
     half[0] = 2.0
