@@ -8,7 +8,9 @@ The solver layers are timed for each equation (wave and heat) at each
 dt = dx of --dx (default 1/256 and 1/1024), with every other setting at the
 SimulationConfig default.  Each (equation, dx) case runs in a fresh process
 and times, in order: the RNG draw of the slab increments, the lattice
-transform ``picard._band_field``, the homogeneous term, one
+transform ``picard._band_field``, the homogeneous term, the per-slab update
+``picard._slab_sums`` of one iterate-engine batch (ENGINE_BATCH
+realizations times the default Picard iteration count) over all slabs, one
 ``picard_step``, the causal sweep, a full ``solve`` and ``solve_ensemble``
 of ENSEMBLE_REALIZATIONS realizations at the default Picard iteration
 count.  The sweep is the streamed ``picard._sweep_rows``, its chunked
@@ -45,7 +47,9 @@ import tracemalloc
 SCHEMA = "fracspde-bench-layers/1"
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 5
-LAYERS = ("rng_draw", "band_field", "homogeneous", "picard_step", "sweep", "solve", "ensemble")
+LAYERS = (
+    "rng_draw", "band_field", "homogeneous", "slab_sums", "picard_step", "sweep", "solve", "ensemble",
+)
 ENSEMBLE_REALIZATIONS = 8
 # each command with the arguments it is timed at; () is its defaults
 COMMANDS = {
@@ -96,6 +100,8 @@ def _timed(fn):
 
 def time_case(equation, dx):
     """The solver layers of one (equation, dt = dx) case, in this process."""
+    import numpy as np
+
     from fracspde import picard
     from fracspde.config import from_mapping, to_picard_config
     from fracspde.noise import keyed_rng, spectral_increments
@@ -115,6 +121,18 @@ def time_case(equation, dx):
         "solve": lambda: picard.solve(cfg),
         "ensemble": lambda: picard.solve_ensemble(cfg, ENSEMBLE_REALIZATIONS),
     }
+    if hasattr(picard, "ENGINE_BATCH"):
+        # every slab feeds the same transformed integrand: the update's cost
+        # does not depend on its values
+        batch = (picard.ENGINE_BATCH, cfg.max_iters)
+        p_hat = np.fft.rfft(np.broadcast_to(eta[0], batch + eta[0].shape), axis=-1)
+
+        def slab_sums():
+            add = picard._slab_sums(geom, batch)
+            for j in range(geom.n_steps):
+                add(j, p_hat)
+
+        calls["slab_sums"] = slab_sums
     if hasattr(picard, "_sweep_rows"):
         calls["sweep"] = lambda: picard._sweep_rows(geom, cfg.sigma, iter(w), iter(eta[:, None]))
     elif hasattr(picard, "_sweep"):

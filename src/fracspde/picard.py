@@ -29,7 +29,12 @@ goes to consumers that declare it, so no solver path holds an array that
 grows with n_steps unless a consumer keeps one (``solve`` does so by
 default).  The sweep, the engine and ``picard_step`` form the same spectral
 sums (``_slab_sums``), so the engine's iterates are bit for bit those of
-chained ``picard_step`` calls.  ``picard_step`` is one block of
+chained ``picard_step`` calls.  The row kernels run in place: a row, a
+level buffer or a slab sum handed out is valid until the next row or the
+next slab added, so whoever keeps one copies it.  Every route divides the
+wave symbol by w with the same reciprocal multiply (``_reciprocal``),
+which gives numpy's complex quotient bit for bit on every finite entry,
+up to the sign of a zero part.  ``picard_step`` is one block of
 ``_stochastic_blocks``, the whole-array route that the sweep applies to
 each noise chunk, with its running sums carried, for its residual; that
 route stays independent of the sweep and the engine.
@@ -523,6 +528,22 @@ def _noise_rows(geom, seed, realizations):
     return _rows_by_chunks(geom.n_steps, slabs)
 
 
+def _reciprocal(omega):
+    """1 / omega, with 1 in the w = 0 slot, whose symbol is set apart.
+
+    Numpy divides a complex z by a real w > 0 as the complex w + 0i, which
+    gives ((z.real + z.imag * 0) + i (z.imag - z.real * 0)) * (1 / w).  So
+    z times this reciprocal is that quotient bit for bit wherever z is
+    finite; only the sign of a zero part and non-finite entries may differ.
+    On a (4, 12, 513) batch of sums, one multiply of the whole contiguous
+    array took a quarter of the time of the division, and half that of a
+    multiply of the slice past slot 0.
+    """
+    inv = np.ones_like(omega)
+    inv[1:] = 1.0 / omega[1:]
+    return inv
+
+
 def _slab_sums(geom, batch=()):
     """The per-slab update of the stochastic term, in rfft space.
 
@@ -543,9 +564,16 @@ def _slab_sums(geom, batch=()):
     c = sqrt((1 - exp(-dt w^2)) / (dt w^2)) (c = 1 at w = 0), which gives
     each slab its exact variance int_0^dt exp(-s w^2) ds instead of the far
     end's dt exp(-dt w^2).
+
+    The update runs in place: add returns one buffer of the sums, the same
+    array at every call, valid until the next call (copy what is kept), and
+    p_hat is only read.  The wave symbol is divided by w by a multiply with
+    ``_reciprocal(w)``, which is numpy's complex quotient on every finite
+    entry, up to the sign of a zero part.
     """
     omega, dt = geom.omega_r, geom.dt
     shape = tuple(batch) + (omega.size,)
+    scratch = np.empty(shape, dtype=complex)
     if geom.equation == "heat":
         x = dt * omega**2
         decay = np.exp(-0.5 * x)
@@ -555,7 +583,9 @@ def _slab_sums(geom, batch=()):
 
         def add(j, p_hat):
             nonlocal running
-            running = decay * running + weight * p_hat
+            # running = decay * running + weight * p_hat, in place
+            running *= decay
+            running += np.multiply(p_hat, weight, out=scratch)
             return running
 
         return add
@@ -566,18 +596,21 @@ def _slab_sums(geom, batch=()):
 
     trig_rows = _rows_by_chunks(geom.n_steps + 1, trig)
     cos_j, sin_j = next(trig_rows)
+    inv = _reciprocal(omega)
     a_run = np.zeros(shape, dtype=complex)
     b_run = np.zeros(shape, dtype=complex)
+    sym = np.empty(shape, dtype=complex)
     s0 = np.zeros(shape[:-1], dtype=complex)
     s1 = np.zeros(shape[:-1], dtype=complex)
 
     def add(j, p_hat):
-        nonlocal a_run, b_run, s0, s1, cos_j, sin_j
+        nonlocal a_run, b_run, sym, s0, s1, cos_j, sin_j
         cos_next, sin_next = next(trig_rows)
-        a_run += cos_j * p_hat
-        b_run += sin_j * p_hat
-        sym = sin_next * a_run - cos_next * b_run
-        sym[..., 1:] /= omega[1:]
+        a_run += np.multiply(p_hat, cos_j, out=scratch)
+        b_run += np.multiply(p_hat, sin_j, out=scratch)
+        np.multiply(a_run, sin_next, out=sym)
+        sym -= np.multiply(b_run, cos_next, out=scratch)
+        sym *= inv
         s0 += p_hat[..., 0]
         s1 += (dt * j) * p_hat[..., 0]
         sym[..., 0] = (dt * (j + 1)) * s0 - s1
@@ -618,6 +651,7 @@ def _stochastic_blocks(geom):
 
         return term
 
+    inv = _reciprocal(omega)
     carry = None  # the last a, b, s0 and s1 sums of the block before
 
     def running(x, k):
@@ -640,7 +674,7 @@ def _stochastic_blocks(geom):
         a_run, b_run, s0, s1 = sums
         carry = tuple(x[-1].copy() for x in sums)
         sym = sin_t[1:] * a_run - cos_t[1:] * b_run
-        sym[:, 1:] /= omega[1:]
+        sym *= inv
         sym[:, 0] = t[1:] * s0 - s1
         j0 += p_hat.shape[0]
         return np.fft.irfft(sym, n=n_fft, axis=1)
@@ -765,10 +799,11 @@ class _EveryRow:
         self.values[:, k] = levels
 
 
-# Realizations per pass of the iterate engine.  4 was fastest for
-# `picard --ensemble 64` at the wave defaults on one and on two threads:
-# smaller batches spend more of the pass in short numpy calls that hold the
-# interpreter lock, larger ones fall out of cache.
+# Realizations per pass of the iterate engine.  For `picard --ensemble 64`
+# at the wave defaults (medians of 5 runs, 2-vCPU x86-64), 4 took 1.56 s on
+# one thread and 0.95 s on two; 2 took 1.61 and 1.14 s, spending more of the
+# pass in short numpy calls that hold the interpreter lock; 8 took 1.60 and
+# 0.94 s, no faster, and its buffers raised the peak RSS from 50 to 61 MB.
 ENGINE_BATCH = 4
 
 
@@ -783,14 +818,19 @@ def _picard_levels(geom, sigma, w_rows, slabs, n_iters, offset=None, on_row=None
     1..n_iters.  The floating point operations are those of n_iters
     chained picard_step calls, so every number is bit for bit theirs.
     State is the current row of each level, shape (R, n_iters + 1, n_fft),
-    plus the running sums; nothing grows with n_steps.
+    plus the running sums; nothing grows with n_steps.  The row kernel
+    makes no temporary of the levels' size: sigma(levels) * eta_j, its
+    rfft, the irfft into the rows and the core differences go into buffers
+    made once per call, and the sums of ``_slab_sums`` are updated in
+    place (its returned buffer is read before the next slab is added).
 
     w_rows yields the rows of w for j = 0..n_steps in order (as
     ``_homogeneous_rows`` does), and slabs the noise slab eta_j for
     j = 0..n_steps-1, shape (R, n_fft) with one row per realization, or
     (1, n_fft) for a draw the batch shares (as ``_noise_rows`` yields them).
     Level 0 is w, or w + offset[r] when offset (shape (R, n_fft)) is given;
-    R is the number of offsets then, else of noise rows.
+    R is the number of offsets then, else of noise rows.  sigma is an
+    AffineSigma, applied in place through its a and b.
     on_row(j, rows), when given, sees row j of every level as soon as it is
     built: rows[r, n] is row j of u^n for draw r.  rows is the engine's
     buffer and is overwritten at the next row, so on_row copies what it
@@ -804,6 +844,11 @@ def _picard_levels(geom, sigma, w_rows, slabs, n_iters, offset=None, on_row=None
     core = geom.core
     add = _slab_sums(geom, (n_real, n_iters))
     rows = np.empty((n_real, n_iters + 1, n_fft))
+    q = np.empty((n_real, n_iters, n_fft))
+    p_hat = np.empty((n_real, n_iters, n_fft // 2 + 1), dtype=complex)
+    # the core differences of the levels, in q's memory: q is rewritten
+    # only after the deltas have been read
+    core_diff = q[..., core]
     deltas = np.zeros((n_real, n_iters))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_steps + 1):
@@ -812,16 +857,20 @@ def _picard_levels(geom, sigma, w_rows, slabs, n_iters, offset=None, on_row=None
             if j == 0:
                 rows[:, 1:] = w_j
             else:
-                np.add(w_j, np.fft.irfft(sym, n=n_fft, axis=-1), out=rows[:, 1:])
-            core_diff = rows[:, 1:, core] - rows[:, :-1, core]
-            np.maximum(deltas, np.max(np.abs(core_diff), axis=-1), out=deltas)
+                np.fft.irfft(sym, n=n_fft, axis=-1, out=rows[:, 1:])
+                rows[:, 1:] += w_j
+            np.subtract(rows[:, 1:, core], rows[:, :-1, core], out=core_diff)
+            np.maximum(deltas, np.max(np.abs(core_diff, out=core_diff), axis=-1), out=deltas)
             if on_row is not None:
                 on_row(j, rows)
             if j < n_steps:
                 if j > 0:
                     eta = next(slabs)
-                q = sigma(rows[:, :-1]) * eta[:, None, :]
-                sym = add(j, np.fft.rfft(q, axis=-1))
+                # q = sigma(levels 0..n_iters-1) * eta_j, in place
+                np.multiply(sigma.a, rows[:, :-1], out=q)
+                q += sigma.b
+                q *= eta[:, None, :]
+                sym = add(j, np.fft.rfft(q, axis=-1, out=p_hat))
     return deltas
 
 

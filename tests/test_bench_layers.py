@@ -31,7 +31,8 @@ def test_layers_script_writes_its_schema(tmp_path):
     for case in result["solver"]:
         assert case["n_steps"] == 8 and case["maxrss_mb"] > 0.0
         assert list(case["layers"]) == [
-            "rng_draw", "band_field", "homogeneous", "picard_step", "sweep", "solve", "ensemble",
+            "rng_draw", "band_field", "homogeneous", "slab_sums", "picard_step", "sweep", "solve",
+            "ensemble",
         ]
         for layer in case["layers"].values():
             assert len(layer["times_s"]) == result["repeats"]

@@ -5,12 +5,13 @@ polynomial and lattice-trigonometric data, an O(n^2) per-pair spectral
 convolution reimplementation for the stochastic term, bitwise structural
 identities of the affine iteration (zero noise, a = 0 stationarity,
 scaling, additive shift), the sweep as the exact fixed point of a Picard
-step, the exact Ornstein-Uhlenbeck law of each heat band under additive
-noise, and the closed-form variance of the first stochastic increment,
-checked both as an exact lattice sum and by Monte Carlo over
-solve_ensemble.
+step, recorded bytes of small solves, the exact Ornstein-Uhlenbeck law of
+each heat band under additive noise, and the closed-form variance of the
+first stochastic increment, checked both as an exact lattice sum and by
+Monte Carlo over solve_ensemble.
 """
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -406,14 +407,15 @@ class TestPicardStep:
 
     def test_wave_sums_equal_the_slab_update(self):
         # picard_step's whole-array wave sums are the sweep's slab-by-slab
-        # update, bit for bit
+        # update, bit for bit; add returns its one buffer, so each row is
+        # copied
         cfg = small_config()
         geom = build_geometry(cfg)
         w = homogeneous_term(cfg).values
         eta = noise_slabs(geom, seed=4)
         p_hat = np.fft.rfft(cfg.sigma(w[:-1]) * eta, axis=1)
         add = _slab_sums(geom)
-        sym = np.array([add(j, p_hat[j]) for j in range(geom.n_steps)])
+        sym = np.array([add(j, p_hat[j]).copy() for j in range(geom.n_steps)])
         expected = w.copy()
         expected[1:] += np.fft.irfft(sym, n=geom.n_fft, axis=1)
         np.testing.assert_array_equal(picard_step(geom, cfg.sigma, w, eta, w), expected)
@@ -855,7 +857,11 @@ class TestEngine:
         # level n + 1 built from itself instead of from level n
         cfg = small_config()
         expected = chained_steps(cfg, 2, 3, SPY_ROWS)
-        faulty = faulty_copy(picard._picard_levels, "sigma(rows[:, :-1])", "sigma(rows[:, 1:])")
+        faulty = faulty_copy(
+            picard._picard_levels,
+            "np.multiply(sigma.a, rows[:, :-1], out=q)",
+            "np.multiply(sigma.a, rows[:, 1:], out=q)",
+        )
         monkeypatch.setattr(picard, "_picard_levels", faulty)
         deltas, finals, rows, firsts = engine_run(cfg, 2, 3, SPY_ROWS)
         assert not np.array_equal(deltas, expected[0])
@@ -904,6 +910,81 @@ class TestEngine:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + field_bytes / 2
+
+
+class LevelsEqualW:
+    """A collector that checks, at every row, that each level holds the
+    bytes of level 0 (= w): signed zeros included."""
+
+    def __init__(self, geom):
+        self.t_idx = np.arange(geom.n_steps + 1)
+        self.rows_seen = 0
+
+    def observe(self, r, k, levels):
+        assert levels[1:].tobytes() == np.broadcast_to(levels[0], levels[1:].shape).tobytes()
+        self.rows_seen += 1
+
+
+class TestZeroSigma:
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    def test_levels_are_w_and_deltas_positive_zero(self, equation):
+        # sigma = 0: every stochastic term is a sum of signed zeros, and the
+        # reciprocal of the wave symbol must leave w, and a +0.0 delta, as
+        # they are
+        cfg = small_config(equation, sigma=AffineSigma(0.0, 0.0))
+        spy = LevelsEqualW(build_geometry(cfg))
+        deltas = solve_ensemble(cfg, 5, n_iters=3, collectors=(spy,))
+        assert spy.rows_seen == 5 * (cfg.n_steps + 1)
+        assert np.all(deltas == 0.0) and not np.signbit(deltas).any()
+
+
+def sha256(values):
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+# sha256 of the bytes of solve_ensemble(small_config(equation), 5, n_iters=3)
+# (its deltas and the final iterate of each realization), of solve's field
+# and of one picard_step from w, recorded with numpy 2.4.6 on x86-64
+GOLDEN = {
+    "wave": {
+        "deltas": "1a84ee94eacc5a9de2eb4c064c05bdfb3272357bf826bfd7a64c0d4ebef63c9a",
+        "finals": "cfb1787dcde55867677fbc6b7899f3e6317e0f71618b86b23fb92175af0bf1cd",
+        "solve": "e1c1556343a0561ac6807df64aca0b39774dab60e1c604084b9ee48580de3434",
+        "step": "9e06614367c3ccf15a30697e41a54c98ce3f30adac4b4270751fabd559823e3e",
+    },
+    "heat": {
+        "deltas": "bb716dc79a4ed2d6f852bdebda4e339472352373803256fb8f9a6c9cd1290ade",
+        "finals": "082a96a6d57029b0be69fc693225628511b3fd2cad04b4e3b58ac9b3f7e5a3a5",
+        "solve": "b155e8e5f1c9fc1aec4239069665af6154fdbe7ac61d152d1008a8a44a544340",
+        "step": "5f5d1d4b9a5286bb80e9db4e72e9398494f4087050b9ba2e1b2b7b916227cc48",
+    },
+}
+
+
+@pytest.mark.skipif(
+    np.__version__ != "2.4.6", reason="the pinned bytes are those of numpy 2.4.6's FFT and trig"
+)
+class TestGoldenBits:
+    """The engine, the sweep and picard_step pinned to recorded bytes: the
+    tests that compare one route with another cannot see a change made to
+    all of them at once."""
+
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    def test_ensemble_solve_and_step_keep_their_bytes(self, equation):
+        cfg = small_config(equation)
+        geom = build_geometry(cfg)
+        finals = FinalIterates(geom)
+        deltas = solve_ensemble(cfg, 5, n_iters=3, collectors=(finals,))
+        result = solve(cfg)
+        w = _homogeneous_values(geom, cfg.init)
+        step = picard_step(geom, cfg.sigma, w, noise_slabs(geom, cfg.seed), w)
+        assert {
+            "deltas": sha256(deltas),
+            "finals": sha256(np.stack(finals.fields)),
+            "solve": sha256(result.field.values),
+            "step": sha256(step),
+        } == GOLDEN[equation]
+        assert result.residual == 0.0
 
 
 class TestMemoryIsFlatInSteps:
