@@ -13,11 +13,13 @@ transform ``picard._band_field``, the homogeneous term, the per-slab update
 realizations times the default Picard iteration count) over all slabs, one
 ``picard_step``, the causal sweep, a full ``solve`` and ``solve_ensemble``
 of ENSEMBLE_REALIZATIONS realizations at the default Picard iteration
-count.  The sweep is the streamed ``picard._sweep_rows``, its chunked
-residual included, on the given rows of w and the noise; a checkout that
-predates it times ``picard._sweep`` on whole arrays.  Each CLI command then
-runs at its defaults, each repeat in a fresh process, so its time includes
-the interpreter start and the imports.  ``moments`` refuses a single
+count.  The sweep is the iterate engine ``picard._picard_levels`` in its
+fixed-point mode, with solve's chunked residual (``picard._Residual``)
+reading every row, on the given rows of w and the noise; a checkout that
+predates it times the streamed ``picard._sweep_rows``, and an older one
+``picard._sweep`` on whole arrays.  Each CLI command then runs at its
+defaults, each repeat in a fresh process, so its time includes the
+interpreter start and the imports.  ``moments`` refuses a single
 realization, so it runs as ``moments --ensemble 200 --threads 2``;
 ``picard:ensemble`` is ``picard --ensemble 64 --threads 2`` and
 ``picard:heat-1024`` is a heat ``picard`` at dt = dx = 1/1024 (a COMMANDS
@@ -133,7 +135,17 @@ def time_case(equation, dx):
                 add(j, p_hat)
 
         calls["slab_sums"] = slab_sums
-    if hasattr(picard, "_sweep_rows"):
+    if hasattr(picard, "_Residual"):
+
+        def sweep():
+            check = picard._Residual(geom, cfg.sigma)
+            picard._picard_levels(
+                geom, cfg.sigma, iter(w), check.recorded(eta[:, None]), 1,
+                on_row=lambda j, rows: check.observe(0, j, rows[0]), fixed_point=True,
+            )
+
+        calls["sweep"] = sweep
+    elif hasattr(picard, "_sweep_rows"):
         calls["sweep"] = lambda: picard._sweep_rows(geom, cfg.sigma, iter(w), iter(eta[:, None]))
     elif hasattr(picard, "_sweep"):
         calls["sweep"] = lambda: picard._sweep(geom, cfg.sigma, w, eta)

@@ -1,6 +1,5 @@
 """The mild wave and heat equations with affine noise coefficient: the
-fixed point by one causal sweep, and Picard iteration where the iterates are
-the object.
+fixed point and the Picard iterates, built by one causal row loop.
 
 The mild solution is the fixed point of the Picard map
 
@@ -14,30 +13,26 @@ centred at the nonzero rfft lattice frequencies, with exact spectral mass per
 band, so every kernel application is a pair of FFTs with closed-form symbols.
 Time uses the left-endpoint (Ito) rule: the integrand slice at step i is
 sigma(u(t_i, .)) against the increment of slab [t_i, t_{i+1}).  Under that
-rule row j + 1 of Phi(u) reads only rows 0..j of u, so the lattice fixed
-point is reached exactly by one forward pass over the rows (``solve``).
-The same causality builds the iterates themselves, whose successive
-differences are objects of the paper's proof: the iterate engine
-``_picard_levels`` carries every level u^0..u^N of a batch of draws through
-one forward pass, row j + 1 of u^{n+1} from row j of u^n, and hands each
-row of every level, as it is built, to ``solve_ensemble``'s collectors and
-to ``uniqueness_probe``.
+rule row j + 1 of Phi(u) reads only rows 0..j of u, so the engine
+``_picard_levels`` builds in one forward pass either every level u^0..u^N of
+a batch of draws, row j + 1 of u^{n+1} from row j of u^n (the iterates,
+whose successive differences are objects of the paper's proof), or, with a
+level reading its own rows, the lattice fixed point (``solve``).  It hands
+each row of every level, as it is built, to the consumers that declare it.
 
-Both passes are streamed: w comes row by row (``_homogeneous_rows``), the
-noise NOISE_CHUNK slabs at a time (``_noise_rows``), and each finished row
-goes to consumers that declare it, so no solver path holds an array that
-grows with n_steps unless a consumer keeps one (``solve`` does so by
-default).  The sweep, the engine and ``picard_step`` form the same spectral
-sums (``_slab_sums``), so the engine's iterates are bit for bit those of
-chained ``picard_step`` calls.  The row kernels run in place: a row, a
-level buffer or a slab sum handed out is valid until the next row or the
-next slab added, so whoever keeps one copies it.  Every route divides the
-wave symbol by w with the same reciprocal multiply (``_reciprocal``),
-which gives numpy's complex quotient bit for bit on every finite entry,
-up to the sign of a zero part.  ``picard_step`` is one block of
-``_stochastic_blocks``, the whole-array route that the sweep applies to
-each noise chunk, with its running sums carried, for its residual; that
-route stays independent of the sweep and the engine.
+The pass is streamed (w row by row from ``_homogeneous_rows``, the noise
+NOISE_CHUNK slabs at a time from ``_noise_rows``), so no solver path holds
+an array that grows with n_steps unless a consumer keeps one (``solve``
+does so by default).  The engine and ``picard_step`` form the same
+spectral sums (``_slab_sums``), so the iterates are bit for bit those of
+chained ``picard_step`` calls.  The row kernel runs in place: a row or a
+slab sum handed out is valid until the next one, so whoever keeps one
+copies it.  Every route divides the wave symbol by w with the same
+reciprocal multiply (``_reciprocal``), which gives numpy's complex quotient
+bit for bit on every finite entry, up to the sign of a zero part.
+``picard_step`` is one block of ``_stochastic_blocks``, the whole-array
+route that ``solve``'s residual applies to each noise chunk of the fixed
+point; that route stays independent of the engine.
 The heat slab weight is the exact-variance (accelerated exponential Euler)
 weight, so with sigma = b each heat band follows its exact Ornstein-Uhlenbeck
 law at grid times.
@@ -141,7 +136,7 @@ class InitialData:
     v0: object = None
 
 
-def constant_initial(value, v0_value=0.0, ):
+def constant_initial(value, v0_value=0.0):
     value = float(value)
     v0_value = float(v0_value)
 
@@ -552,9 +547,9 @@ def _slab_sums(geom, batch=()):
     spectrum of the stochastic term at t_{j+1}.  Slabs must come in the
     order j = 0, 1, ....  p_hat_j has shape batch + (n_fft // 2 + 1,): one
     independent set of sums per leading index, each updated exactly as a
-    single one would be.  The sweep and the iterate engine use it for both
-    equations, and picard_step's route for heat; that route forms the wave
-    sums by blocks of slabs, bit for bit the same.
+    single one would be.  The engine uses it for both equations, and
+    picard_step's route for heat; that route forms the wave sums by blocks
+    of slabs, bit for bit the same.
 
     The wave symbol sin(tau w)/w splits over cos(t_j w) and sin(t_j w) into
     running cos/sin sums, with the two moments sum p and sum t_i p in the
@@ -633,8 +628,8 @@ def _stochastic_blocks(geom):
     of ``_slab_sums`` in the same order: heat runs its slab update over the
     block's rows, and the wave sums are cumulative sums over the block,
     seeded with the last sums of the block before, on cos/sin tables of the
-    block's own times.  So this route stays independent of the sweep and
-    the engine, for picard_step and the sweep's residual.
+    block's own times.  So this route stays independent of the engine, for
+    picard_step and solve's residual.
     """
     n_fft, omega, dt = geom.n_fft, geom.omega_r, geom.dt
     j0 = 0
@@ -703,70 +698,67 @@ def picard_step(geom, sigma, u_prev, eta, w):
     return u_next
 
 
-def _routes(geom, consumers):
-    """{row j: [(consumer, k), ...]} for the rows t_idx[k] that each
-    consumer declares (time indices into 0..n_steps, negative ones counting
-    from the end)."""
+def _hand_off(geom, consumers, r0=0):
+    """The engine's on_row for consumers: each declares its rows in t_idx
+    (time indices into 0..n_steps, negative ones counting from the end), and
+    while row j = t_idx[k] is built it sees observe(r0 + i, k, rows[i]) for
+    every draw i of the batch in turn."""
     times = np.arange(geom.n_steps + 1)
     routes = {}
     for consumer in consumers:
         for k, j in enumerate(times[np.asarray(consumer.t_idx, dtype=int)]):
             routes.setdefault(int(j), []).append((consumer, k))
-    return routes
 
-
-def _sweep_rows(geom, sigma, w_rows, slabs, consumers=()):
-    """The fixed point of picard_step by one causal forward pass, streamed,
-    with its residual.
-
-    Row j + 1 of picard_step(u) depends on rows 0..j of u only, so the rows
-    u_{j+1} = w_{j+1} + irfft(add(j, rfft(sigma(u_j) * eta_j))) are built in
-    order from the rows of w (w_rows yields them for j = 0..n_steps) and the
-    noise slabs (slabs yields eta_j for j = 0..n_steps-1, shape (1, n_fft),
-    as ``_noise_rows`` yields them).  Nothing is held whole.  After every
-    NOISE_CHUNK slabs, picard_step's route (``_stochastic_blocks``) is
-    applied to that chunk's rows, with its sums carried from the chunk
-    before, and compared with the rows the pass built: the residual of one
-    more Picard step, 0 up to the rounding of the two routes.
-
-    Each consumer declares its rows in ``t_idx`` and sees
-    consumer.observe(0, k, levels) while row t_idx[k] is built: levels[0] is
-    that row of w and levels[1] that row of u.  levels is the pass's buffer
-    and is overwritten by a later chunk, so a consumer copies what it keeps.
-    Returns (residual, spread): sup over the core of |Phi(u) - u| and of
-    |u - w|, possibly not finite (overflow is left to the caller).
-    """
-    n_steps, n_fft, core = geom.n_steps, geom.n_fft, geom.core
-    routes = _routes(geom, consumers)
-
-    def hand_off(j, levels):
+    def hand_off(j, rows):
         for consumer, k in routes.get(j, ()):
-            consumer.observe(0, k, levels)
+            for i, levels in enumerate(rows):
+                consumer.observe(r0 + i, k, levels)
 
-    add = _slab_sums(geom)
-    stochastic = _stochastic_blocks(geom)
-    # rows[i] holds row j0 + i of w and of u, eta[i] slab j0 + i, for the
-    # chunk of slabs j0..j0 + NOISE_CHUNK - 1
-    rows = np.empty((NOISE_CHUNK + 1, 2, n_fft))
-    eta = np.zeros((NOISE_CHUNK, n_fft))
-    residual = spread = 0.0
-    rows[0] = next(w_rows)
-    hand_off(0, rows[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_steps):
-            i = j % NOISE_CHUNK
-            eta[i] = next(slabs)[0]
-            p_hat = np.fft.rfft(sigma(rows[i, 1]) * eta[i])
-            rows[i + 1, 0] = next(w_rows)
-            np.add(rows[i + 1, 0], np.fft.irfft(add(j, p_hat), n=n_fft), out=rows[i + 1, 1])
-            hand_off(j + 1, rows[i + 1])
-            if i + 1 == NOISE_CHUNK or j + 1 == n_steps:
-                w, u = rows[1 : i + 2, 0], rows[1 : i + 2, 1]
-                phi = w + stochastic(np.fft.rfft(sigma(rows[: i + 1, 1]) * eta[: i + 1], axis=1))
-                residual = np.maximum(residual, np.max(np.abs((phi - u)[:, core])))
-                spread = np.maximum(spread, np.max(np.abs((u - w)[:, core])))
-                rows[0] = rows[i + 1]
-    return float(residual), float(spread)
+    return hand_off
+
+
+class _Residual:
+    """solve's check of its fixed point u: sup over the core of
+    |Phi(u) - u|, the residual of one more Picard step, 0 up to rounding.
+
+    A consumer of every row (levels[0] of w, levels[1] of u).  It holds one
+    NOISE_CHUNK of rows, and of the slabs that built them, which
+    ``recorded`` copies as the engine draws them (itertools.tee would hold
+    up to 57 slab views, each pinning its noise chunk).  On each full chunk,
+    and on the last, it applies picard_step's route ``_stochastic_blocks``
+    (sums carried over chunks) and compares with the rows the engine built.
+    ``value`` is the sup so far, possibly not finite (left to the caller).
+    """
+
+    def __init__(self, geom, sigma):
+        self.t_idx = np.arange(geom.n_steps + 1)
+        self.value = 0.0
+        self._geom, self._sigma = geom, sigma
+        self._stochastic = _stochastic_blocks(geom)
+        # rows[i] holds row j0 + i of w and of u, eta[i] slab j0 + i, for the
+        # chunk of slabs j0..j0 + NOISE_CHUNK - 1
+        self._rows = np.empty((NOISE_CHUNK + 1, 2, geom.n_fft))
+        self._eta = np.zeros((NOISE_CHUNK, geom.n_fft))
+
+    def recorded(self, slabs):
+        """The slabs, each copied into the chunk as it is drawn."""
+        for j, eta in enumerate(slabs):
+            self._eta[j % NOISE_CHUNK] = eta[0]
+            yield eta
+
+    def observe(self, r, k, levels):
+        if k == 0:
+            self._rows[0] = levels
+            return
+        i = (k - 1) % NOISE_CHUNK
+        self._rows[i + 1] = levels
+        if i + 1 == NOISE_CHUNK or k == self._geom.n_steps:
+            rows = self._rows[: i + 2]
+            q_hat = np.fft.rfft(self._sigma(rows[:-1, 1]) * self._eta[: i + 1], axis=1)
+            phi = rows[1:, 0] + self._stochastic(q_hat)
+            gap = np.abs((phi - rows[1:, 1])[:, self._geom.core])
+            self.value = np.maximum(self.value, np.max(gap))
+            self._rows[0] = rows[-1]
 
 
 @dataclass(frozen=True)
@@ -775,9 +767,10 @@ class PicardResult:
     homogeneous term ``homogeneous`` (= w) it was built on.
 
     ``residual`` is sup over the core of |Phi(u*) - u*| for one more Picard
-    step from the sweep's field u*; ``stopping_threshold`` is tol times
-    sup over the core of |u* - w|, the bound that residual must meet.
-    ``field`` and ``homogeneous`` are None when the rows went to consumers.
+    step from the engine's fixed point u*; ``stopping_threshold`` is tol
+    times the engine's delta of u*, sup over the core of |u* - w|, the bound
+    that residual must meet.  ``field`` and ``homogeneous`` are None when
+    the rows went to consumers.
     """
 
     field: SpaceTimeField
@@ -807,16 +800,21 @@ class _EveryRow:
 ENGINE_BATCH = 4
 
 
-def _picard_levels(geom, sigma, w_rows, slabs, n_iters, offset=None, on_row=None):
-    """The Picard iterates u^0..u^n_iters of a batch of noise draws, by one
-    causal pass over the rows.
+def _picard_levels(
+    geom, sigma, w_rows, slabs, n_iters, offset=None, on_row=None, fixed_point=False
+):
+    """The Picard iterates u^0..u^n_iters of a batch of noise draws, or
+    their fixed point: the solver's one causal pass over the rows.
 
     Row j + 1 of u^{n+1} = picard_step(u^n) reads rows 0..j of u^n only, so
     every level advances one row per slab: at row j one batched rfft of
-    sigma(levels 0..n_iters-1) * eta_j feeds the per-level running sums of
+    sigma(source levels) * eta_j feeds the per-level running sums of
     ``_slab_sums``, and one batched irfft gives row j + 1 of levels
-    1..n_iters.  The floating point operations are those of n_iters
-    chained picard_step calls, so every number is bit for bit theirs.
+    1..n_iters.  Level n is the source of level n + 1, so every number is
+    bit for bit that of n_iters chained picard_step calls.  With
+    fixed_point each level is its own source: level 1 is then the lattice
+    fixed point u = picard_step(u), exact in one pass by causality, and its
+    delta is sup |u - w| (``solve`` runs it so, at n_iters = 1).
     State is the current row of each level, shape (R, n_iters + 1, n_fft),
     plus the running sums; nothing grows with n_steps.  The row kernel
     makes no temporary of the levels' size: sigma(levels) * eta_j, its
@@ -831,11 +829,12 @@ def _picard_levels(geom, sigma, w_rows, slabs, n_iters, offset=None, on_row=None
     Level 0 is w, or w + offset[r] when offset (shape (R, n_fft)) is given;
     R is the number of offsets then, else of noise rows.  sigma is an
     AffineSigma, applied in place through its a and b.
-    on_row(j, rows), when given, sees row j of every level as soon as it is
-    built: rows[r, n] is row j of u^n for draw r.  rows is the engine's
-    buffer and is overwritten at the next row, so on_row copies what it
-    keeps.  Returns deltas[r, n - 1] = sup over rows and the core of
-    |u^n - u^{n-1}|, possibly not finite (overflow is left to the caller).
+    on_row(j, rows), when given (``_hand_off`` makes one for consumers),
+    sees row j of every level as soon as it is built: rows[r, n] is row j
+    of u^n for draw r.  rows is the engine's buffer and is overwritten at
+    the next row, so on_row copies what it keeps.  Returns deltas[r, n - 1]
+    = sup over rows and the core of |u^n - u^{n-1}|, possibly not finite
+    (overflow is left to the caller).
     """
     n_steps, n_fft = geom.n_steps, geom.n_fft
     slabs = iter(slabs)
@@ -850,6 +849,7 @@ def _picard_levels(geom, sigma, w_rows, slabs, n_iters, offset=None, on_row=None
     # only after the deltas have been read
     core_diff = q[..., core]
     deltas = np.zeros((n_real, n_iters))
+    source = rows[:, 1:] if fixed_point else rows[:, :-1]
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_steps + 1):
             w_j = next(w_rows)
@@ -866,8 +866,8 @@ def _picard_levels(geom, sigma, w_rows, slabs, n_iters, offset=None, on_row=None
             if j < n_steps:
                 if j > 0:
                     eta = next(slabs)
-                # q = sigma(levels 0..n_iters-1) * eta_j, in place
-                np.multiply(sigma.a, rows[:, :-1], out=q)
+                # q = sigma(source levels) * eta_j, in place
+                np.multiply(sigma.a, source, out=q)
                 q += sigma.b
                 q *= eta[:, None, :]
                 sym = add(j, np.fft.rfft(q, axis=-1, out=p_hat))
@@ -893,34 +893,37 @@ def _delta_history(deltas, tol=None):
 
 
 def solve(config, consumers=None):
-    """The fixed point by one causal sweep, checked by one Picard step.
+    """The fixed point by the engine's fixed-point pass, checked by one
+    Picard step.
 
-    The sweep ``_sweep_rows`` builds the lattice fixed point u* of the
-    Picard map row by row, from the rows of w and the noise slabs, and
-    checks it chunk by chunk against picard_step's route: the residual
+    ``_picard_levels`` runs one draw and one level that reads its own rows:
+    the lattice fixed point u* of the Picard map, built row by row from the
+    rows of w and the noise, with its delta sup_core |u* - w| as the
+    spread.  ``_Residual`` reads every row and records the noise the engine
+    draws, and checks u* against picard_step's route: the residual
     sup_core |Phi(u*) - u*| is 0 up to rounding.  A non-finite residual
-    (overflow or NaN in the sweep) raises PicardDivergenceError.  Picard
-    iteration, where the iterates are the object, is solve_ensemble and
-    uniqueness_probe; config.max_iters plays no part here, and config.tol
+    (overflow or NaN in the pass) raises PicardDivergenceError before the
+    spread is read.  config.max_iters plays no part here, and config.tol
     only scales the reported stopping_threshold.
 
     Without consumers the result keeps every row: ``field`` holds u* and
-    ``homogeneous`` holds w.  With consumers, each declares its rows in
-    ``t_idx`` and sees observe(0, k, levels) while row t_idx[k] is built,
-    levels[0] that row of w and levels[1] that row of u*; the result then
-    holds neither field, and memory holds a noise chunk of rows plus what
-    the consumers keep, whatever n_steps.
+    ``homogeneous`` holds w.  Else, as solve_ensemble's collectors, each
+    consumer declares its rows in ``t_idx`` and sees observe(0, k, levels)
+    while row t_idx[k] is built, levels[0] that row of w and levels[1] of
+    u*; the result holds neither field, and memory a noise chunk of rows
+    plus what the consumers keep, whatever n_steps.
     """
     geom = build_geometry(config)
     every = _EveryRow(geom) if consumers is None else None
-    residual, spread = _sweep_rows(
-        geom,
-        config.sigma,
-        _homogeneous_rows(geom, config.init),
-        _noise_rows(geom, config.seed, [config.realization]),
-        consumers if every is None else (every,),
+    consumers = (every,) if every is not None else consumers
+    check = _Residual(geom, config.sigma)
+    slabs = check.recorded(_noise_rows(geom, config.seed, [config.realization]))
+    deltas = _picard_levels(
+        geom, config.sigma, _homogeneous_rows(geom, config.init), slabs, 1,
+        on_row=_hand_off(geom, [*consumers, check]), fixed_point=True,
     )
-    residual = _finite_delta(residual, 1, [])
+    residual = _finite_delta(float(check.value), 1, [])
+    spread = float(deltas[0, 0])
     # spread == 0 (no noise term) avoids inf * 0 when tol is infinite
     threshold = config.tol * spread if spread > 0.0 else 0.0
     return PicardResult(
@@ -970,20 +973,13 @@ def solve_ensemble(config, n_realizations, n_iters=None, collectors=()):
             )
     geom = build_geometry(config)
     deltas = np.empty((n_realizations, n_iters))
-    routes = _routes(geom, collectors)
 
     for r0 in range(0, n_realizations, ENGINE_BATCH):
         batch = range(r0, min(n_realizations, r0 + ENGINE_BATCH))
-
-        def hand_off(j, rows, r0=r0):
-            for collector, k in routes.get(j, ()):
-                for i, levels in enumerate(rows):
-                    collector.observe(r0 + i, k, levels)
-
         slabs = _noise_rows(geom, config.seed, [config.realization + r for r in batch])
         levels = _picard_levels(
             geom, config.sigma, _homogeneous_rows(geom, config.init), slabs, n_iters,
-            on_row=hand_off if routes else None,
+            on_row=_hand_off(geom, collectors, r0) if collectors else None,
         )
         for i, r in enumerate(batch):
             deltas[r] = _delta_history(levels[i])[0]

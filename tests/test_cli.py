@@ -442,14 +442,28 @@ class TestPicardCommand:
     def test_residual_check_catches_a_faulty_sweep(
         self, tmp_path, monkeypatch, capsys, equation, fault
     ):
-        # a streamed sweep whose stochastic term is 1% high, or whose row
-        # j + 1 is fed by slab j - 1, is no fixed point of picard_step
-        old, new = {
-            "weight": ("np.fft.irfft(add(", "1.01 * np.fft.irfft(add("),
-            "slab": ("sigma(rows[i, 1]) * eta[i]", "sigma(rows[i, 1]) * eta[i - 1]"),
-        }[fault]
-        faulty = faulty_copy(fracspde.picard._sweep_rows, old, new)
-        monkeypatch.setattr(fracspde.picard, "_sweep_rows", faulty)
+        # the engine's fixed-point sweep with its stochastic term 1% high, or
+        # with row j + 1 fed by slab j - 1 (and row 1 by no noise) while the
+        # residual reads the true slabs, is no fixed point of picard_step
+        engine = fracspde.picard._picard_levels
+        if fault == "weight":
+            faulty = faulty_copy(
+                engine,
+                "np.fft.irfft(sym, n=n_fft, axis=-1, out=rows[:, 1:])",
+                "np.multiply(1.01, np.fft.irfft(sym, n=n_fft, axis=-1), out=rows[:, 1:])",
+            )
+        else:
+
+            def lagged(slabs):
+                first = next(slabs)
+                yield np.zeros_like(first)
+                yield first
+                yield from slabs
+
+            def faulty(geom, sigma, w_rows, slabs, *args, **kwargs):
+                return engine(geom, sigma, w_rows, lagged(iter(slabs)), *args, **kwargs)
+
+        monkeypatch.setattr(fracspde.picard, "_picard_levels", faulty)
         out = tmp_path / "single"
         assert main(self.run_args(out, ["--equation", equation])) == 2
         assert "FAIL picard-fixed-point-residual" in capsys.readouterr().out

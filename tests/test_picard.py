@@ -1,14 +1,16 @@
-"""Tests for the solver: the causal sweep and the Picard iteration.
+"""Tests for the solver: the iterate engine's one causal row loop, in its
+fixed-point mode (solve) and as Picard iteration.
 
 Oracles: exact noise-free solutions (d'Alembert, spectral heat flow) on
 polynomial and lattice-trigonometric data, an O(n^2) per-pair spectral
 convolution reimplementation for the stochastic term, bitwise structural
 identities of the affine iteration (zero noise, a = 0 stationarity,
-scaling, additive shift), the sweep as the exact fixed point of a Picard
-step, recorded bytes of small solves, the exact Ornstein-Uhlenbeck law of
-each heat band under additive noise, and the closed-form variance of the
-first stochastic increment, checked both as an exact lattice sum and by
-Monte Carlo over solve_ensemble.
+scaling, additive shift), the fixed-point sweep as the exact fixed point
+of a Picard step and a batch of them as separate solves, recorded bytes
+of small solves, the exact Ornstein-Uhlenbeck law of each heat band under
+additive noise, and the closed-form variance of the first stochastic
+increment, checked both as an exact lattice sum and by Monte Carlo over
+solve_ensemble.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from sampled import FinalIterates, faulty_copy
+from sampled import FinalIterates
 from scipy.integrate import cumulative_trapezoid
 
 from fracspde.constants import c_H
@@ -38,10 +40,10 @@ from fracspde.picard import (
     _delta_history,
     _homogeneous_rows,
     _homogeneous_values,
+    _noise_rows,
     _picard_levels,
     _slab_sums,
     _stochastic_blocks,
-    _sweep_rows,
     _trapezoid_antiderivative,
     build_geometry,
     constant_initial,
@@ -406,7 +408,7 @@ class TestPicardStep:
         np.testing.assert_allclose(u, expected, rtol=1e-11, atol=1e-13)
 
     def test_wave_sums_equal_the_slab_update(self):
-        # picard_step's whole-array wave sums are the sweep's slab-by-slab
+        # picard_step's whole-array wave sums are the engine's slab-by-slab
         # update, bit for bit; add returns its one buffer, so each row is
         # copied
         cfg = small_config()
@@ -468,17 +470,14 @@ def iterate(geom, sigma, w, eta, max_iters, tol=None):
 
 
 def sweep(geom, sigma, w, eta):
-    """The streamed sweep on the given rows of w and noise slabs: every row
-    of its fixed point u."""
+    """The engine's fixed-point sweep on the given rows of w and noise
+    slabs: every row of its fixed point u."""
     u = np.empty_like(w)
 
-    class EveryRow:
-        t_idx = np.arange(geom.n_steps + 1)
+    def keep(j, rows):
+        u[j] = rows[0, 1]
 
-        def observe(self, r, k, levels):
-            u[k] = levels[1]
-
-    _sweep_rows(geom, sigma, iter(w), iter(eta[:, None]), (EveryRow(),))
+    _picard_levels(geom, sigma, iter(w), iter(eta[:, None]), 1, on_row=keep, fixed_point=True)
     return u
 
 
@@ -854,14 +853,15 @@ class TestEngine:
             assert firsts == runs[0][2]
 
     def test_an_engine_reading_its_own_level_fails(self, monkeypatch):
-        # level n + 1 built from itself instead of from level n
+        # level n + 1 built from itself instead of from level n: the
+        # fixed-point source fed to the iterate mode
         cfg = small_config()
         expected = chained_steps(cfg, 2, 3, SPY_ROWS)
-        faulty = faulty_copy(
-            picard._picard_levels,
-            "np.multiply(sigma.a, rows[:, :-1], out=q)",
-            "np.multiply(sigma.a, rows[:, 1:], out=q)",
-        )
+        engine = picard._picard_levels
+
+        def faulty(*args, **kwargs):
+            return engine(*args, **kwargs, fixed_point=True)
+
         monkeypatch.setattr(picard, "_picard_levels", faulty)
         deltas, finals, rows, firsts = engine_run(cfg, 2, 3, SPY_ROWS)
         assert not np.array_equal(deltas, expected[0])
@@ -884,6 +884,27 @@ class TestEngine:
         deltas, finals, rows, firsts = engine_run(cfg, 2, 3, SPY_ROWS)
         assert not np.array_equal(deltas, expected[0])
         assert not np.array_equal(finals[0], expected[1][0])
+
+    @pytest.mark.parametrize("equation", ["wave", "heat"])
+    def test_a_batch_of_fixed_points_is_separate_solves(self, equation):
+        # the fixed-point sweep of a batch of 4 draws (ENGINE_BATCH) in one
+        # pass: each u is solve's field of that draw, bit for bit
+        cfg = small_config(equation)
+        geom = build_geometry(cfg)
+        batch = range(4)
+        u = np.empty((len(batch), geom.n_steps + 1, geom.n_fft))
+
+        def keep(j, rows):
+            u[:, j] = rows[:, 1]
+
+        slabs = _noise_rows(geom, cfg.seed, [cfg.realization + r for r in batch])
+        _picard_levels(
+            geom, cfg.sigma, _homogeneous_rows(geom, cfg.init), slabs, 1,
+            on_row=keep, fixed_point=True,
+        )
+        for r in batch:
+            field = solve(replace(cfg, realization=cfg.realization + r)).field.values
+            np.testing.assert_array_equal(u[r], field)
 
     @pytest.mark.parametrize("chunk", [1, 5, 16, 64])
     def test_noise_rows_are_the_noise_slabs(self, monkeypatch, chunk):
@@ -965,9 +986,9 @@ GOLDEN = {
     np.__version__ != "2.4.6", reason="the pinned bytes are those of numpy 2.4.6's FFT and trig"
 )
 class TestGoldenBits:
-    """The engine, the sweep and picard_step pinned to recorded bytes: the
-    tests that compare one route with another cannot see a change made to
-    all of them at once."""
+    """The engine, in both modes, and picard_step pinned to recorded bytes:
+    the tests that compare one route with another cannot see a change made
+    to all of them at once."""
 
     @pytest.mark.parametrize("equation", ["wave", "heat"])
     def test_ensemble_solve_and_step_keep_their_bytes(self, equation):
@@ -1087,9 +1108,9 @@ class TestFirstIncrementVariance:
 
 
 def impulse_response(geom, band=None):
-    """The sweep's additive (sigma = 1) response to a unit draw Z_{0k} = 1 in
-    slab 0, on every band or on one; row j is R_k(t_j), the spectral gain
-    from the slab-0 draw of band k to u(t_j)."""
+    """The additive (sigma = 1) response of the engine's fixed-point sweep
+    to a unit draw Z_{0k} = 1 in slab 0, on every band or on one; row j is
+    R_k(t_j), the spectral gain from the slab-0 draw of band k to u(t_j)."""
     z = np.zeros((geom.n_steps, geom.n_bands), dtype=complex)
     z[0, slice(None) if band is None else band] = 1.0
     eta = _band_field(geom, z)
